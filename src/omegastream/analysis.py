@@ -230,6 +230,7 @@ class AnalysisContext:
             raise ValueError(f"unknown theta policy {theta_policy!r}")
         self.theta_policy = theta_policy
         self._compat: Dict[FrozenSet[str], Optional[CompatibleSet]] = {}
+        self._lattices: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self._separ: Dict[FrozenSet[str], Optional[SeparabilityWitness]] = {}
         self._ends: Dict[FrozenSet[str], Dict[str, UPWord]] = {}
         self._theta: Optional[int] = None
@@ -266,14 +267,51 @@ class AnalysisContext:
         self._compat[C] = res
         return res
 
-    def comp_subsets(self, S) -> List[FrozenSet[str]]:
-        S = sorted(S)
-        out = []
-        for r in range(1, len(S) + 1):
-            for sub in itertools.combinations(S, r):
-                if self.is_compatible(frozenset(sub)) is not None:
-                    out.append(frozenset(sub))
-        return out
+    def comp_subsets(self, S) -> Tuple[FrozenSet[str], ...]:
+        """The compatible subsets of S, memoized per frontier.
+
+        Order: by size, then ``itertools.combinations`` order over the
+        sorted states (the order the determinizer's tree is built in).
+
+        Compatibility is not downward closed: only one component of the
+        witness lasso has to be final, so dropping that state can make a
+        subset incompatible.  It is downward closed around that state,
+        though: if C is compatible through a lasso whose component q is
+        final, then every subset of C that contains q is compatible through
+        the same lasso.  So a compatible C of size r has at least r - 1
+        compatible subsets of size r - 1 (all C - {x} with x != q), and a
+        compatible level is never followed by an empty one.  The lattice is
+        built level by level on that condition: a candidate is tested only
+        when enough of its one-smaller subsets were compatible, and the
+        search stops at the first level with no compatible set.  On a
+        frontier whose compatible sets are small, this tests polynomially
+        many sets instead of all 2^|S| subsets.
+
+        The result is an immutable tuple shared by every caller.
+        """
+        S = frozenset(S)
+        hit = self._lattices.get(S)
+        if hit is None:
+            hit = self._lattices[S] = self._build_lattice(sorted(S))
+        return hit
+
+    def _build_lattice(self, states) -> Tuple[FrozenSet[str], ...]:
+        found: List[Tuple[str, ...]] = []
+        level = [(q,) for q in states if self.is_compatible((q,)) is not None]
+        while level:
+            found.extend(level)
+            # support[C]: how many compatible one-smaller subsets C has
+            support: Dict[Tuple[str, ...], int] = {}
+            for sub in level:
+                for q in states:
+                    if q not in sub:
+                        cand = tuple(sorted(sub + (q,)))
+                        support[cand] = support.get(cand, 0) + 1
+            need = len(level[0])
+            level = [cand for cand in sorted(support)
+                     if support[cand] >= need
+                     and self.is_compatible(cand) is not None]
+        return tuple(frozenset(t) for t in found)
 
     # steps --------------------------------------------------------------------
 

@@ -81,17 +81,17 @@ def cover(
     (position..j]; C is the order-minimal such set.
     """
     S = frozenset(S)
-    candidates = sorted(ctx.comp_subsets(S), key=set_order_key)
+    candidates = ctx.comp_subsets(S)
     if not candidates:
         raise DivergedError(position, S, 0)
     # evolving images (push_w(C), push_w(S))
-    pairs = [[frozenset(c), c] for c in candidates]
+    pairs = [[c, c] for c in candidates]
     frontier = S
     j = position
     while True:
-        for img, c in pairs:
-            if img == frontier:
-                return j, c
+        done = [c for img, c in pairs if img == frontier]
+        if done:
+            return j, min(done, key=set_order_key)
         if j - position >= max_lookahead:
             raise DivergedError(position, S, max_lookahead)
         a = buffer.get(j)

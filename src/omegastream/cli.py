@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Subcommands: check, analyze, annotate, determinize (run), run, convert,
-oracle.  Exit status 0 on success, 1 on negative verdicts or inputs outside
-a domain, 2 on contract violations or malformed files.
+oracle.  Exit status:
+
+- 0 on success;
+- 1 on negative verdicts or inputs outside a domain;
+- 2 on contract violations, malformed files, or an analysis search that
+  ran out of its node budget (BudgetExceeded).
+
+An exception mapped to 1 or 2 prints one ``error: ...`` line to stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +20,12 @@ import sys
 
 from . import convert as conv
 from . import nft, sst, twoway
-from .analysis import AnalysisContext, ContinuityViolation, is_continuous
+from .analysis import (
+    AnalysisContext,
+    BudgetExceeded,
+    ContinuityViolation,
+    is_continuous,
+)
 from .annotator import DivergedError, annotate
 from .determinize import Determinizer, InvariantChecker, InvariantError, run_pipeline
 from .nft import AmbiguityError, ContractError
@@ -359,6 +371,7 @@ def main(argv=None) -> int:
     except (
         ContractError,
         AmbiguityError,
+        BudgetExceeded,
         InvariantError,
         conv.ConversionError,
         ValueError,

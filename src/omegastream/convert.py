@@ -967,8 +967,7 @@ class PipedEvaluator:
         self.emitted: List = []
 
     def run(self, x: UPWord, n_letters: int) -> Word:
-        stream = (x.letter_at(i) for i in range(10 * n_letters + 1000))
-        items = self.factory(stream)
+        items = self.factory(x.letters())
         consumed = -1  # the first item carries no input letter
         for item in items:
             self.emitted.extend(self.core.feed(item))

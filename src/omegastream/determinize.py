@@ -111,6 +111,7 @@ class Determinizer:
         self.T = ctx.T
         self.trace: List[StepRecord] = []
         self._tree_cache: Dict[FrozenSet[str], List[Tuple]] = {}
+        self._children_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self.steps = 0
 
     # -- structure helpers -----------------------------------------------------
@@ -132,8 +133,12 @@ class Determinizer:
         self._tree_cache[C] = paths
         return paths
 
-    def _children(self, Cn: FrozenSet[str]) -> List[FrozenSet[str]]:
-        return [D for D in self.ctx.comp_subsets(Cn) if D != Cn]
+    def _children(self, Cn: FrozenSet[str]) -> Tuple[FrozenSet[str], ...]:
+        kids = self._children_cache.get(Cn)
+        if kids is None:
+            kids = self._children_cache[Cn] = tuple(
+                D for D in self.ctx.comp_subsets(Cn) if D != Cn)
+        return kids
 
     def lagging(self, q: str) -> bool:
         return len(self.lag[q]) < len(self.max_lag)
@@ -693,8 +698,7 @@ def run_pipeline(
         )
     Tn = normalize(T)
     ctx = AnalysisContext(Tn, bound=bound, theta_policy=theta_policy)
-    stream = (x.letter_at(i) for i in range(10 * n + 1000))
-    ann = annotate(ctx, stream, max_lookahead=max_lookahead)
+    ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
     C0 = next(ann)
     det = Determinizer(ctx)
     det.init(C0)

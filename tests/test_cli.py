@@ -166,3 +166,16 @@ def test_exit_codes():
         "--input", "(01)^w", "--letters", "5",
     )
     assert code == 1 and "not continuous" in err
+
+
+def test_budget_exceeded_exit_code(monkeypatch):
+    from omegastream import cli
+    from omegastream.analysis import BudgetExceeded
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("continuity path search too large")
+
+    monkeypatch.setattr(cli, "is_continuous", exhausted)
+    code, out, err = run_cli("check", fixture_path("replace.json"))
+    assert code == cli.EXIT_CONTRACT
+    assert err == "error: continuity path search too large\n"

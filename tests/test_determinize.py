@@ -162,6 +162,15 @@ def test_pipeline_rejects_discontinuous(normalize_t):
         run_pipeline(normalize_t, parse_upword("(01)^w"), 10)
 
 
+def test_pipeline_lookahead_beyond_ten_n(replace_t):
+    # The first cover must read past the 1500 zeros: far more letters than
+    # 10 * n + 1000 for n = 1, yet well within max_lookahead.
+    x = parse_upword("0" * 1500 + "1(01)^w")
+    r = run_pipeline(replace_t, x, 1, max_lookahead=5000)
+    assert r.steps == 1
+    assert up_starts_with(nft.oracle_eval(replace_t, x), r.emitted)
+
+
 def test_prefix_soundness_and_invariants(replace_t, double_t):
     for T in (replace_t, double_t):
         for x in flushy_corpus(5):
