@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -28,7 +28,6 @@ from .words import (
     lcp_finite,
     lcm,
     mutual_prefixes,
-    strip_prefix,
     up_equal,
     up_starts_with,
     word,
@@ -36,6 +35,7 @@ from .words import (
 
 NODE_BUDGET = 400_000
 OMEGA_CAP = 100_000
+FUTURES_LIMIT = 4  # accepting futures compared per anchor by is_continuous
 
 
 class ContinuityViolation(Exception):
@@ -78,7 +78,6 @@ class AdvanceProfile:
 class LoopingFuture:
     tau: Word
     theta: Word
-    period_length: int
 
 
 @dataclass
@@ -114,7 +113,7 @@ def _tuple_successors(T: OneWayTransducer, tup, a):
         yield tuple(c[0] for c in combo), tuple(c[1] for c in combo)
 
 
-def _tuple_bfs(T: OneWayTransducer, starts, budget=NODE_BUDGET):
+def _tuple_bfs(T: OneWayTransducer, starts):
     """Forward BFS over state tuples; parents[t] = (prev, letter, outs)."""
     parents = {t: None for t in starts}
     queue = deque(starts)
@@ -123,7 +122,7 @@ def _tuple_bfs(T: OneWayTransducer, starts, budget=NODE_BUDGET):
         for a in sorted(T.input_alphabet, key=str):
             for nxt, outs in _tuple_successors(T, t, a):
                 if nxt not in parents:
-                    if len(parents) >= budget:
+                    if len(parents) >= NODE_BUDGET:
                         raise BudgetExceeded("tuple-product search too large")
                     parents[nxt] = (t, a, outs)
                     queue.append(nxt)
@@ -147,25 +146,15 @@ def _tuple_path(parents, node):
     return tuple(letters), outputs, cur
 
 
-def _tuple_cycle(T: OneWayTransducer, t, budget=NODE_BUDGET,
-                 final_component=None, weight_idx=None):
+def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
     """A cycle t ->+ t in the tuple graph.
 
-    final_component: if set, some visited tuple along the cycle must have a
-    final state at any component (checked on arrival tuples).
     weight_idx: if set to (i, j), require that the cycle's outputs at
     components i and j have different total lengths; the search space then
     carries the running length difference.
     """
-    finals = T.final
-
-    def feature(tup):
-        if final_component is None:
-            return True
-        return any(q in finals for q in tup)
-
-    # node: (tuple, seen_final_flag, weight_diff)
-    start = (t, feature(t) if final_component is not None else True, 0)
+    # node: (tuple, weight_diff)
+    start = (t, 0)
     parents = {start: None}
     queue = deque([start])
     wcap = None
@@ -173,7 +162,7 @@ def _tuple_cycle(T: OneWayTransducer, t, budget=NODE_BUDGET,
         wcap = 4 * _max_out_len(T) * (len(T.states) ** len(t) + 2)
     while queue:
         node = queue.popleft()
-        tup, flag, diff = node
+        tup, diff = node
         for a in sorted(T.input_alphabet, key=str):
             for nxt, outs in _tuple_successors(T, tup, a):
                 d2 = diff
@@ -182,28 +171,15 @@ def _tuple_cycle(T: OneWayTransducer, t, budget=NODE_BUDGET,
                     d2 = diff + len(outs[i]) - len(outs[j])
                     if abs(d2) > wcap:
                         continue
-                f2 = flag or feature(nxt)
-                key = (nxt, f2, d2)
-                if nxt == t and f2 and (weight_idx is None or d2 != 0):
-                    # found; reconstruct through parents
-                    letters = [a]
-                    outs_rev = [outs]
-                    cur = node
-                    while parents[cur] is not None:
-                        prev, la, lo = parents[cur]
-                        letters.append(la)
-                        outs_rev.append(lo)
-                        cur = prev
-                    letters.reverse()
-                    outs_rev.reverse()
-                    k = len(t)
-                    outputs = [
-                        tuple(b for step in outs_rev for b in step[i])
-                        for i in range(k)
-                    ]
-                    return tuple(letters), outputs
+                key = (nxt, d2)
+                if nxt == t and (weight_idx is None or d2 != 0):
+                    # the bare tuple t is no search key: it marks the end
+                    # and gives _tuple_path the tuple width
+                    parents[t] = (node, a, outs)
+                    letters, outputs, _ = _tuple_path(parents, t)
+                    return letters, outputs
                 if key not in parents:
-                    if len(parents) >= budget:
+                    if len(parents) >= NODE_BUDGET:
                         raise BudgetExceeded("tuple-cycle search too large")
                     parents[key] = (node, a, outs)
                     queue.append(key)
@@ -220,12 +196,8 @@ def _max_out_len(T: OneWayTransducer) -> int:
 class AnalysisContext:
     """Memoized analysis session for one normalized transducer."""
 
-    def __init__(self, T: OneWayTransducer, bound: Optional[int] = None,
-                 m_override: Optional[int] = None,
-                 theta_policy: str = "capped"):
+    def __init__(self, T: OneWayTransducer, theta_policy: str = "capped"):
         self.T = T
-        self.bound = bound
-        self.M = m_override if m_override is not None else max(10, _max_out_len(T))
         if theta_policy not in ("lcm", "capped"):
             raise ValueError(f"unknown theta policy {theta_policy!r}")
         self.theta_policy = theta_policy
@@ -438,7 +410,8 @@ class AnalysisContext:
             theta = base
         else:
             nq = len(self.T.states)
-            omega_eff = min(self.M * nq ** nq, OMEGA_CAP)
+            M = max(10, _max_out_len(self.T))
+            omega_eff = min(M * nq ** nq, OMEGA_CAP)
             target = 4 * max(omega_eff, max(tau_lens), 1)
             theta = base * ceil(target / base)
         self._theta = theta
@@ -471,7 +444,7 @@ class AnalysisContext:
             raise ContinuityViolation(
                 "max advance escapes the looping future; machine not continuous?"
             )
-        return LoopingFuture(tau=tau, theta=theta, period_length=big_theta)
+        return LoopingFuture(tau=tau, theta=theta)
 
 
 # -- step analysis (context-free) ----------------------------------------------
@@ -538,7 +511,7 @@ def advance_profile(sa: StepAnalysis) -> AdvanceProfile:
 # -- continuity ------------------------------------------------------------------
 
 
-def _simple_pair_paths(T: OneWayTransducer, bound: int, budget: int):
+def _simple_pair_paths(T: OneWayTransducer, bound: int):
     """DFS over simple product paths from I x I; yields
     (start_pair, path_pairs, out1, out2) for every prefix endpoint."""
     starts = sorted(
@@ -548,7 +521,7 @@ def _simple_pair_paths(T: OneWayTransducer, bound: int, budget: int):
 
     def dfs(pair, visited, out1, out2, letters, start):
         count[0] += 1
-        if count[0] > budget:
+        if count[0] > NODE_BUDGET:
             raise BudgetExceeded("continuity path search too large")
         yield start, pair, out1, out2, letters
         if len(visited) > bound:
@@ -572,13 +545,13 @@ def _simple_pair_paths(T: OneWayTransducer, bound: int, budget: int):
         yield from dfs(s, {s}, (), (), (), s)
 
 
-def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int, budget: int):
+def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int):
     """Simple product cycles at anchor: yields (out1, out2, letters)."""
     count = [0]
 
     def dfs(pair, visited, out1, out2, letters):
         count[0] += 1
-        if count[0] > budget:
+        if count[0] > NODE_BUDGET:
             raise BudgetExceeded("continuity cycle search too large")
         if len(letters) > bound:
             return
@@ -599,13 +572,13 @@ def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int, budget: int):
     yield from dfs(anchor, set(), (), (), ())
 
 
-def accepting_futures(T: OneWayTransducer, q: str, limit: int = 4) -> List[UPWord]:
-    """Up to `limit` distinct outputs of accepting runs from q."""
+def accepting_futures(T: OneWayTransducer, q: str) -> List[UPWord]:
+    """Up to FUTURES_LIMIT distinct outputs of accepting runs from q."""
     results: List[UPWord] = []
     seen_pref = set()
     frontier = deque([(q, ())])
     visited = {q: 0}
-    while frontier and len(results) < limit:
+    while frontier and len(results) < FUTURES_LIMIT:
         p, out = frontier.popleft()
         fut = accepting_future(T, p)
         if fut is not None:
@@ -622,7 +595,7 @@ def accepting_futures(T: OneWayTransducer, q: str, limit: int = 4) -> List[UPWor
 
 
 def is_continuous(
-    T: OneWayTransducer, bound: Optional[int] = None, budget: int = NODE_BUDGET
+    T: OneWayTransducer, bound: Optional[int] = None
 ) -> Tuple[bool, Optional[ContinuityWitness]]:
     """Decide continuity via the synchronized-loop criterion.
 
@@ -635,7 +608,7 @@ def is_continuous(
     if bound is None:
         bound = max(4, len(T.states) ** 2)
     checked = set()
-    for start, anchor, out1, out2, path in _simple_pair_paths(T, bound, budget):
+    for start, anchor, out1, out2, path in _simple_pair_paths(T, bound):
         f, q = anchor
         if f not in T.final:
             continue
@@ -643,7 +616,7 @@ def is_continuous(
         if key in checked:
             continue
         checked.add(key)
-        for c1, c2, letters in _simple_pair_cycles(T, anchor, bound, budget):
+        for c1, c2, letters in _simple_pair_cycles(T, anchor, bound):
             if len(c1) == 0:
                 # a final-visiting silent loop would violate cleanliness;
                 # nothing to check against

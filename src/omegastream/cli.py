@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, analyze, annotate, determinize (run), run, convert,
-oracle.  Exit status:
+oracle.  ``run --letters n`` reads exactly n input letters; n must be
+>= 0.  Exit status:
 
 - 0 on success;
 - 1 on negative verdicts or inputs outside a domain;
@@ -27,7 +28,7 @@ from .analysis import (
     is_continuous,
 )
 from .annotator import DivergedError, annotate
-from .determinize import Determinizer, InvariantChecker, InvariantError, run_pipeline
+from .determinize import InvariantError, StreamSession, prepare
 from .nft import AmbiguityError, ContractError
 from .words import format_upword, parse_upword
 
@@ -55,7 +56,7 @@ def _input_letters(args):
     """Input letters: a UP word expression or stdin, one letter per line."""
     if args.input is not None:
         x = parse_upword(args.input)
-        return x, (x.letter_at(i) for i in range(10 ** 9))
+        return x, x.letters()
     if not args.stdin:
         raise ContractError("provide --input or --stdin")
 
@@ -108,7 +109,7 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     T = nft.normalize(nft.load(args.machine))
-    ctx = AnalysisContext(T, bound=args.bound, theta_policy=args.theta_policy)
+    ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     C0 = frozenset(T.initial)
     rows = []
     for C in ctx.comp_subsets(C0):
@@ -150,7 +151,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_annotate(args) -> int:
     T = nft.normalize(nft.load(args.machine))
-    ctx = AnalysisContext(T, bound=args.bound, theta_policy=args.theta_policy)
+    ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     _, stream = _input_letters(args)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
     C0 = next(ann)
@@ -193,57 +194,28 @@ def _trace_line(rec) -> str:
 
 
 def cmd_determinize(args) -> int:
+    """--stdin flushes each output increment, then prints the whole output;
+    --input prints only the whole output (or its JSON summary).  --trace
+    prints one record per step, the init record included, in both modes."""
     T = nft.load(args.machine)
     x, stream = _input_letters(args)
-    if x is not None:
-        if args.letters is None:
-            raise ContractError("--letters is required with --input")
-        result = run_pipeline(
-            T,
-            x,
-            args.letters,
-            check_invariants=args.check_invariants,
-            max_lookahead=args.max_lookahead,
-            bound=args.bound,
-            theta_policy=args.theta_policy,
-        )
-        if args.trace:
-            for rec in result.trace:
-                print(_trace_line(rec))
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {"steps": result.steps, "emitted": _fmt_word(result.emitted)}
-                )
-            )
-        else:
-            print(_fmt_word(result.emitted))
-        return EXIT_OK
-    # live mode over stdin: no continuity pre-check on the word, stream deltas
-    ok, witness = is_continuous(T, bound=args.bound)
-    if not ok:
-        raise ContinuityViolation(
-            f"function is not continuous (witness u={_fmt_word(witness.u)}, "
-            f"u'={_fmt_word(witness.u_loop)})"
-        )
-    Tn = nft.normalize(T)
-    ctx = AnalysisContext(Tn, bound=args.bound, theta_policy=args.theta_policy)
+    if x is not None and args.letters is None:
+        raise ContractError("--letters is required with --input")
+    if args.letters is not None and args.letters < 0:
+        raise ContractError("--letters must be >= 0")
+    ctx = prepare(T, bound=args.bound, theta_policy=args.theta_policy)
+    session = StreamSession(ctx, x, args.check_invariants)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
-    det = Determinizer(ctx)
-    det.init(next(ann))
-    checker = InvariantChecker(det) if args.check_invariants else None
-    for a, C in ann:
-        delta = det.step(a, C)
-        if checker is not None:
-            checker.after_step(a, det.trace[-1].pre_step)
+    for _, delta in session.run(ann, args.letters):
         if args.trace:
-            print(_trace_line(det.trace[-1]))
-        elif delta:
+            print(_trace_line(session.det.trace[-1]))
+        elif x is None and delta:
             print(_fmt_word(delta), flush=True)
-        if args.letters is not None and det.steps - 1 >= args.letters:
-            break
-    if not args.trace:
-        print(_fmt_word(det.emitted))
+    if x is not None and args.format == "json":
+        print(json.dumps(
+            {"steps": session.steps, "emitted": _fmt_word(session.emitted)}))
+    elif x is not None or not args.trace:
+        print(_fmt_word(session.emitted))
     return EXIT_OK
 
 

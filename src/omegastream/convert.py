@@ -10,28 +10,34 @@ Four constructions live here:
   decomposition forest of copy-count labels and storing virtual copies;
 * ``compose_restricted`` -- composition of a restricted (all-states-final)
   nondeterministic transducer with a streaming transducer by maintaining a
-  bounded tree of runs.
+  bounded tree of runs.  Its second form composes a deterministic
+  annotation stream (C0, then one (letter, C) pair per input letter, as
+  ``annotator.annotate`` yields it) with a core fed one item at a time;
+  the core is ``DeterminizerCore``, the determinizer's streaming session
+  ``determinize.StreamSession``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from .determinize import Determinizer
+# the annotation-stream core of compose_restricted
+from .determinize import StreamSession as DeterminizerCore  # noqa: F401
 from .nft import AmbiguityError, OneWayTransducer
 from .sst import (
     MixedWord,
     Reg,
     StreamingTransducer,
     Substitution,
+    _Evaluator,
     check_bounded,
     check_copyless,
     count_ref,
 )
 from .twoway import ENDMARKER, LEFT, RIGHT, LookbehindDFA, TwoWayTransducer
-from .words import UPWord, Word, word
+from .words import UPWord, Word
 
 
 class ConversionError(Exception):
@@ -774,39 +780,6 @@ def _merge_levels(levels, roots, regs, assign):
 # =============================================================================
 
 
-class _SConfig:
-    """A streaming-transducer configuration advanced by output letters of N."""
-
-    __slots__ = ("S", "q", "val")
-
-    def __init__(self, S: StreamingTransducer, q=None, val=None):
-        self.S = S
-        self.q = S.initial if q is None else q
-        self.val = {r: () for r in S.registers} if val is None else val
-
-    def copy(self) -> "_SConfig":
-        return _SConfig(self.S, self.q, dict(self.val))
-
-    def feed(self, w: Word) -> Optional[Word]:
-        """Run S over w; returns the out-increment or None when blocked."""
-        before = len(self.val[self.S.out])
-        for a in w:
-            key = (self.q, a)
-            if key not in self.S.delta:
-                return None
-            sub = self.S.updates[key]
-            self.val = {
-                r: tuple(
-                    b
-                    for t in sub.assignment[r]
-                    for b in (self.val[t] if isinstance(t, Reg) else (t,))
-                )
-                for r in self.S.registers
-            }
-            self.q = self.S.delta[key]
-        return self.val[self.S.out][before:]
-
-
 class _Node:
     __slots__ = ("delta", "children", "n_state", "config")
 
@@ -838,7 +811,7 @@ class ComposedEvaluator:
         self.root = _Node()
         for q in sorted(N.initial):
             self.root.children.append(
-                _Node(n_state=q, config=_SConfig(S))
+                _Node(n_state=q, config=_Evaluator(S))
             )
         self.emitted: List = []
 
@@ -938,26 +911,6 @@ class ComposedEvaluator:
         return tuple(self.emitted)
 
 
-class DeterminizerCore:
-    """Adapter running the determinizer over an annotated letter stream."""
-
-    def __init__(self, ctx):
-        self.det = Determinizer(ctx)
-        self._started = False
-
-    def feed(self, item) -> Word:
-        if not self._started:
-            self.det.init(item)
-            self._started = True
-            return ()
-        a, C = item
-        return self.det.step(a, C)
-
-    @property
-    def emitted(self) -> Word:
-        return tuple(self.det.emitted)
-
-
 class PipedEvaluator:
     """Sequential composition with a deterministic annotation stream."""
 
@@ -967,13 +920,9 @@ class PipedEvaluator:
         self.emitted: List = []
 
     def run(self, x: UPWord, n_letters: int) -> Word:
-        items = self.factory(x.letters())
-        consumed = -1  # the first item carries no input letter
-        for item in items:
+        # the first item (C0) carries no input letter
+        for item in itertools.islice(self.factory(x.letters()), n_letters + 1):
             self.emitted.extend(self.core.feed(item))
-            consumed += 1
-            if consumed >= n_letters:
-                break
         return tuple(self.emitted)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .analysis import (
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .annotator import annotate
 from .nft import ContractError, OneWayTransducer, normalize
-from .sst import Reg
+from .sst import Reg, substitute
 from .words import UPWord, Word, is_prefix, lcp_finite, up_starts_with
 
 
@@ -75,13 +76,7 @@ class _Recorder:
         }
 
     def resolve(self, name: str) -> Word:
-        out: List = []
-        for t in self.sym[name]:
-            if isinstance(t, Reg):
-                out.extend(self.old[t])
-            else:
-                out.append(t)
-        return tuple(out)
+        return substitute(self.sym[name], self.old)
 
     def finish(self):
         assign = {name: tuple(toks) for name, toks in self.sym.items()}
@@ -152,18 +147,12 @@ class Determinizer:
         self.C = C0
         self.J = C0
         self.pre_total = {q: q for q in C0}
-        self.lag = {q: () for q in C0}
-        self.max_lag: Word = ()
         self.emitted: List = []
-        self.mode = "nonsep"
         self.theta: Word = ()
-        self.nb: Dict[Tuple, Dict[str, int]] = {}
-        self.last: Dict[str, Word] = {}
         self.out_regs: Dict[str, Word] = {}
         rec = _Recorder({"out": ()})
-        if self.ctx.is_separable(C0) is not None:
-            self._enter_separable(rec, {q: () for q in C0})
-        self._commit(rec, letter=None, pre_step={q: q for q in C0})
+        self._settle(rec, {q: () for q in C0})
+        return self._commit(rec, letter=None, pre_step={q: q for q in C0})
 
     # -- the step dispatcher ---------------------------------------------------
 
@@ -203,7 +192,8 @@ class Determinizer:
                 lag={q: self.lag[q] for q in sorted(self.lag)},
                 max_lag=self.max_lag,
                 nb={
-                    path_register(p): dict(m) for p, m in self.nb.items()
+                    path_register(p): {q: m[q] for q in sorted(m)}
+                    for p, m in self.nb.items()
                 },
                 emitted_delta=delta,
                 assign=assign,
@@ -225,14 +215,18 @@ class Determinizer:
         self.pre_total = {q: self.pre_total[sa.pre[q]] for q in sa.target}
         self.C = sa.target
         self.J = frozenset(self.pre_total.values())
+        self._settle(rec, alphas)
+
+    def _settle(self, rec: _Recorder, alphas: Dict[str, Word]):
+        """Enter the mode of the current C with per-state remainders alphas."""
         if self.ctx.is_separable(self.C) is not None:
             self._enter_separable(rec, alphas)
         else:
             self.mode = "nonsep"
             self.lag = alphas
-            self.max_lag = ()
-            self.last = {}
-            self.nb = {}
+            self.max_lag: Word = ()
+            self.last: Dict[str, Word] = {}
+            self.nb: Dict[Tuple, Dict[str, int]] = {}
 
     def _enter_separable(self, rec: _Recorder, alphas: Dict[str, Word]):
         profile = AdvanceProfile(
@@ -401,13 +395,7 @@ class Determinizer:
             self.pre_total = {q: self.pre_total[q] for q in Cp}
             self.C = Cp
             self.J = frozenset(self.pre_total.values())
-            self.mode = "nonsep"
-            self.lag = alphas
-            self.max_lag = ()
-            self.last = {}
-            self.nb = {}
-            if self.ctx.is_separable(Cp) is not None:
-                self._enter_separable(rec, alphas)
+            self._settle(rec, alphas)
         else:
             c = reduce(lcp_finite, [self.lag[q] for q in sorted(Cp)])
             rec.append_letters("out", c)
@@ -451,6 +439,9 @@ class Determinizer:
 
 # -- invariant checking ------------------------------------------------------------
 
+RECOMPUTE_EVERY = 25  # steps between from-scratch recomputations of val
+FUTURE_LETTERS = 6  # input letters of lookahead for the future invariant 4f
+
 
 class InvariantChecker:
     """Oracle-backed per-step verification of the determinizer invariants.
@@ -459,18 +450,14 @@ class InvariantChecker:
     machine), spot-recomputes them from scratch periodically, and checks
     each invariant against the machine's state."""
 
-    def __init__(self, det: Determinizer, x: Optional[UPWord] = None,
-                 recompute_every: int = 25, future_letters: int = 6):
+    def __init__(self, det: Determinizer, x: Optional[UPWord] = None):
         self.det = det
         self.x = x
-        self.recompute_every = recompute_every
-        self.future_letters = future_letters
         self.letters: List = []
         self.vals: Dict[str, Word] = {q: () for q in det.C}
         self.history: List[Dict] = [
             {"C": det.C, "vals": dict(self.vals), "pre": {q: q for q in det.C}}
         ]
-        self.checked = 0
         self.check()
 
     def after_step(self, a, pre_step: Dict[str, str]):
@@ -485,7 +472,7 @@ class InvariantChecker:
         self.history.append(
             {"C": det.C, "vals": dict(self.vals), "pre": dict(sa.pre)}
         )
-        if len(self.letters) % self.recompute_every == 0:
+        if len(self.letters) % RECOMPUTE_EVERY == 0:
             self._spot_recompute()
         self.check()
 
@@ -526,7 +513,6 @@ class InvariantChecker:
                     raise InvariantError("3b", f"lag({q}) != advance({q})")
         else:
             self._check_sep(emitted)
-        self.checked += 1
 
     def _check_sep(self, emitted: Word):
         det = self.det
@@ -600,7 +586,7 @@ class InvariantChecker:
         u: List = []
         C = det.C
         vals = dict(self.vals)
-        for m in range(self.future_letters):
+        for m in range(FUTURE_LETTERS):
             a = self.x.letter_at(i + m)
             D = frozenset(
                 q2 for q in C for q2, _ in det.T.succ(q, a)
@@ -667,7 +653,63 @@ class InvariantChecker:
         return False
 
 
-# -- pipeline ---------------------------------------------------------------------
+# -- streaming session -----------------------------------------------------------
+
+
+def prepare(T: OneWayTransducer, bound: Optional[int] = None,
+            theta_policy: str = "capped") -> AnalysisContext:
+    """The analysis context of normalized T, once T is known continuous."""
+    ok, witness = is_continuous(T, bound=bound)
+    if not ok:
+        raise ContinuityViolation(
+            f"function is not continuous: outputs {witness.words[0]} and "
+            f"{witness.words[1]} diverge on arbitrarily close inputs"
+        )
+    return AnalysisContext(normalize(T), theta_policy=theta_policy)
+
+
+class StreamSession:
+    """One left-to-right evaluation over an annotated stream.
+
+    Feed C0 first, then one (letter, C) pair per input letter; each feed
+    returns the output it releases.  With check_invariants every step is
+    verified by an InvariantChecker, which also checks futures when the
+    input word x is known."""
+
+    def __init__(self, ctx: AnalysisContext, x: Optional[UPWord] = None,
+                 check_invariants: bool = False):
+        self.det = Determinizer(ctx)
+        self.x = x
+        self.check_invariants = check_invariants
+        self.checker: Optional[InvariantChecker] = None
+
+    def feed(self, item) -> Word:
+        det = self.det
+        if det.steps == 0:
+            delta = det.init(item)
+            if self.check_invariants:
+                self.checker = InvariantChecker(det, self.x)
+            return delta
+        a, C = item
+        delta = det.step(a, C)
+        if self.checker is not None:
+            self.checker.after_step(a, det.trace[-1].pre_step)
+        return delta
+
+    def run(self, annotations, n: Optional[int] = None):
+        """Feed C0 and then at most n annotated letters (all when n is
+        None), pulling no item beyond them; yields (item, output)."""
+        for item in islice(annotations, None if n is None else n + 1):
+            yield item, self.feed(item)
+
+    @property
+    def steps(self) -> int:
+        """Input letters consumed."""
+        return self.det.steps - 1
+
+    @property
+    def emitted(self) -> Word:
+        return tuple(self.det.emitted)
 
 
 @dataclass
@@ -690,32 +732,15 @@ def run_pipeline(
     theta_policy: str = "capped",
 ) -> PipelineResult:
     """Normalize, annotate and determinize T over the first n letters of x."""
-    ok, witness = is_continuous(T, bound=bound)
-    if not ok:
-        raise ContinuityViolation(
-            f"function is not continuous: outputs {witness.words[0]} and "
-            f"{witness.words[1]} diverge on arbitrarily close inputs"
-        )
-    Tn = normalize(T)
-    ctx = AnalysisContext(Tn, bound=bound, theta_policy=theta_policy)
+    ctx = prepare(T, bound=bound, theta_policy=theta_policy)
+    session = StreamSession(ctx, x, check_invariants)
     ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
-    C0 = next(ann)
-    det = Determinizer(ctx)
-    det.init(C0)
-    checker = InvariantChecker(det, x) if check_invariants else None
-    annotations = [C0]
-    for a, C in ann:
-        det.step(a, C)
-        annotations.append((a, C))
-        if checker is not None:
-            checker.after_step(a, det.trace[-1].pre_step)
-        if det.steps - 1 >= n:
-            break
+    annotations = [item for item, _ in session.run(ann, n)]
     return PipelineResult(
-        emitted=tuple(det.emitted),
-        steps=det.steps - 1,
-        trace=det.trace,
-        transducer=Tn,
+        emitted=session.emitted,
+        steps=session.steps,
+        trace=session.det.trace,
+        transducer=ctx.T,
         context=ctx,
         annotations=annotations,
     )

@@ -17,7 +17,6 @@ from .words import (
     Word,
     canonicalize,
     format_word,
-    parse_word,
     up_equal,
     word,
 )
@@ -410,12 +409,6 @@ class RunLasso:
     loop_states: List[str]
     output: Optional[UPWord]  # None when the run output is finite
 
-    def state_at(self, i: int) -> str:
-        if i < len(self.stem_states):
-            return self.stem_states[i]
-        k = (i - (len(self.stem_states) - 1)) % (len(self.loop_states) - 1)
-        return self.loop_states[k]
-
 
 def _phase_graph(T: OneWayTransducer, v: Word):
     """Nodes (q, j) for j < |v|; edges consume v[j]."""
@@ -580,9 +573,6 @@ def oracle_eval(T: OneWayTransducer, x: UPWord) -> Optional[UPWord]:
 def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
     """Output of some accepting infinite-output run from q, as a UPWord."""
     # lasso in the plain graph: q -> m, cycle at m through F with output
-    adj = {
-        p: [((p2, 0), out) for _, p2, out in T.out_edges(p)] for p in T.states
-    }
     # reuse the phase-graph helpers with a single phase
     adj1 = {(p, 0): [((p2, 0), out) for _, p2, out in T.out_edges(p)] for p in T.states}
     f_nodes = {(f, 0) for f in T.final}
@@ -600,7 +590,6 @@ def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
         return out
 
     # prefer anchors whose cycle output is nonempty
-    best = None
     seen = {(q, 0)}
     frontier = [((q, 0), ())]
     while frontier:
@@ -612,7 +601,7 @@ def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, pref + out))
-    return best
+    return None
 
 
 # -- productivity ---------------------------------------------------------------
@@ -660,14 +649,11 @@ def _pair_loop(T: OneWayTransducer, f: str, q: str):
     from collections import deque
 
     start = (f, q)
-    parent = {start: ((), True)}  # (first output so far, is_start)
+    parent = {start: ()}  # first component's output so far
     queue = deque([start])
-    first = True
     while queue:
         p1, p2 = queue.popleft()
-        w1, is_start = parent[(p1, p2)]
-        if (p1, p2) == start and not is_start:
-            pass
+        w1 = parent[(p1, p2)]
         for a in T.input_alphabet:
             for t1, o1 in T.succ(p1, a):
                 for t2, o2 in T.succ(p2, a):
@@ -676,7 +662,7 @@ def _pair_loop(T: OneWayTransducer, f: str, q: str):
                     if (t1, t2) == start:
                         return w1 + o1
                     if (t1, t2) not in parent:
-                        parent[(t1, t2)] = (w1 + o1, False)
+                        parent[(t1, t2)] = w1 + o1
                         queue.append((t1, t2))
     return None
 

@@ -28,8 +28,15 @@ class Reg(str):
 MixedWord = Tuple[object, ...]  # letters and Reg tokens
 
 
-def refs(mw: MixedWord) -> List[str]:
-    return [t for t in mw if isinstance(t, Reg)]
+def substitute(mw: MixedWord, val: Dict[str, tuple]) -> tuple:
+    """mw with every register reference replaced by its value in val."""
+    out: List = []
+    for t in mw:
+        if isinstance(t, Reg):
+            out.extend(val[t])
+        else:
+            out.append(t)
+    return tuple(out)
 
 
 def count_ref(mw: MixedWord, r: str) -> int:
@@ -51,13 +58,7 @@ class Substitution:
                     raise ValueError(f"unknown register {t!r} in image of {r}")
 
     def apply_mixed(self, mw: MixedWord) -> MixedWord:
-        out: List = []
-        for t in mw:
-            if isinstance(t, Reg):
-                out.extend(self.assignment[t])
-            else:
-                out.append(t)
-        return tuple(out)
+        return substitute(mw, self.assignment)
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self . other applied as a function: (self o other)(r) = self(other(r))."""
@@ -156,52 +157,47 @@ class EvalResult:
 
 
 def eval_prefix(S: StreamingTransducer, prefix) -> EvalResult:
-    val = {r: () for r in S.registers}
-    q = S.initial
+    ev = _Evaluator(S)
+    blocked_at = None
     for i, a in enumerate(word(prefix)):
-        key = (q, a)
-        if key not in S.delta:
-            return EvalResult(val[S.out], q, val, blocked_at=i)
-        sub = S.updates[key]
-        val = {
-            r: tuple(
-                b
-                for t in sub.assignment[r]
-                for b in (val[t] if isinstance(t, Reg) else (t,))
-            )
-            for r in S.registers
-        }
-        q = S.delta[key]
-    return EvalResult(val[S.out], q, val, blocked_at=None)
+        if ev.feed((a,)) is None:
+            blocked_at = i
+            break
+    return EvalResult(ev.val[S.out], ev.q, ev.val, blocked_at=blocked_at)
 
 
 class _Evaluator:
     """Incremental register evaluation; out content only grows."""
 
-    def __init__(self, S: StreamingTransducer):
+    __slots__ = ("S", "q", "val")
+
+    def __init__(self, S: StreamingTransducer, q=None, val=None):
         self.S = S
-        self.q = S.initial
-        self.val = {r: () for r in S.registers}
+        self.q = S.initial if q is None else q
+        self.val = {r: () for r in S.registers} if val is None else val
 
-    def feed(self, a) -> bool:
-        key = (self.q, a)
-        if key not in self.S.delta:
-            return False
-        sub = self.S.updates[key]
-        self.val = {
-            r: tuple(
-                b
-                for t in sub.assignment[r]
-                for b in (self.val[t] if isinstance(t, Reg) else (t,))
-            )
-            for r in self.S.registers
-        }
-        self.q = self.S.delta[key]
-        return True
+    def copy(self) -> "_Evaluator":
+        return _Evaluator(self.S, self.q, dict(self.val))
+
+    def feed(self, w) -> Optional[Word]:
+        """Run S over the letters of w; returns the out-increment, or None
+        when S blocks."""
+        S = self.S
+        before = len(self.val[S.out])
+        for a in w:
+            key = (self.q, a)
+            if key not in S.delta:
+                return None
+            assign = S.updates[key].assignment
+            self.val = {r: substitute(assign[r], self.val) for r in S.registers}
+            self.q = S.delta[key]
+        return self.val[S.out][before:]
 
 
-def eval_limit(S: StreamingTransducer, x: UPWord,
-               max_loops: int = 256) -> Optional[UPWord]:
+MAX_LOOPS = 256  # period iterations eval_limit searches for a state lasso
+
+
+def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
     """f(x) for a UP input, or None when undefined.
 
     The machine state plus register-emptiness vector is eventually periodic
@@ -211,38 +207,32 @@ def eval_limit(S: StreamingTransducer, x: UPWord,
     """
     u, v = x.prefix, x.period
     ev = _Evaluator(S)
-    for a in u:
-        if not ev.feed(a):
-            return None
+    if ev.feed(u) is None:
+        return None
 
     def key():
         empt = frozenset(r for r in S.registers if len(ev.val[r]) > 0)
         return (ev.q, empt)
 
-    seen = {key(): (0, ev.val[S.out])}
+    seen = {key(): 0}
     outs = [ev.val[S.out]]
-    loop = None
-    for k in range(1, max_loops + 1):
-        for a in v:
-            if not ev.feed(a):
-                return None
+    for k in range(1, MAX_LOOPS + 1):
+        if ev.feed(v) is None:
+            return None
         outs.append(ev.val[S.out])
         sig = key()
-        if sig in seen and loop is None:
-            k0, _ = seen[sig]
-            loop = (k0, k - k0)
+        if sig in seen:
+            k0, delta = seen[sig], k - seen[sig]
             break
-        seen.setdefault(sig, (k, ev.val[S.out]))
-    if loop is None:
+        seen[sig] = k
+    else:
         raise RuntimeError("eval_limit: no state lasso within budget")
-    k0, delta = loop
     # out-increments per lasso loop; require stability over a validation window
     while True:
         need = k0 + 7 * delta
         while len(outs) - 1 < need:
-            for a in v:
-                if not ev.feed(a):
-                    return None
+            if ev.feed(v) is None:
+                return None
             outs.append(ev.val[S.out])
         marks = [outs[k0 + m * delta] for m in range(7)]
         incs = [marks[m + 1][len(marks[m]):] for m in range(6)]
@@ -251,7 +241,7 @@ def eval_limit(S: StreamingTransducer, x: UPWord,
                 return None
             return canonicalize(marks[0], incs[0])
         k0 += delta
-        if k0 > max_loops * 4:
+        if k0 > MAX_LOOPS * 4:
             raise RuntimeError("eval_limit: out growth did not stabilize")
 
 

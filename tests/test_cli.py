@@ -179,3 +179,71 @@ def test_budget_exceeded_exit_code(monkeypatch):
     code, out, err = run_cli("check", fixture_path("replace.json"))
     assert code == cli.EXIT_CONTRACT
     assert err == "error: continuity path search too large\n"
+
+
+def _stdin_letters(word: str) -> str:
+    return "".join(f"{a}\n" for a in word)
+
+
+def test_run_letters_zero_reads_no_letter():
+    for mode in (("--input", "(1)^w"), ("--stdin",)):
+        code, out, _ = run_cli("run", fixture_path("replace.json"), *mode,
+                               "--letters", "0", stdin="1\n1\n1\n")
+        assert (code, out) == (0, "\n")
+    code, out, _ = run_cli("run", fixture_path("replace.json"), "--input",
+                           "(1)^w", "--letters", "0", "--format", "json")
+    assert json.loads(out) == {"steps": 0, "emitted": ""}
+
+
+def test_run_rejects_negative_letters():
+    for mode in (("--input", "(1)^w"), ("--stdin",)):
+        code, out, err = run_cli("run", fixture_path("replace.json"), *mode,
+                                 "--letters", "-3", stdin="1\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+def test_live_trace_starts_with_init_record():
+    for name, word in (("replace.json", "001"), ("double.json", "012")):
+        code, live, _ = run_cli("run", fixture_path(name), "--stdin",
+                                "--letters", "6", "--trace",
+                                stdin=_stdin_letters(word * 6))
+        assert code == 0
+        code, batch, _ = run_cli("run", fixture_path(name), "--input",
+                                 f"({word})^w", "--letters", "6", "--trace")
+        assert code == 0
+        live_recs = [json.loads(line) for line in live.splitlines()]
+        assert live_recs[0]["i"] == 0 and live_recs[0]["letter"] is None
+        # --input adds the final output line after the same records
+        assert live_recs == [json.loads(line) for line in batch.splitlines()[:-1]]
+
+
+def test_stdin_and_input_end_with_same_line():
+    for name, word in (("replace.json", "001"), ("double.json", "012")):
+        _, live, _ = run_cli("run", fixture_path(name), "--stdin",
+                             "--letters", "12", stdin=_stdin_letters(word * 10))
+        _, batch, _ = run_cli("run", fixture_path(name), "--input",
+                              f"({word})^w", "--letters", "12")
+        assert live.splitlines()[-1] == batch.splitlines()[-1] != ""
+
+
+def test_trace_independent_of_hash_seed():
+    import os
+    import subprocess
+
+    import omegastream
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(omegastream.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (root, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "omegastream.cli", "run",
+             fixture_path("double.json"), "--input", "(001)^w",
+             "--letters", "2", "--trace"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

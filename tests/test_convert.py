@@ -263,3 +263,18 @@ def test_piped_annotator_matches_pipeline(replace_t, double_t):
         out = piped.run(_up(xs), 40)
         ref = run_pipeline(T, _up(xs), 40)
         assert out == ref.emitted
+
+
+def test_determinizer_core_is_the_stream_session():
+    from omegastream.determinize import StreamSession
+
+    assert conv.DeterminizerCore is StreamSession
+
+
+def test_piped_evaluator_reads_n_letters(replace_t):
+    Tn = nft.normalize(replace_t)
+    ctx = AnalysisContext(Tn)
+    for n in (0, 1, 5):
+        piped = conv.compose_restricted(
+            lambda stream: annotate(ctx, stream), conv.DeterminizerCore(ctx))
+        assert piped.run(_up("(1)^w"), n) == ("1",) * n

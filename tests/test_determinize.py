@@ -7,13 +7,16 @@ import pytest
 
 from omegastream import nft
 from omegastream.analysis import AnalysisContext, ContinuityViolation
+from omegastream.annotator import annotate
 from omegastream.determinize import (
     Determinizer,
     InvariantChecker,
     InvariantError,
+    StreamSession,
     _Recorder,
     one_bounded_trace,
     path_register,
+    prepare,
     run_pipeline,
 )
 from omegastream.nft import ContractError
@@ -212,3 +215,35 @@ def test_trace_records(double_t):
     for rec in r.trace[1:]:
         assert rec.mode in ("sep", "nonsep")
         assert isinstance(rec.assign, dict) and "out" in rec.assign
+
+
+def test_pipeline_reads_exactly_n_letters(replace_t):
+    x = parse_upword("(1)^w")
+    for n in (0, 1, 3):
+        r = run_pipeline(replace_t, x, n)
+        assert r.steps == n
+        assert r.emitted == ("1",) * n
+        assert len(r.trace) == len(r.annotations) == n + 1
+
+
+def test_stream_session_matches_pipeline(double_t):
+    x = parse_upword("0(012)^w")
+    ref = run_pipeline(double_t, x, 30, check_invariants=True)
+    session = StreamSession(prepare(double_t), x, check_invariants=True)
+    out = []
+    for item in ref.annotations:
+        out.extend(session.feed(item))
+    assert tuple(out) == session.emitted == ref.emitted
+    assert session.steps == 30
+    assert session.checker is not None
+
+
+def test_stream_session_pulls_no_item_beyond_n(replace_t):
+    x = parse_upword("(001)^w")
+    ctx = prepare(replace_t)
+    ann = annotate(ctx, x.letters())
+    session = StreamSession(ctx)
+    fed = [item for item, _ in session.run(ann, 5)]
+    assert len(fed) == 6 and session.steps == 5
+    # the next annotation still carries the sixth letter
+    assert next(ann)[0] == x.letter_at(5)
