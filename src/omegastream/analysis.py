@@ -206,6 +206,7 @@ class AnalysisContext:
         self._separ: Dict[FrozenSet[str], Optional[SeparabilityWitness]] = {}
         self._ends: Dict[FrozenSet[str], Dict[str, UPWord]] = {}
         self._theta: Optional[int] = None
+        self._futures: Dict[Tuple[FrozenSet[str], str], Tuple[Word, Word]] = {}
 
     # compatible sets ---------------------------------------------------------
 
@@ -424,7 +425,8 @@ class AnalysisContext:
         remaining output is exactly advance(q) . end(q) for every q, and the
         zero-advance instance makes that word directly available.  tau is
         its transient prefix, theta the canonical period unrolled to the
-        global Theta length.
+        global Theta length.  (tau, theta) is memoized per (C, zero-advance
+        state); the profile's continuity check runs on every call.
         """
         C = frozenset(C)
         if self.is_separable(C) is None:
@@ -432,14 +434,15 @@ class AnalysisContext:
         zero = [q for q in sorted(C) if len(profile.advance[q]) == 0]
         if not zero:
             raise ContractError("no zero-advance state in profile")
-        ends = self.end_words(C)
-        y = ends[zero[0]]
-        big_theta = self.theta_length()
-        if big_theta % len(y.period) != 0:
-            raise ContractError("theta pool missed an end-word period")
-        k = len(y.prefix)
-        tau = y.first(k)
-        theta = y.first(k + big_theta)[k:]
+        y = self.end_words(C)[zero[0]]
+        key = (C, zero[0])
+        if key not in self._futures:
+            big_theta = self.theta_length()
+            if big_theta % len(y.period) != 0:
+                raise ContractError("theta pool missed an end-word period")
+            k = len(y.prefix)
+            self._futures[key] = (y.prefix, y.first(k + big_theta)[k:])
+        tau, theta = self._futures[key]
         if not up_starts_with(y, profile.max_advance):
             raise ContinuityViolation(
                 "max advance escapes the looping future; machine not continuous?"

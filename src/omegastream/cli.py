@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, analyze, annotate, determinize (run), run, convert,
-oracle.  ``run --letters n`` reads exactly n input letters; n must be
->= 0.  Exit status:
+oracle.  ``run --letters n`` reads exactly n input letters and
+``annotate --letters n`` prints C0 and n annotated letters; n must be
+>= 0.  ``--bound`` (the continuity search's loop-length bound) belongs to
+the commands that run that search: check and run.  Exit status:
 
 - 0 on success;
 - 1 on negative verdicts or inputs outside a domain;
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import convert as conv
 from . import nft, sst, twoway
@@ -45,11 +48,19 @@ def _add_common(p):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
-def _add_analysis_flags(p):
+def _add_bound(p):
     p.add_argument("--bound", type=int, default=None,
                    help="override for the loop-length bound")
+
+
+def _add_theta_policy(p):
     p.add_argument("--theta-policy", choices=["lcm", "capped"],
                    default="capped")
+
+
+def _check_letters(args):
+    if args.letters is not None and args.letters < 0:
+        raise ContractError("--letters must be >= 0")
 
 
 def _input_letters(args):
@@ -150,10 +161,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    _check_letters(args)
     T = nft.normalize(nft.load(args.machine))
     ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     _, stream = _input_letters(args)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
+    ann = islice(ann, None if args.letters is None else args.letters + 1)
     C0 = next(ann)
 
     def show(C):
@@ -168,8 +181,6 @@ def cmd_annotate(args) -> int:
             print(json.dumps({"i": i, "letter": a, "C": sorted(C)}))
         else:
             print(f"{a}\t{show(C)}")
-        if args.letters is not None and i >= args.letters:
-            break
     return EXIT_OK
 
 
@@ -195,14 +206,17 @@ def _trace_line(rec) -> str:
 
 def cmd_determinize(args) -> int:
     """--stdin flushes each output increment, then prints the whole output;
-    --input prints only the whole output (or its JSON summary).  --trace
-    prints one record per step, the init record included, in both modes."""
+    --input prints only the whole output.  --trace prints one record per
+    step, the init record included, in place of the increments.
+
+    With --format json each flushed increment is a line {"i": letters
+    consumed, "delta": output}, and the run ends, in both modes, with the
+    summary {"steps": letters consumed, "emitted": whole output}."""
     T = nft.load(args.machine)
     x, stream = _input_letters(args)
     if x is not None and args.letters is None:
         raise ContractError("--letters is required with --input")
-    if args.letters is not None and args.letters < 0:
-        raise ContractError("--letters must be >= 0")
+    _check_letters(args)
     ctx = prepare(T, bound=args.bound, theta_policy=args.theta_policy)
     session = StreamSession(ctx, x, args.check_invariants)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
@@ -210,8 +224,11 @@ def cmd_determinize(args) -> int:
         if args.trace:
             print(_trace_line(session.det.trace[-1]))
         elif x is None and delta:
-            print(_fmt_word(delta), flush=True)
-    if x is not None and args.format == "json":
+            line = _fmt_word(delta)
+            if args.format == "json":
+                line = json.dumps({"i": session.steps, "delta": line})
+            print(line, flush=True)
+    if args.format == "json":
         print(json.dumps(
             {"steps": session.steps, "emitted": _fmt_word(session.emitted)}))
     elif x is not None or not args.trace:
@@ -270,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="structural and continuity verdicts")
     p.add_argument("machine")
-    p.add_argument("--bound", type=int, default=None)
+    _add_bound(p)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("analyze", help="compatible-set analysis")
     p.add_argument("machine")
-    _add_analysis_flags(p)
+    _add_theta_policy(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -287,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read letters from stdin, one per line")
     p.add_argument("--letters", type=int, default=None)
     p.add_argument("--max-lookahead", type=int, default=None)
-    _add_analysis_flags(p)
+    _add_theta_policy(p)
     _add_common(p)
     p.set_defaults(func=cmd_annotate)
 
@@ -304,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-lookahead", type=int, default=None)
         p.add_argument("--check-invariants", action="store_true")
         p.add_argument("--trace", action="store_true")
-        _add_analysis_flags(p)
+        _add_bound(p)
+        _add_theta_policy(p)
         _add_common(p)
         p.set_defaults(func=cmd_determinize)
 

@@ -17,10 +17,11 @@ Every step records the exact substitution applied to the registers
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, MutableSequence, Optional, Tuple
 
 from .analysis import (
     AdvanceProfile,
@@ -40,6 +41,7 @@ class InvariantError(Exception):
         self.which = which
 
 
+@lru_cache(maxsize=1 << 14)
 def path_register(path: Tuple[FrozenSet[str], ...]) -> str:
     """Register name of a tree path; the root path is the out register."""
     if len(path) == 1:
@@ -51,13 +53,19 @@ class _Recorder:
     """Per-step symbolic register store.
 
     Tokens always reference step-start register contents, so the recorded
-    assignment is the one-transition substitution the machine applies."""
+    assignment is the one-transition substitution the machine applies.
+
+    out is append-only: its symbolic value always starts with Reg("out"),
+    which appears nowhere else, so the resolved out is old out + this
+    step's delta.  fresh, splice and remap refuse to break that."""
 
     def __init__(self, old: Dict[str, Word]):
         self.old = dict(old)
         self.sym: Dict[str, List] = {"out": [Reg("out")]}
 
     def fresh(self, name: str):
+        if name == "out":
+            raise InvariantError("out", "out cannot be reset")
         self.sym[name] = []
 
     def append_letters(self, name: str, w):
@@ -65,11 +73,16 @@ class _Recorder:
 
     def splice(self, name: str, source: str):
         """Append the current symbolic value of `source` to `name`."""
+        if source == "out":
+            raise InvariantError("out", "out cannot be copied")
         self.sym[name] = self.sym[name] + list(self.sym[source])
 
     def remap(self, mapping: Dict[str, Optional[str]]):
         """Rebuild the register set: mapping[new] = old-current name or None
-        (fresh empty).  out must be mapped explicitly."""
+        (fresh empty).  out must be mapped to itself."""
+        if mapping.get("out") != "out" or any(
+                src == "out" for new, src in mapping.items() if new != "out"):
+            raise InvariantError("out", "out must be remapped to itself only")
         self.sym = {
             new: (list(self.sym[src]) if src is not None else [])
             for new, src in mapping.items()
@@ -99,12 +112,16 @@ class StepRecord:
 
 
 class Determinizer:
-    """The transition system; one instance per stream."""
+    """The transition system; one instance per stream.
 
-    def __init__(self, ctx: AnalysisContext):
+    Each step appends a StepRecord to `trace`: by default a sink that keeps
+    only the last record; pass a list to keep them all."""
+
+    def __init__(self, ctx: AnalysisContext,
+                 trace: Optional[MutableSequence[StepRecord]] = None):
         self.ctx = ctx
         self.T = ctx.T
-        self.trace: List[StepRecord] = []
+        self.trace = deque(maxlen=1) if trace is None else trace
         self._tree_cache: Dict[FrozenSet[str], List[Tuple]] = {}
         self._children_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self.steps = 0
@@ -158,7 +175,9 @@ class Determinizer:
 
     def step(self, a, C_next) -> Word:
         C_next = frozenset(C_next)
-        rec = _Recorder({"out": tuple(self.emitted), **self.out_regs})
+        # out is append-only (see _Recorder): with an empty old out, the
+        # resolved out is exactly this step's delta
+        rec = _Recorder({"out": (), **self.out_regs})
         for name in self.out_regs:
             rec.sym[name] = [Reg(name)]
         sa = self.ctx.analyze_step(self.C, (a,), C_next)
@@ -179,8 +198,7 @@ class Determinizer:
 
     def _commit(self, rec: _Recorder, letter, pre_step) -> Word:
         assign, contents = rec.finish()
-        new_out = contents.pop("out")
-        delta = new_out[len(self.emitted):]
+        delta = contents.pop("out")
         self.emitted.extend(delta)
         self.out_regs = contents
         self.trace.append(
@@ -674,11 +692,13 @@ class StreamSession:
     Feed C0 first, then one (letter, C) pair per input letter; each feed
     returns the output it releases.  With check_invariants every step is
     verified by an InvariantChecker, which also checks futures when the
-    input word x is known."""
+    input word x is known.  `trace` is the determinizer's step-record sink
+    (default: the last record only)."""
 
     def __init__(self, ctx: AnalysisContext, x: Optional[UPWord] = None,
-                 check_invariants: bool = False):
-        self.det = Determinizer(ctx)
+                 check_invariants: bool = False,
+                 trace: Optional[MutableSequence[StepRecord]] = None):
+        self.det = Determinizer(ctx, trace)
         self.x = x
         self.check_invariants = check_invariants
         self.checker: Optional[InvariantChecker] = None
@@ -733,7 +753,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Normalize, annotate and determinize T over the first n letters of x."""
     ctx = prepare(T, bound=bound, theta_policy=theta_policy)
-    session = StreamSession(ctx, x, check_invariants)
+    session = StreamSession(ctx, x, check_invariants, trace=[])
     ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
     annotations = [item for item, _ in session.run(ann, n)]
     return PipelineResult(

@@ -84,12 +84,11 @@ class UPWord:
 
     def first(self, n: int) -> Word:
         """The first n letters, as a finite word."""
-        out = list(self.prefix[:n])
-        i = len(out)
-        while i < n:
-            out.append(self.period[(i - len(self.prefix)) % len(self.period)])
-            i += 1
-        return tuple(out)
+        p, v = self.prefix, self.period
+        if n <= len(p):
+            return tuple(p[:n])
+        q, r = divmod(n - len(p), len(v))
+        return tuple(p + v * q + v[:r])
 
     def letters(self) -> Iterator[Letter]:
         """Infinite letter stream."""

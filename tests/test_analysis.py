@@ -7,7 +7,9 @@ import pytest
 
 from omegastream import nft
 from omegastream.analysis import (
+    AdvanceProfile,
     AnalysisContext,
+    ContinuityViolation,
     advance_profile,
     is_continuous,
 )
@@ -114,6 +116,22 @@ def test_looping_future_contains_step_productions(dctx, double_t):
         for q in E:
             stripped = strip_prefix(base, prof.advance[sa2.pre[q]])
             assert up_starts_with(stripped, sa2.val[q])
+
+
+def test_looping_future_memo_keeps_continuity_check(double_t):
+    ctx = AnalysisContext(nft.normalize(double_t))
+    D = frozenset({"q1", "q2"})
+    prof = advance_profile(
+        ctx.analyze_step(frozenset(ctx.T.initial), ("0",), D))
+    lf = ctx.looping_future(D, prof)
+    assert ctx.looping_future(D, prof) == lf
+    # same C and zero-advance state, so the memo answers, but this max
+    # advance leaves the looping future and must still be refused
+    escaping = AdvanceProfile(prof.common, prof.advance,
+                              lf.tau + lf.theta[:2] + ("#",))
+    with pytest.raises(ContinuityViolation):
+        ctx.looping_future(D, escaping)
+    assert ctx.looping_future(D, prof) == lf
 
 
 def test_theta_policies(double_t):

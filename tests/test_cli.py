@@ -5,6 +5,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from omegastream import fixture_path, sst, twoway
 from omegastream.cli import main
 from omegastream.sst import check_bounded, check_copyless, eval_limit
@@ -247,3 +249,39 @@ def test_trace_independent_of_hash_seed():
         )
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_annotate_letters_stops_in_place():
+    path = fixture_path("replace.json")
+    for n, lines in ((0, ["C0 {q0}"]), (1, ["C0 {q0}", "0\t{q1}"])):
+        code, out, _ = run_cli("annotate", path, "--input", "(001)^w",
+                               "--letters", str(n))
+        assert (code, out.splitlines()) == (0, lines)
+    code, out, err = run_cli("annotate", path, "--input", "(001)^w",
+                             "--letters", "-2")
+    assert (code, out, err) == (2, "", "error: --letters must be >= 0\n")
+
+
+def test_stdin_json_format():
+    code, out, _ = run_cli("run", fixture_path("replace.json"), "--stdin",
+                           "--format", "json", stdin=_stdin_letters("00101"))
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert docs[-1] == {"steps": 5, "emitted": "11111"}
+    assert docs[:-1] == [{"i": i, "delta": "1"} for i in range(1, 6)]
+    # text mode prints the same increments, bare
+    _, text, _ = run_cli("run", fixture_path("replace.json"), "--stdin",
+                         stdin=_stdin_letters("00101"))
+    assert text.splitlines() == ["1"] * 5 + ["11111"]
+
+
+def test_bound_only_where_it_is_used():
+    path = fixture_path("replace.json")
+    for argv in (("analyze", path), ("annotate", path, "--input", "(1)^w")):
+        with contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as e:
+                main([*argv, "--bound", "1"])
+        assert e.value.code == 2
+    assert run_cli("check", path, "--bound", "4")[0] == 0
+    assert run_cli("run", path, "--input", "(1)^w", "--letters", "2",
+                   "--bound", "4")[:2] == (0, "11\n")

@@ -247,3 +247,43 @@ def test_stream_session_pulls_no_item_beyond_n(replace_t):
     assert len(fed) == 6 and session.steps == 5
     # the next annotation still carries the sixth letter
     assert next(ann)[0] == x.letter_at(5)
+
+
+class _NoIterList(list):
+    """A list that fails when anything reads it back."""
+
+    def __iter__(self):
+        raise AssertionError("emitted output was iterated")
+
+    def __getitem__(self, key):
+        raise AssertionError("emitted output was indexed")
+
+
+def test_long_stream_never_reads_past_output(replace_t):
+    n = 20_000
+    x = parse_upword("(001)^w")
+    ctx = prepare(replace_t)
+    ann = annotate(ctx, x.letters())
+    session = StreamSession(ctx)
+    session.feed(next(ann))
+    session.det.emitted = _NoIterList()
+    # C0 is already fed, so the n items run pulls are all letters
+    for _, delta in session.run(ann, n - 1):
+        assert delta == ("1",)
+    assert session.steps == n and len(session.det.emitted) == n
+    assert set(list.copy(session.det.emitted)) == {"1"}
+    # the default trace sink keeps only the last record
+    assert len(session.det.trace) == 1
+    assert session.det.trace[-1].index == n
+    assert len(run_pipeline(replace_t, x, 300).trace) == 301
+
+
+def test_recorder_keeps_out_append_only():
+    rec = _Recorder({"out": (), "r": ("a",)})
+    with pytest.raises(InvariantError):
+        rec.fresh("out")
+    with pytest.raises(InvariantError):
+        rec.splice("r", "out")
+    for mapping in ({"out": None}, {"out": "out", "r": "out"}, {"r": "r"}):
+        with pytest.raises(InvariantError):
+            rec.remap(mapping)

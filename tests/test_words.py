@@ -162,6 +162,13 @@ def test_primitive_root_generates(v, k):
     assert r * (len(v * k) // len(r)) == v * k
 
 
+@given(words_s, periods_s)
+def test_first_matches_letter_at(p, v):
+    x = UPWord(p, v)
+    for n in range(len(p) + 3 * len(v) + 2):
+        assert x.first(n) == tuple(x.letter_at(i) for i in range(n))
+
+
 def test_concat_up_and_letter_at():
     x = concat_up("x", parse_upword("(y)^w"))
     assert format_upword(x) == "x(y)^w"
