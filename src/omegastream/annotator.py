@@ -78,7 +78,8 @@ def cover(
 
     Returns (j, C): j is the absolute position where some compatible C
     subset of S satisfies push_w(C) = push_w(S) for w = letters
-    (position..j]; C is the order-minimal such set.
+    (position..j]; C is the order-minimal such set.  Returns None when
+    the stream ends before a cover stabilizes.
     """
     S = frozenset(S)
     candidates = ctx.comp_subsets(S)
@@ -96,7 +97,7 @@ def cover(
             raise DivergedError(position, S, max_lookahead)
         a = buffer.get(j)
         if a is None:
-            raise DivergedError(position, S, j - position)
+            return None
         T = ctx.T
         frontier = push(T, frontier, (a,))
         if not frontier:
@@ -117,14 +118,19 @@ def annotate(
     """Yield C0, then (letter, C) pairs, following the input stream.
 
     Emissions lag the input by the current cover lookahead; the lag is
-    finite on the domain of the machine's function.
+    finite on the domain of the machine's function.  A finite stream ends
+    the annotations at its last letter, or at the letter whose cover was
+    still looking ahead when the stream ended.
     """
     T = ctx.T
     if max_lookahead is None:
         max_lookahead = default_max_lookahead(T)
     buf = _Buffer(stream)
     pos = 0
-    _, good = cover(ctx, T.initial, buf, 0, max_lookahead)
+    found = cover(ctx, T.initial, buf, 0, max_lookahead)
+    if found is None:
+        return
+    good = found[1]
     yield good
     while True:
         a = buf.get(pos)
@@ -134,6 +140,9 @@ def annotate(
         if not frontier:
             raise DivergedError(pos + 1, good, 0)
         pos += 1
-        _, good = cover(ctx, frontier, buf, pos, max_lookahead)
+        found = cover(ctx, frontier, buf, pos, max_lookahead)
+        if found is None:
+            return
+        good = found[1]
         buf.drop_before(pos)
         yield (a, good)

@@ -167,7 +167,9 @@ def cmd_annotate(args) -> int:
     _, stream = _input_letters(args)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
     ann = islice(ann, None if args.letters is None else args.letters + 1)
-    C0 = next(ann)
+    C0 = next(ann, None)
+    if C0 is None:  # stdin ended before C0 was fixed
+        return EXIT_OK
 
     def show(C):
         return "{" + ",".join(sorted(C)) + "}"
@@ -211,7 +213,12 @@ def cmd_determinize(args) -> int:
 
     With --format json each flushed increment is a line {"i": letters
     consumed, "delta": output}, and the run ends, in both modes, with the
-    summary {"steps": letters consumed, "emitted": whole output}."""
+    summary {"steps": letters consumed, "emitted": whole output}.
+
+    When stdin ends while the annotator is still looking ahead to fix the
+    cover of the last letters, those letters stay unconsumed and the run
+    ends normally (exit 0) with the output of the letters before them.
+    A stream that goes on but has no compatible cover still exits 1."""
     T = nft.load(args.machine)
     x, stream = _input_letters(args)
     if x is not None and args.letters is None:

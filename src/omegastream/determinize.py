@@ -125,6 +125,7 @@ class Determinizer:
         self._tree_cache: Dict[FrozenSet[str], List[Tuple]] = {}
         self._children_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self.steps = 0
+        self.emitted: List = []
 
     # -- structure helpers -----------------------------------------------------
 
@@ -164,7 +165,6 @@ class Determinizer:
         self.C = C0
         self.J = C0
         self.pre_total = {q: q for q in C0}
-        self.emitted: List = []
         self.theta: Word = ()
         self.out_regs: Dict[str, Word] = {}
         rec = _Recorder({"out": ()})
@@ -724,8 +724,8 @@ class StreamSession:
 
     @property
     def steps(self) -> int:
-        """Input letters consumed."""
-        return self.det.steps - 1
+        """Input letters consumed (0 before C0 is fed)."""
+        return max(self.det.steps - 1, 0)
 
     @property
     def emitted(self) -> Word:

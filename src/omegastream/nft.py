@@ -1,9 +1,13 @@
 """One-way nondeterministic Buchi transducers.
 
 Machines are loaded from JSON, kept immutable, and evaluated exactly on
-ultimately periodic inputs via lasso search.  Normalization passes (trim,
-clean, make_productive) preserve the computed function; each has a matching
-predicate so already-normal machines are returned unchanged.
+ultimately periodic inputs u v^w by a liveness pass over the (state,
+phase) graph of v followed by one forward walk: O(|Q|·deg·(|u| + |v|))
+time, deg the largest number of transitions from one state on one letter.
+Two accepting runs on the input, whatever their outputs, raise
+AmbiguityError.  Normalization passes (trim, clean, make_productive)
+preserve the computed function; each has a matching predicate so
+already-normal machines are returned unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .words import (
     Word,
     canonicalize,
     format_word,
-    up_equal,
     word,
 )
 
@@ -272,6 +275,56 @@ def clean(T: OneWayTransducer) -> OneWayTransducer:
 # -- unambiguity ---------------------------------------------------------------
 
 
+def _sccs(adj) -> List[List]:
+    """Strongly connected components of the graph node -> successors, in
+    the order an iterative Tarjan closes them: every edge leads to a node
+    of the same or an earlier component."""
+    index: Dict = {}
+    low: Dict = {}
+    stack: List = []
+    on_stack = set()
+    comps = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _cyclic(comp, adj) -> bool:
+    """Whether a strongly connected component holds a cycle; a self-loop
+    counts."""
+    return len(comp) > 1 or comp[0] in adj[comp[0]]
+
+
 def is_unambiguous(T: OneWayTransducer) -> bool:
     """No input labels two distinct accepting runs.
 
@@ -317,69 +370,18 @@ def is_unambiguous(T: OneWayTransducer) -> bool:
         )
         for pq in pairs
     }
-    index = {}
-    low = {}
-    on_stack = set()
-    stack2: List = []
-    sccs = []
-    counter = [0]
-
-    def strongconnect(v):
-        # iterative Tarjan
-        work = [(v, iter(adj[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack2.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack2.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack2.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    sccs.append(comp)
-
-    for v in adj:
-        if v not in index:
-            strongconnect(v)
-
-    scc_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
-    good_sccs = set()
-    for i, comp in enumerate(sccs):
-        nontrivial = len(comp) > 1 or any(v in adj[v] for v in comp)
-        if not nontrivial:
-            continue
-        if any(p in T.final for p, _ in comp) and any(q in T.final for _, q in comp):
-            good_sccs.add(i)
-    if not good_sccs:
+    target = {
+        v
+        for comp in _sccs(adj)
+        if _cyclic(comp, adj)
+        and any(p in T.final for p, _ in comp)
+        and any(q in T.final for _, q in comp)
+        for v in comp
+    }
+    if not target:
         return True
 
     # can a diverged pair reach a good SCC?
-    target = {v for i in good_sccs for v in sccs[i]}
     frontier = [pq for pq in diverged]
     seen_r = set(frontier)
     while frontier:
@@ -413,13 +415,24 @@ class RunLasso:
 def _phase_graph(T: OneWayTransducer, v: Word):
     """Nodes (q, j) for j < |v|; edges consume v[j]."""
     n = len(v)
-    adj = {}
-    for q in T.states:
-        for j in range(n):
-            adj[(q, j)] = [
-                ((q2, (j + 1) % n), out) for q2, out in T.succ(q, v[j])
-            ]
-    return adj
+    return {
+        (q, j): [(q2, (j + 1) % n) for q2, _ in T.succ(q, v[j])]
+        for q in T.states
+        for j in range(n)
+    }
+
+
+def _live_nodes(T: OneWayTransducer, v: Word) -> set:
+    """Phase-graph nodes where an accepting run on v^w starts: those that
+    reach a cyclic component holding a final state."""
+    adj = _phase_graph(T, v)
+    live = set()
+    for comp in _sccs(adj):  # successors' components come first
+        if (
+            _cyclic(comp, adj) and any(q in T.final for q, _ in comp)
+        ) or any(m in live for node in comp for m in adj[node]):
+            live.update(comp)
+    return live
 
 
 def _bfs_path(adj, src, targets, min_len=0):
@@ -455,111 +468,76 @@ def _bfs_path(adj, src, targets, min_len=0):
     return None
 
 
-def accepting_lassos(T: OneWayTransducer, x: UPWord):
-    """All candidate accepting lasso runs on x (deduplicated by anchor).
+def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
+    """The unique accepting run on x = u v^w as a lasso, or None.
 
-    Every returned candidate is a genuine accepting run on x; under
-    unambiguity they all denote the same run.
+    Three linear passes, O(|Q|·deg·(|u| + |v|)) time with deg the largest
+    number of transitions from one state on one letter: one SCC pass over
+    the phase graph marks the live (state, phase) nodes, where an
+    accepting run on v^w starts; one backward pass over u gives the live
+    states before each prefix letter; one forward walk from the live
+    initial state follows the live successor until a (state, phase) node
+    repeats, which closes the loop.
+
+    Raises AmbiguityError when x has two accepting runs: two live initial
+    states, or a step with two live successors.  Runs are compared, not
+    outputs, so two accepting runs with equal outputs raise as well; on
+    an unambiguous machine nothing raises.
     """
     u, v = x.prefix, x.period
-    nQ = len(T.states)
-    P = len(u) + (nQ + 1) * len(v)
-    # forward witnesses: (pos, q) -> list of (states tuple, output word), <= 2
-    wit = {(0, q): [((q,), ())] for q in T.initial}
-    for i in range(P):
-        a = x.letter_at(i)
-        for q in sorted(T.states):
-            entries = wit.get((i, q))
-            if not entries:
-                continue
-            for q2, out in T.succ(q, a):
-                cell = wit.setdefault((i + 1, q2), [])
-                for states, w in entries:
-                    cand = (states + (q2,), w + out)
-                    if len(cell) < 2 and cand not in cell:
-                        cell.append(cand)
+    live = _live_nodes(T, v)
+    live_at = [{q for q in T.states if (q, 0) in live}]
+    for a in reversed(u):
+        nxt = live_at[-1]
+        live_at.append(
+            {q for q in T.states if any(q2 in nxt for q2, _ in T.succ(q, a))}
+        )
+    live_at.reverse()
 
-    adj = _phase_graph(T, v)
-    f_nodes = {(q, j) for q in T.final for j in range(len(v))}
+    def is_live(q, i):
+        """Whether an accepting run on x starts in q after i letters."""
+        if i <= len(u):
+            return q in live_at[i]
+        return (q, (i - len(u)) % len(v)) in live
 
-    # cycle cache: anchor node -> (loop_states, loop_out) or None
-    cyc_cache: Dict = {}
-
-    def cycle_at(node):
-        if node in cyc_cache:
-            return cyc_cache[node]
-        res = None
-        got = _bfs_path(adj, node, f_nodes, min_len=0)
-        # path node -> f, then f -> node (total length >= 1)
-        if got is not None:
-            f, p1 = got
-            back = _bfs_path(adj, f, {node}, min_len=0 if p1 else 1)
-            if back is not None:
-                _, p2 = back
-                states = [node[0]]
-                out = []
-                for (q2, _), o in [(n_, o_) for n_, o_ in p1] + list(p2):
-                    states.append(q2)
-                    out.extend(o)
-                res = (states, tuple(out))
-        cyc_cache[node] = res
-        return res
-
-    candidates = []
-    for i in range(len(u), P + 1):
-        ph = (i - len(u)) % len(v)
-        for q in sorted(T.states):
-            entries = wit.get((i, q))
-            if not entries:
-                continue
-            # nearest reachable anchor m that carries an accepting cycle
-            start = (q, ph)
-            reach = _bfs_path(
-                adj, start, {m for m in adj if cycle_at(m) is not None}, 0
-            )
-            if reach is None:
-                continue
-            m, path = reach
-            loop_states, loop_out = cycle_at(m)
-            bridge_states = [q] + [n[0] for n, _ in path]
-            bridge_out = tuple(b for _, o in path for b in o)
-            for states, w in entries:
-                stem_states = list(states) + bridge_states[1:]
-                stem_out = w + bridge_out
-                output = (
-                    canonicalize(stem_out, loop_out) if loop_out else None
-                )
-                candidates.append(
-                    (
-                        RunLasso(stem_states, loop_states, output),
-                        len(entries) > 1,
-                        stem_out,
-                    )
-                )
-    return candidates
-
-
-def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
-    """The unique accepting run on x as a lasso, or None.
-
-    Raises AmbiguityError when the search surfaces two distinct accepting
-    runs (contract violation: T was assumed unambiguous).
-    """
-    cands = accepting_lassos(T, x)
-    if not cands:
+    states = sorted(T.initial & live_at[0])
+    if not states:
         return None
-    chosen = None
-    for lasso, multi_stem, stem_out in cands:
-        if multi_stem:
-            raise AmbiguityError("two run prefixes share an accepting future")
-        if chosen is None:
-            chosen = lasso
-            continue
-        if (chosen.output is None) != (lasso.output is None):
-            raise AmbiguityError("finite- and infinite-output accepting runs")
-        if chosen.output is not None and not up_equal(chosen.output, lasso.output):
-            raise AmbiguityError("two accepting runs with different outputs")
-    return chosen
+    if len(states) > 1:
+        raise AmbiguityError(
+            f"accepting runs start in both {states[0]} and {states[1]}"
+        )
+    outs: List[Word] = []
+    seen: Dict[Tuple[str, int], int] = {}  # phase node -> first position
+    i = 0
+    while True:
+        q = states[-1]
+        if i >= len(u):
+            node = (q, (i - len(u)) % len(v))
+            if node in seen:
+                break
+            seen[node] = i
+        nexts = [
+            (q2, out)
+            for q2, out in T.succ(q, x.letter_at(i))
+            if is_live(q2, i + 1)
+        ]
+        if len(nexts) > 1:
+            raise AmbiguityError(
+                f"two accepting runs part after {i + 1} letters, in "
+                f"{nexts[0][0]} and {nexts[1][0]}"
+            )
+        states.append(nexts[0][0])
+        outs.append(nexts[0][1])
+        i += 1
+    j = seen[node]
+    loop_out = tuple(b for out in outs[j:] for b in out)
+    output = (
+        canonicalize(tuple(b for out in outs[:j] for b in out), loop_out)
+        if loop_out
+        else None
+    )
+    return RunLasso(states[: j + 1], states[j:], output)
 
 
 def oracle_eval(T: OneWayTransducer, x: UPWord) -> Optional[UPWord]:

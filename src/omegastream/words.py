@@ -115,10 +115,12 @@ def canonicalize(prefix: Union[str, Word], period: Union[str, Word]) -> UPWord:
     if not v:
         raise ValueError("period must be nonempty")
     v = primitive_root(v)
-    while u and u[-1] == v[-1]:
-        u = u[:-1]
-        v = v[-1:] + v[:-1]
-    return UPWord(u, v)
+    n = len(v)
+    k = 0  # trailing letters of u that continue v^w backwards
+    while k < len(u) and u[-1 - k] == v[-1 - k % n]:
+        k += 1
+    r = k % n
+    return UPWord(u[: len(u) - k], v[n - r:] + v[: n - r])
 
 
 def up_equal(x: UPWord, y: UPWord) -> bool:

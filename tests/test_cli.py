@@ -285,3 +285,38 @@ def test_bound_only_where_it_is_used():
     assert run_cli("check", path, "--bound", "4")[0] == 0
     assert run_cli("run", path, "--input", "(1)^w", "--letters", "2",
                    "--bound", "4")[:2] == (0, "11\n")
+
+
+def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
+    path = fixture_path("replace.json")
+    # the last 0 opens a 0-run whose cover waits for the closing letter
+    code, out, err = run_cli("run", path, "--stdin",
+                             stdin=_stdin_letters("0010"))
+    assert (code, out.splitlines(), err) == (0, ["1", "1", "1", "111"], "")
+    code, out, _ = run_cli("run", path, "--stdin", "--format", "json",
+                           stdin=_stdin_letters("0010"))
+    assert json.loads(out.splitlines()[-1]) == {"steps": 3, "emitted": "111"}
+    # a stream that goes on without a compatible cover still diverges
+    for letters, flags in (("00103", ()),
+                           ("0010000", ("--max-lookahead", "2"))):
+        code, out, err = run_cli("run", path, "--stdin", *flags,
+                                 stdin=_stdin_letters(letters))
+        assert code == 1 and err.startswith("error: no compatible cover")
+    # C0 itself needs lookahead here: {p, q} has no common accepting run
+    machine = tmp_path / "guess.json"
+    machine.write_text(json.dumps({
+        "input_alphabet": ["a", "b"], "output_alphabet": ["o"],
+        "states": ["p", "q"], "initial": ["p", "q"], "final": ["p", "q"],
+        "transitions": [{"from": "p", "letter": "a", "to": "p", "out": "o"},
+                        {"from": "q", "letter": "b", "to": "q", "out": "o"}],
+    }))
+    code, out, _ = run_cli("run", str(machine), "--stdin", "--format", "json",
+                           stdin="")
+    assert (code, json.loads(out)) == (0, {"steps": 0, "emitted": ""})
+    code, out, _ = run_cli("run", str(machine), "--stdin", stdin="b\nb\n")
+    assert (code, out.splitlines()) == (0, ["o", "o", "oo"])
+    assert run_cli("annotate", str(machine), "--stdin", stdin="") == (0, "", "")
+    code, out, _ = run_cli("annotate", path, "--stdin",
+                           stdin=_stdin_letters("0010"))
+    assert (code, out.splitlines()) == (0, ["C0 {q0}", "0\t{q1}", "0\t{q1}",
+                                            "1\t{q0}"])

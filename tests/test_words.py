@@ -59,6 +59,14 @@ def test_canonical_form_preserves_letters(p, v):
     assert x.first(30) == raw.first(30)
 
 
+def test_canonicalize_absorbs_long_aligned_prefix():
+    # x 2 (012)^3333: every letter after x continues (012)^w backwards,
+    # 10^4 of them, so the period rotates by 10^4 mod 3 = 1
+    prefix = "x2" + "012" * 3333
+    assert canonicalize(prefix, "012") == UPWord(("x",), tuple("201"))
+    assert canonicalize("01" * 5000, "01") == UPWord((), tuple("01"))
+
+
 # -- up_equal ----------------------------------------------------------------
 
 
