@@ -19,7 +19,13 @@ from functools import reduce
 from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .nft import OneWayTransducer, accepting_future, ContractError
+from .nft import (  # BudgetExceeded is re-exported for existing imports
+    BudgetExceeded,
+    ContractError,
+    OneWayTransducer,
+    accepting_future,
+    product_path,
+)
 from .words import (
     UPWord,
     Word,
@@ -40,10 +46,6 @@ FUTURES_LIMIT = 4  # accepting futures compared per anchor by is_continuous
 
 class ContinuityViolation(Exception):
     """Production words that should be mutual prefixes are not."""
-
-
-class BudgetExceeded(Exception):
-    """A bounded search ran out of its node budget."""
 
 
 @dataclass
@@ -129,23 +131,6 @@ def _tuple_bfs(T: OneWayTransducer, starts):
     return parents
 
 
-def _tuple_path(parents, node):
-    """Reconstruct (letters, per-component outputs, start) to node."""
-    letters: List = []
-    outs_rev: List = []
-    cur = node
-    while parents[cur] is not None:
-        prev, a, outs = parents[cur]
-        letters.append(a)
-        outs_rev.append(outs)
-        cur = prev
-    letters.reverse()
-    outs_rev.reverse()
-    k = len(node)
-    outputs = [tuple(b for step in outs_rev for b in step[i]) for i in range(k)]
-    return tuple(letters), outputs, cur
-
-
 def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
     """A cycle t ->+ t in the tuple graph.
 
@@ -174,9 +159,9 @@ def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
                 key = (nxt, d2)
                 if nxt == t and (weight_idx is None or d2 != 0):
                     # the bare tuple t is no search key: it marks the end
-                    # and gives _tuple_path the tuple width
+                    # and gives product_path the tuple width
                     parents[t] = (node, a, outs)
-                    letters, outputs, _ = _tuple_path(parents, t)
+                    letters, outputs, _ = product_path(parents, t)
                     return letters, outputs
                 if key not in parents:
                     if len(parents) >= NODE_BUDGET:
@@ -226,7 +211,7 @@ class AnalysisContext:
             cyc = _tuple_cycle(self.T, t)
             if cyc is None:
                 continue
-            u, alphas, _ = _tuple_path(parents, t)
+            u, alphas, _ = product_path(parents, t)
             u_loop, loop_alphas = cyc
             res = CompatibleSet(
                 states=C,
@@ -363,13 +348,13 @@ class AnalysisContext:
                     cyc = _tuple_cycle(T, t, weight_idx=(i_idx, j_idx))
                     if cyc is None:
                         continue
-                    u, _, start = _tuple_path(fwd, t)
+                    u, _, start = product_path(fwd, t)
                     u_loop, loop_outs = cyc
                     # tail t -> base
                     tail = _tuple_bfs(T, [t])
                     if base not in tail:
                         continue
-                    u_tail, _, _ = _tuple_path(tail, base)
+                    u_tail, _, _ = product_path(tail, base)
                     return SeparabilityWitness(
                         i={order[k]: start[k] for k in range(len(order))},
                         ell={order[k]: t[k] for k in range(len(order))},
@@ -529,20 +514,17 @@ def _simple_pair_paths(T: OneWayTransducer, bound: int):
         yield start, pair, out1, out2, letters
         if len(visited) > bound:
             return
-        p, q = pair
-        for a in sorted(T.input_alphabet, key=str):
-            for p2, o1 in T.succ(p, a):
-                for q2, o2 in T.succ(q, a):
-                    if (p2, q2) in visited:
-                        continue
-                    yield from dfs(
-                        (p2, q2),
-                        visited | {(p2, q2)},
-                        out1 + o1,
-                        out2 + o2,
-                        letters + (a,),
-                        start,
-                    )
+        for a, nxt, (o1, o2) in T.tuple_succ(pair):
+            if nxt in visited:
+                continue
+            yield from dfs(
+                nxt,
+                visited | {nxt},
+                out1 + o1,
+                out2 + o2,
+                letters + (a,),
+                start,
+            )
 
     for s in starts:
         yield from dfs(s, {s}, (), (), (), s)
@@ -558,19 +540,15 @@ def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int):
             raise BudgetExceeded("continuity cycle search too large")
         if len(letters) > bound:
             return
-        p, q = pair
-        for a in sorted(T.input_alphabet, key=str):
-            for p2, o1 in T.succ(p, a):
-                for q2, o2 in T.succ(q, a):
-                    nxt = (p2, q2)
-                    if nxt == anchor:
-                        yield out1 + o1, out2 + o2, letters + (a,)
-                        continue
-                    if nxt in visited:
-                        continue
-                    yield from dfs(
-                        nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
-                    )
+        for a, nxt, (o1, o2) in T.tuple_succ(pair):
+            if nxt == anchor:
+                yield out1 + o1, out2 + o2, letters + (a,)
+                continue
+            if nxt in visited:
+                continue
+            yield from dfs(
+                nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
+            )
 
     yield from dfs(anchor, set(), (), (), ())
 

@@ -12,7 +12,9 @@ already-normal machines are returned unchanged.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -21,6 +23,7 @@ from .words import (
     Word,
     canonicalize,
     format_word,
+    strip_prefix,
     word,
 )
 
@@ -33,6 +36,10 @@ class AmbiguityError(Exception):
 
 class ContractError(Exception):
     """A precondition of an operation was violated."""
+
+
+class BudgetExceeded(Exception):
+    """A bounded search ran out of its budget."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,33 @@ class OneWayTransducer:
     def out_edges(self, q: str) -> List[Tuple[object, str, Word]]:
         return self._edges().get(q, [])
 
+    def tuple_succ(self, t: Tuple[str, ...]) -> List[Tuple[object, tuple, tuple]]:
+        """(letter, next tuple, per-component outputs) for the state tuple t
+        in the product of the machine with itself |t| times.
+
+        Ordered by letter (sorted by str), then by each component's succ
+        order, the first component varying slowest.  Only letters every
+        component can read are visited.  Built once per tuple and cached.
+        """
+        cache = self.__dict__.get("_tuple_succ_cache")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_tuple_succ_cache", cache)
+        hit = cache.get(t)
+        if hit is None:
+            rows = self._by_letter()
+            first, *rest = (rows.get(q, {}) for q in t)
+            hit = []
+            for a, succ in first.items():
+                per = [succ] + [row.get(a) for row in rest]
+                if all(per):
+                    hit.extend(
+                        (a, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
+                        for combo in itertools.product(*per)
+                    )
+            cache[t] = hit
+        return hit
+
     def _by_src(self):
         cache = self.__dict__.get("_by_src_cache")
         if cache is None:
@@ -74,6 +108,18 @@ class OneWayTransducer:
             for v in cache.values():
                 v.sort(key=lambda t: (t[0], t[1]))
             object.__setattr__(self, "_by_src_cache", cache)
+        return cache
+
+    def _by_letter(self):
+        """q -> {letter: succ(q, letter)}, letters sorted by str."""
+        cache = self.__dict__.get("_by_letter_cache")
+        if cache is None:
+            cache = {}
+            for q, edges in self._edges().items():
+                row = cache[q] = {}
+                for a, _, _ in edges:
+                    row.setdefault(a, self.succ(q, a))
+            object.__setattr__(self, "_by_letter_cache", cache)
         return cache
 
     def _edges(self):
@@ -272,6 +318,42 @@ def clean(T: OneWayTransducer) -> OneWayTransducer:
     return trim(T2)
 
 
+# -- product graphs ------------------------------------------------------------
+
+
+def product_bfs(T: OneWayTransducer, starts):
+    """Breadth-first search over state tuples from `starts`, following
+    T.tuple_succ; parents[t] = (previous tuple, letter, outputs), None at
+    a start."""
+    parents = {t: None for t in starts}
+    queue = deque(starts)
+    while queue:
+        t = queue.popleft()
+        for a, nxt, outs in T.tuple_succ(t):
+            if nxt not in parents:
+                parents[nxt] = (t, a, outs)
+                queue.append(nxt)
+    return parents
+
+
+def product_path(parents, node):
+    """(letters, per-component outputs, start) of the path to node in the
+    parents map of a breadth-first tuple search."""
+    letters: List = []
+    outs_rev: List = []
+    cur = node
+    while parents[cur] is not None:
+        prev, a, outs = parents[cur]
+        letters.append(a)
+        outs_rev.append(outs)
+        cur = prev
+    letters.reverse()
+    outs_rev.reverse()
+    outputs = [tuple(b for step in outs_rev for b in step[i])
+               for i in range(len(node))]
+    return tuple(letters), outputs, cur
+
+
 # -- unambiguity ---------------------------------------------------------------
 
 
@@ -334,12 +416,6 @@ def is_unambiguous(T: OneWayTransducer) -> bool:
     with first component final and a pair with second component final (a
     single product cycle can then visit both kinds).
     """
-    # product graph over ordered pairs
-    def pair_succ(p, q, a):
-        for p2, _ in T.succ(p, a):
-            for q2, _ in T.succ(q, a):
-                yield p2, q2
-
     # reachable diverged pairs
     start = [(p, q, p != q) for p in T.initial for q in T.initial]
     seen = set(start)
@@ -349,26 +425,18 @@ def is_unambiguous(T: OneWayTransducer) -> bool:
         p, q, d = stack.pop()
         if d:
             diverged.add((p, q))
-        for a in T.input_alphabet:
-            succ_p = T.succ(p, a)
-            succ_q = T.succ(q, a)
-            for p2, _ in succ_p:
-                for q2, _ in succ_q:
-                    d2 = d or (p != q) or (p2 != q2)
-                    node = (p2, q2, d2)
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
+        for _, (p2, q2), _ in T.tuple_succ((p, q)):
+            node = (p2, q2, d or p != q or p2 != q2)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
     if not diverged:
         return True
 
     # SCCs of the full pair graph (inputs synchronized)
-    pairs = {(p, q) for p in T.states for q in T.states}
     adj = {
-        pq: sorted(
-            {t for a in T.input_alphabet for t in pair_succ(pq[0], pq[1], a)}
-        )
-        for pq in pairs
+        pq: sorted({t for _, t, _ in T.tuple_succ(pq)})
+        for pq in itertools.product(sorted(T.states), repeat=2)
     }
     target = {
         v
@@ -441,8 +509,6 @@ def _bfs_path(adj, src, targets, min_len=0):
     Returns (node, path) where path is a list of (node, out) edges, or None.
     Tracks (node, min(len, min_len)) to honor the length floor.
     """
-    from collections import deque
-
     start = (src, 0 if min_len > 0 else min_len)
     parent = {start: None}
     queue = deque([start])
@@ -585,70 +651,50 @@ def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
 # -- productivity ---------------------------------------------------------------
 
 
-def _constant_state_witness(T: OneWayTransducer, q: str):
-    """Witness that q (not final) is constant: a pair of runs from I over the
-    same word reaching (f, q) with f final, then a synchronized loop at
-    (f, q) whose second-component output is empty.
+def _constant_witnesses(T: OneWayTransducer) -> Dict[str, tuple]:
+    """(alpha1, alpha1_loop, alpha2) for every constant state q, by name.
 
-    Returns (alpha1, alpha1_loop, alpha2) or None.
+    A witness is a pair of runs from I x I over the same word reaching
+    (f, q) with f final and q not, then a synchronized loop at (f, q)
+    whose second-component output is empty; alpha1 and alpha2 are the
+    two runs' outputs, alpha1_loop the first component's loop output.
+    Pairs are tried in breadth-first order from the sorted initial pairs,
+    the first with a loop giving q's witness.  The pair graph is searched
+    once for all states.
     """
-    if q in T.final:
-        return None
-    # reachable pairs with outputs (capped witnesses)
-    from collections import deque
-
-    start = {(p1, p2): ((), ()) for p1 in T.initial for p2 in T.initial}
-    parent = dict(start)
-    queue = deque(start)
-    order = []
-    while queue:
-        p1, p2 = queue.popleft()
-        order.append((p1, p2))
-        w1, w2 = parent[(p1, p2)]
-        for a in T.input_alphabet:
-            for t1, o1 in T.succ(p1, a):
-                for t2, o2 in T.succ(p2, a):
-                    if (t1, t2) not in parent:
-                        parent[(t1, t2)] = (w1 + o1, w2 + o2)
-                        queue.append((t1, t2))
-    for (f, p2), (a1, a2) in parent.items():
-        if f not in T.final or p2 != q:
-            continue
-        # synchronized loop at (f, q) with epsilon second output
-        loop = _pair_loop(T, f, q)
-        if loop is not None:
-            return a1, loop, a2
-    return None
+    reach = product_bfs(T, list(itertools.product(sorted(T.initial), repeat=2)))
+    found = {}
+    for f, q in reach:
+        if f in T.final and q not in T.final and q not in found:
+            loop = _pair_loop(T, f, q)
+            if loop is not None:
+                _, (a1, a2), _ = product_path(reach, (f, q))
+                found[q] = (a1, loop, a2)
+    return {q: found[q] for q in sorted(found)}
 
 
 def _pair_loop(T: OneWayTransducer, f: str, q: str):
     """Loop output of the first component on a synchronized cycle at (f, q)
     where the second component produces ε; None if no such cycle."""
-    from collections import deque
-
     start = (f, q)
     parent = {start: ()}  # first component's output so far
     queue = deque([start])
     while queue:
-        p1, p2 = queue.popleft()
-        w1 = parent[(p1, p2)]
-        for a in T.input_alphabet:
-            for t1, o1 in T.succ(p1, a):
-                for t2, o2 in T.succ(p2, a):
-                    if len(o2) != 0:
-                        continue
-                    if (t1, t2) == start:
-                        return w1 + o1
-                    if (t1, t2) not in parent:
-                        parent[(t1, t2)] = w1 + o1
-                        queue.append((t1, t2))
+        pair = queue.popleft()
+        w1 = parent[pair]
+        for _, nxt, (o1, o2) in T.tuple_succ(pair):
+            if len(o2) != 0:
+                continue
+            if nxt == start:
+                return w1 + o1
+            if nxt not in parent:
+                parent[nxt] = w1 + o1
+                queue.append(nxt)
     return None
 
 
 def is_productive(T: OneWayTransducer) -> bool:
-    return all(
-        _constant_state_witness(T, q) is None for q in sorted(T.states)
-    )
+    return not _constant_witnesses(T)
 
 
 def make_productive(T: OneWayTransducer) -> OneWayTransducer:
@@ -662,21 +708,16 @@ def make_productive(T: OneWayTransducer) -> OneWayTransducer:
     Requires a continuous input function (otherwise α_q is ill-defined).
     """
     constants = {}
-    for q in sorted(T.states):
-        w = _constant_state_witness(T, q)
-        if w is not None:
-            a1, loop1, a2 = w
-            if len(loop1) == 0:
-                # final-side loop silent too: cleanliness violated upstream
-                raise ContractError("clean precondition violated")
-            target = canonicalize(a1, loop1)
-            if target.first(len(a2)) != a2:
-                raise ContractError(
-                    "constant-state output ill-defined: input not continuous"
-                )
-            from .words import strip_prefix
-
-            constants[q] = strip_prefix(target, a2)
+    for q, (a1, loop1, a2) in _constant_witnesses(T).items():
+        if len(loop1) == 0:
+            # final-side loop silent too: cleanliness violated upstream
+            raise ContractError("clean precondition violated")
+        target = canonicalize(a1, loop1)
+        if target.first(len(a2)) != a2:
+            raise ContractError(
+                "constant-state output ill-defined: input not continuous"
+            )
+        constants[q] = strip_prefix(target, a2)
     if not constants:
         return trim(T)
 

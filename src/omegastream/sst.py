@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .nft import BudgetExceeded
 from .words import UPWord, Word, canonicalize, word
 
 
@@ -203,7 +204,9 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
     The machine state plus register-emptiness vector is eventually periodic
     over x, giving a lasso of input positions; the out-increments per lasso
     loop are then checked for stability and extrapolated.  None when the
-    machine blocks or out stops growing over a full validated loop.
+    machine blocks or out stops growing over a full validated loop;
+    BudgetExceeded when no lasso shows within MAX_LOOPS periods or the
+    increments do not settle within 4·MAX_LOOPS.
     """
     u, v = x.prefix, x.period
     ev = _Evaluator(S)
@@ -226,7 +229,7 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
             break
         seen[sig] = k
     else:
-        raise RuntimeError("eval_limit: no state lasso within budget")
+        raise BudgetExceeded("eval_limit: no state lasso within budget")
     # out-increments per lasso loop; require stability over a validation window
     while True:
         need = k0 + 7 * delta
@@ -242,7 +245,7 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
             return canonicalize(marks[0], incs[0])
         k0 += delta
         if k0 > MAX_LOOPS * 4:
-            raise RuntimeError("eval_limit: out growth did not stabilize")
+            raise BudgetExceeded("eval_limit: out growth did not stabilize")
 
 
 # -- copy bounds ------------------------------------------------------------------

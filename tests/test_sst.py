@@ -236,3 +236,17 @@ def test_json_roundtrip(tmp_path, replace_sst_m):
     assert eval_prefix(S2, tuple("0012")).out == eval_prefix(
         replace_sst_m, tuple("0012")
     ).out
+
+
+def test_eval_limit_out_of_loops_raises_budget_exceeded(replace_sst_m,
+                                                        monkeypatch):
+    from omegastream.analysis import BudgetExceeded as reexported
+    from omegastream.nft import BudgetExceeded
+
+    assert reexported is BudgetExceeded
+    x = parse_upword("(001)^w")
+    assert eval_limit(replace_sst_m, x) is not None
+    # the state lasso on (001)^w closes after two periods, not one
+    monkeypatch.setattr(sst, "MAX_LOOPS", 1)
+    with pytest.raises(BudgetExceeded, match="no state lasso"):
+        eval_limit(replace_sst_m, x)
