@@ -8,8 +8,9 @@ the commands that run that search: check and run.  Exit status:
 
 - 0 on success;
 - 1 on negative verdicts or inputs outside a domain;
-- 2 on contract violations, malformed files, or an analysis search that
-  ran out of its node budget (BudgetExceeded).
+- 2 on contract violations (among them an ambiguous machine given to
+  analyze or annotate), malformed files, or an analysis search that ran
+  out of its node budget (BudgetExceeded).
 
 An exception mapped to 1 or 2 prints one ``error: ...`` line to stderr,
 never a traceback.
@@ -118,8 +119,17 @@ def cmd_check(args) -> int:
 # -- analyze --------------------------------------------------------------------
 
 
+def _load_unambiguous(path):
+    """The normalized machine; AmbiguityError before any analysis, whose
+    searches assume an unambiguous machine."""
+    T = nft.normalize(nft.load(path))
+    if not nft.is_unambiguous(T):
+        raise AmbiguityError(f"{path}: the machine is ambiguous")
+    return T
+
+
 def cmd_analyze(args) -> int:
-    T = nft.normalize(nft.load(args.machine))
+    T = _load_unambiguous(args.machine)
     ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     C0 = frozenset(T.initial)
     rows = []
@@ -162,7 +172,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_annotate(args) -> int:
     _check_letters(args)
-    T = nft.normalize(nft.load(args.machine))
+    T = _load_unambiguous(args.machine)
     ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     _, stream = _input_letters(args)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)

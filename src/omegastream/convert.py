@@ -204,6 +204,12 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
 # moving right after finishing r.  The substitution at each cell is fetched
 # through a lookbehind DFA tracking (previous state, current state) of the
 # streaming machine.
+#
+# Cost: each cell (lookbehind pair, letter) reads its update's images a
+# constant number of times -- the walk states scan each gap between
+# register tokens once, and one index from register token to (image,
+# position) places every return state -- so the build is
+# O(|lookbehind pairs| · |Σ| · Σ|image|).
 
 
 def _scan_image(tokens: Sequence, j: int, c: str):
@@ -298,19 +304,15 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
                 j = 1 if c == S.out else 0  # skip the leading out token
                 emit_walk((wname(c), a, lbst), tokens, j, c)
             # Return states: resume after the unique occurrence of r.
+            where = {}
+            for c in regs:
+                for k, t in enumerate(sub.assignment[c]):
+                    if isinstance(t, Reg):
+                        where[t] = (c, k)
             for r in others:
-                found = None
-                for c in regs:
-                    tokens = sub.assignment[c]
-                    for k, t in enumerate(tokens):
-                        if isinstance(t, Reg) and t == r:
-                            found = (c, k)
-                for_c, at = (found if found else (None, None))
-                if found is None:
-                    continue
-                emit_walk(
-                    (rname(r), a, lbst), sub.assignment[for_c], at + 1, for_c
-                )
+                if r in where:
+                    c, k = where[r]
+                    emit_walk((rname(r), a, lbst), sub.assignment[c], k + 1, c)
 
     # Endmarker: registers are empty there, every expansion returns at once.
     for r in others:

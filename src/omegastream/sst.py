@@ -279,17 +279,25 @@ def compose_counting(
     return out
 
 
-def _matrix_closure(S: StreamingTransducer, cap: int):
-    """All window-composition matrices along reachable paths."""
-    # reachable states
+def _reachable(S: StreamingTransducer):
+    """(succ, reach): outgoing (letter, target) pairs per source state, in
+    S.delta order, and the states reachable from the initial one."""
+    succ: Dict[str, List[Tuple[object, str]]] = {}
+    for (p, a), q2 in S.delta.items():
+        succ.setdefault(p, []).append((a, q2))
     reach = {S.initial}
     stack = [S.initial]
     while stack:
-        q = stack.pop()
-        for (p, a), q2 in S.delta.items():
-            if p == q and q2 not in reach:
+        for _, q2 in succ.get(stack.pop(), ()):
+            if q2 not in reach:
                 reach.add(q2)
                 stack.append(q2)
+    return succ, reach
+
+
+def _matrix_closure(S: StreamingTransducer, cap: int):
+    """All window-composition matrices along reachable paths."""
+    succ, reach = _reachable(S)
     base = {}
     for (q, a), sub in S.updates.items():
         if q in reach:
@@ -301,12 +309,10 @@ def _matrix_closure(S: StreamingTransducer, cap: int):
     while work:
         q, m = work.pop()
         yield m
-        for (p, a), q2 in S.delta.items():
-            if p != q:
-                continue
+        for a, q2 in succ.get(q, ()):
             m2 = _freeze(
                 compose_counting(
-                    dict(m), counting_matrix(S.updates[(p, a)].assignment, cap), cap
+                    dict(m), counting_matrix(S.updates[(q, a)].assignment, cap), cap
                 )
             )
             if (q2, m2) not in seen:
@@ -328,13 +334,25 @@ def check_bounded(S: StreamingTransducer, K: int) -> bool:
 
 
 def check_copyless(S: StreamingTransducer) -> bool:
-    """Every composed window uses each register at most once in total."""
-    for m in _matrix_closure(S, 2):
-        rows: Dict[str, int] = {}
-        for (r, _), c in m:
-            rows[r] = rows.get(r, 0) + c
-            if rows[r] > 1:
-                return False
+    """Every composed window uses each register at most once in total.
+
+    Checking each reachable update on its own is exact.  If every step
+    uses each register at most once, every row of a step's counting matrix
+    sums to at most 1, and a product of such 0/1 matrices keeps that
+    property, so every longer window is copyless too; a copying step is
+    itself a window of length one.
+    """
+    _, reach = _reachable(S)
+    for (q, _), sub in S.updates.items():
+        if q not in reach:
+            continue
+        used = set()
+        for mw in sub.assignment.values():
+            for t in mw:
+                if isinstance(t, Reg):
+                    if t in used:
+                        return False
+                    used.add(t)
     return True
 
 

@@ -183,6 +183,18 @@ def test_budget_exceeded_exit_code(monkeypatch):
     assert err == "error: continuity path search too large\n"
 
 
+def test_analyze_and_annotate_reject_an_ambiguous_machine(tmp_path):
+    from test_product_index import HASH_ORDER_MACHINE
+
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(HASH_ORDER_MACHINE))
+    for argv in (("analyze", str(path)),
+                 ("annotate", str(path), "--input", "(b)^w", "--letters", "3")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: the machine is ambiguous\n"
+
+
 def _stdin_letters(word: str) -> str:
     return "".join(f"{a}\n" for a in word)
 

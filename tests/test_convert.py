@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegastream import convert as conv
 from omegastream import nft, sst, twoway
@@ -107,6 +109,53 @@ def test_round_trip_sst_2dt_sst(replace_sst_m, double_sst_m):
             y2 = eval_limit(S2, x)
             assert y2 is not None
             assert y.first(100) == y2.first(100)
+
+
+@st.composite
+def scattered_one_state_ssts(draw):
+    """One state, 1-12 registers, letters a and b.  Each update moves every
+    register into at most one image, mixes in constants and appends the
+    letter to out."""
+    regs = [f"r{i}" for i in range(1, draw(st.integers(1, 12)) + 1)]
+    images = ["out"] + regs
+    updates = {}
+    for a in "ab":
+        imgs = {r: [] for r in images}
+        for r in draw(st.permutations(regs)):
+            home = draw(st.sampled_from(images + [None]))
+            if home is not None:
+                imgs[home].append(Reg(r))
+            imgs[draw(st.sampled_from(images))].extend(
+                draw(st.sampled_from(["", "x", "y", "xy"])))
+        imgs["out"] = [Reg("out")] + imgs["out"] + [a]
+        updates[("p", a)] = Substitution({r: tuple(v) for r, v in imgs.items()})
+    return sst.StreamingTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("abxy"),
+        states=frozenset({"p"}),
+        initial="p",
+        registers=frozenset(images),
+        out="out",
+        delta={("p", "a"): "p", ("p", "b"): "p"},
+        updates=updates,
+    )
+
+
+ab_words = st.builds(
+    lambda u, v: parse_upword(f"{u}({v})^w"),
+    st.text("ab", max_size=4), st.text("ab", min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scattered_one_state_ssts(), st.lists(ab_words, min_size=3, max_size=3))
+def test_sst_to_twoway_many_registers_one_state(S, xs):
+    T2 = conv.sst_to_twoway(S)
+    for x in xs:
+        # passing cases take at most a few hundred steps; a small budget
+        # keeps shrinking a failure fast
+        r = eval_2dt(T2, x, 20, step_budget=20_000)
+        assert r.status == "ok"
+        assert r.output == eval_limit(S, x).first(20)
 
 
 # -- kbounded_to_copyless ------------------------------------------------------

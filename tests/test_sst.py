@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegastream import sst
 from omegastream.sst import (
@@ -192,6 +194,116 @@ def test_counting_matrices():
     m1, m2 = counting_matrix(s1.assignment, cap), counting_matrix(s2.assignment, cap)
     comp = compose_substitutions(s1, s2)
     assert compose_counting(m1, m2, cap) == counting_matrix(comp.assignment, cap)
+
+
+@st.composite
+def small_ssts(draw):
+    """SSTs of 1-4 states, 0-3 registers besides out and letters a, b.
+
+    Each update either scatters the registers over the images at most once
+    each or draws its images freely, so copying within one image, copying
+    split across two images and copying confined to unreachable states all
+    occur."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    regs = [f"r{i}" for i in range(draw(st.integers(0, 3)))]
+    tokens = st.sampled_from([Reg(r) for r in regs] + ["x"])
+    delta, updates = {}, {}
+    for q in states:
+        for a in "ab":
+            target = draw(st.sampled_from(states + [None]))
+            if target is None:
+                continue
+            if draw(st.booleans()):
+                imgs = {r: [] for r in ["out"] + regs}
+                for r in draw(st.permutations(regs)):
+                    home = draw(st.sampled_from(["out", None] + regs))
+                    if home is not None:
+                        imgs[home].append(Reg(r))
+                imgs = {r: tuple(img) for r, img in imgs.items()}
+            else:
+                imgs = {r: tuple(draw(st.lists(tokens, max_size=3)))
+                        for r in ["out"] + regs}
+            imgs["out"] = (Reg("out"),) + imgs["out"] + (a,)
+            delta[(q, a)] = target
+            updates[(q, a)] = Substitution(imgs)
+    return StreamingTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("abx"),
+        states=frozenset(states),
+        initial="q0",
+        registers=frozenset(["out"] + regs),
+        out="out",
+        delta=delta,
+        updates=updates,
+    )
+
+
+def _copyless_by_windows(S, max_window=3):
+    """Reference: every reachable window of at most max_window updates uses
+    each register at most once, by composing exact counting matrices."""
+
+    def matrix(sub):
+        m = {(r, s): 0 for r in S.registers for s in S.registers}
+        for s, img in sub.assignment.items():
+            for t in img:
+                if isinstance(t, Reg):
+                    m[(t, s)] += 1
+        return m
+
+    def product(m1, m2):
+        return {(r, s): sum(m1[(r, t)] * m2[(t, s)] for t in S.registers)
+                for r in S.registers for s in S.registers}
+
+    reach, frontier = {S.initial}, [S.initial]
+    while frontier:
+        q = frontier.pop()
+        for a in S.input_alphabet:
+            if (q, a) in S.delta and S.delta[(q, a)] not in reach:
+                reach.add(S.delta[(q, a)])
+                frontier.append(S.delta[(q, a)])
+    windows = [(q, None) for q in reach]
+    for _ in range(max_window):
+        longer = []
+        for q, m in windows:
+            for a in sorted(S.input_alphabet):
+                if (q, a) not in S.delta:
+                    continue
+                step = matrix(S.updates[(q, a)])
+                m2 = step if m is None else product(m, step)
+                if any(sum(m2[(r, s)] for s in S.registers) > 1
+                       for r in S.registers):
+                    return False
+                longer.append((S.delta[(q, a)], m2))
+        windows = longer
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_ssts())
+def test_check_copyless_matches_window_reference(S):
+    assert check_copyless(S) == _copyless_by_windows(S)
+
+
+def test_check_copyless_split_copy_and_unreachable_copy():
+    # q1's update copies r into both r and s
+    def machine(q0_target):
+        keep = {"out": (Reg("out"), "a"), "r": (Reg("r"),), "s": (Reg("s"),)}
+        split = {"out": (Reg("out"), "a"), "r": (Reg("r"),), "s": (Reg("r"),)}
+        return StreamingTransducer(
+            input_alphabet=frozenset("a"),
+            output_alphabet=frozenset("a"),
+            states=frozenset({"q0", "q1"}),
+            initial="q0",
+            registers=frozenset({"out", "r", "s"}),
+            out="out",
+            delta={("q0", "a"): q0_target, ("q1", "a"): "q0"},
+            updates={("q0", "a"): Substitution(keep),
+                     ("q1", "a"): Substitution(split)},
+        )
+
+    for q0_target, copyless in (("q0", True), ("q1", False)):
+        S = machine(q0_target)
+        assert check_copyless(S) == _copyless_by_windows(S) == copyless
 
 
 # -- domain --------------------------------------------------------------------
