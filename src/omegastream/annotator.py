@@ -33,6 +33,15 @@ class DivergedError(Exception):
         self.budget = budget
 
 
+class UnknownLetterError(Exception):
+    """The stream holds a letter outside the machine's input alphabet."""
+
+    def __init__(self, letter, index):
+        super().__init__(
+            f"letter {letter!r} at index {index} is not in the input alphabet"
+        )
+
+
 def default_max_lookahead(T: OneWayTransducer) -> int:
     nq = max(1, len(T.states))
     return min(10 * nq ** nq, 100_000)
@@ -44,10 +53,12 @@ def set_order_key(C) -> Tuple:
 
 
 class _Buffer:
-    """Letter stream with absolute-position random access."""
+    """Letter stream with absolute-position random access; each letter is
+    checked against the alphabet as it is read."""
 
-    def __init__(self, stream: Iterable):
+    def __init__(self, stream: Iterable, alphabet):
         self._it = iter(stream)
+        self._alphabet = alphabet
         self._buf: List = []
         self._base = 0  # absolute position of _buf[0]
 
@@ -55,9 +66,12 @@ class _Buffer:
         """Letter at absolute position pos (0-based); None when exhausted."""
         while self._base + len(self._buf) <= pos:
             try:
-                self._buf.append(next(self._it))
+                a = next(self._it)
             except StopIteration:
                 return None
+            if a not in self._alphabet:
+                raise UnknownLetterError(a, self._base + len(self._buf))
+            self._buf.append(a)
         return self._buf[pos - self._base]
 
     def drop_before(self, pos: int):
@@ -120,12 +134,13 @@ def annotate(
     Emissions lag the input by the current cover lookahead; the lag is
     finite on the domain of the machine's function.  A finite stream ends
     the annotations at its last letter, or at the letter whose cover was
-    still looking ahead when the stream ended.
+    still looking ahead when the stream ended.  A letter outside the
+    machine's input alphabet raises UnknownLetterError when it is read.
     """
     T = ctx.T
     if max_lookahead is None:
         max_lookahead = default_max_lookahead(T)
-    buf = _Buffer(stream)
+    buf = _Buffer(stream, T.input_alphabet)
     pos = 0
     found = cover(ctx, T.initial, buf, 0, max_lookahead)
     if found is None:

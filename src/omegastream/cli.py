@@ -3,11 +3,13 @@
 Subcommands: check, analyze, annotate, determinize (run), run, convert,
 oracle.  ``run --letters n`` reads exactly n input letters and
 ``annotate --letters n`` prints C0 and n annotated letters; n must be
->= 0.  ``--bound`` (the continuity search's loop-length bound) belongs to
-the commands that run that search: check and run.  Exit status:
+>= 0.  ``--bound`` (the continuity search's loop-length bound, >= 1)
+belongs to the commands that run that search: check and run.
+``--max-lookahead`` must be >= 0.  Exit status:
 
 - 0 on success;
-- 1 on negative verdicts or inputs outside a domain;
+- 1 on negative verdicts or inputs outside a domain (among them a letter
+  outside the machine's input alphabet);
 - 2 on contract violations (among them an ambiguous machine given to
   analyze or annotate), malformed files, or an analysis search that ran
   out of its node budget (BudgetExceeded).
@@ -19,6 +21,7 @@ never a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -31,7 +34,7 @@ from .analysis import (
     ContinuityViolation,
     is_continuous,
 )
-from .annotator import DivergedError, annotate
+from .annotator import DivergedError, UnknownLetterError, annotate
 from .determinize import InvariantError, StreamSession, prepare
 from .nft import AmbiguityError, ContractError
 from .words import format_upword, parse_upword
@@ -59,9 +62,14 @@ def _add_theta_policy(p):
                    default="capped")
 
 
-def _check_letters(args):
-    if args.letters is not None and args.letters < 0:
-        raise ContractError("--letters must be >= 0")
+def _check_counts(args):
+    """ContractError for a numeric option below its least value."""
+    for flag, dest, least in (("--letters", "letters", 0),
+                              ("--bound", "bound", 1),
+                              ("--max-lookahead", "max_lookahead", 0)):
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise ContractError(f"{flag} must be >= {least}")
 
 
 def _input_letters(args):
@@ -85,6 +93,7 @@ def _input_letters(args):
 
 
 def cmd_check(args) -> int:
+    _check_counts(args)
     T = nft.load(args.machine)
     verdicts = {
         "trim": nft.is_trim(T),
@@ -171,7 +180,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    _check_letters(args)
+    _check_counts(args)
     T = _load_unambiguous(args.machine)
     ctx = AnalysisContext(T, theta_policy=args.theta_policy)
     _, stream = _input_letters(args)
@@ -233,7 +242,7 @@ def cmd_determinize(args) -> int:
     x, stream = _input_letters(args)
     if x is not None and args.letters is None:
         raise ContractError("--letters is required with --input")
-    _check_letters(args)
+    _check_counts(args)
     ctx = prepare(T, bound=args.bound, theta_policy=args.theta_policy)
     session = StreamSession(ctx, x, args.check_invariants)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
@@ -365,11 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+# One parser per process: the cmd_* it binds look up their helpers at call time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContinuityViolation, DivergedError) as e:
+    except (ContinuityViolation, DivergedError, UnknownLetterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
     except conv.DomainError as e:

@@ -23,6 +23,7 @@ from .words import (
     Word,
     canonicalize,
     format_word,
+    json_object,
     strip_prefix,
     word,
 )
@@ -138,8 +139,11 @@ class OneWayTransducer:
 
 
 def from_dict(doc: dict) -> OneWayTransducer:
+    json_object(doc, "transducer", "input_alphabet", "output_alphabet",
+                "states", "initial", "final", "transitions")
     transitions = {}
     for t in doc["transitions"]:
+        json_object(t, "transition", "from", "letter", "to")
         key = (t["from"], t["letter"], t["to"])
         if key in transitions:
             raise ValueError(f"duplicate transition {key}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .nft import BudgetExceeded
-from .words import UPWord, Word, canonicalize, word
+from .words import UPWord, Word, canonicalize, json_object, word
 
 
 class Reg(str):
@@ -522,16 +522,20 @@ def _pair_name(pair) -> str:
 
 
 def from_dict(doc: dict) -> StreamingTransducer:
+    json_object(doc, "SST", "input_alphabet", "output_alphabet", "states",
+                "initial", "registers", "out", "delta", "updates")
     registers = frozenset(doc["registers"])
     updates = {}
     delta = {}
     for entry in doc["updates"]:
+        json_object(entry, "update", "state", "letter", "assign")
         key = (entry["state"], entry["letter"])
         assign = {r: parse_mixed(s) for r, s in entry["assign"].items()}
         for r in registers:
             assign.setdefault(r, (Reg(r),))
         updates[key] = Substitution(assign)
     for entry in doc["delta"]:
+        json_object(entry, "delta entry", "state", "letter", "to")
         delta[(entry["state"], entry["letter"])] = entry["to"]
     for key in delta:
         if key not in updates:

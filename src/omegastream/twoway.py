@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .words import UPWord, Word, word
+from .words import UPWord, Word, json_object, word
 
 ENDMARKER = "^"
 
@@ -122,9 +122,12 @@ def eval_2dt(
 
 
 def from_dict(doc: dict) -> TwoWayTransducer:
+    json_object(doc, "2DT", "input_alphabet", "output_alphabet", "states",
+                "initial", "transitions")
     delta = {}
     out = {}
     for tr in doc["transitions"]:
+        json_object(tr, "transition", "state", "symbol", "to", "move")
         key = (tr["state"], tr["symbol"])
         if "lookbehind" in tr:
             key = key + (tr["lookbehind"],)
@@ -133,6 +136,7 @@ def from_dict(doc: dict) -> TwoWayTransducer:
     lb = None
     if "lookbehind" in doc:
         d = doc["lookbehind"]
+        json_object(d, "lookbehind", "states", "initial", "delta")
         lb = LookbehindDFA(
             states=frozenset(d["states"]),
             initial=d["initial"],

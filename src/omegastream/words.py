@@ -210,3 +210,13 @@ def parse_upword(s: str) -> UPWord:
     if not period:
         raise ValueError("empty period")
     return canonicalize(prefix, period)
+
+
+def json_object(doc, what: str, *fields) -> None:
+    """ValueError unless doc is a JSON object holding every one of
+    `fields`; the message names `what` and the first missing field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"{what} has no field {name!r}")

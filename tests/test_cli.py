@@ -1,5 +1,6 @@
 """Command-line interface: verdicts, streaming, conversion, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -20,7 +21,10 @@ def run_cli(*argv, stdin=None):
         sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as e:  # argparse errors
+                code = e.code
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
@@ -309,11 +313,9 @@ def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
                            stdin=_stdin_letters("0010"))
     assert json.loads(out.splitlines()[-1]) == {"steps": 3, "emitted": "111"}
     # a stream that goes on without a compatible cover still diverges
-    for letters, flags in (("00103", ()),
-                           ("0010000", ("--max-lookahead", "2"))):
-        code, out, err = run_cli("run", path, "--stdin", *flags,
-                                 stdin=_stdin_letters(letters))
-        assert code == 1 and err.startswith("error: no compatible cover")
+    code, out, err = run_cli("run", path, "--stdin", "--max-lookahead", "2",
+                             stdin=_stdin_letters("0010000"))
+    assert code == 1 and err.startswith("error: no compatible cover")
     # C0 itself needs lookahead here: {p, q} has no common accepting run
     machine = tmp_path / "guess.json"
     machine.write_text(json.dumps({
@@ -332,3 +334,118 @@ def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
                            stdin=_stdin_letters("0010"))
     assert (code, out.splitlines()) == (0, ["C0 {q0}", "0\t{q1}", "0\t{q1}",
                                             "1\t{q0}"])
+
+
+def test_bound_and_max_lookahead_ranges():
+    normalize, replace = fixture_path("normalize.json"), fixture_path("replace.json")
+    for argv, message in (
+        (("check", normalize, "--bound", "0"), "--bound must be >= 1"),
+        (("check", normalize, "--bound", "-3"), "--bound must be >= 1"),
+        (("run", normalize, "--input", "(01)^w", "--letters", "5",
+          "--bound", "0"), "--bound must be >= 1"),
+        (("annotate", replace, "--input", "(001)^w", "--max-lookahead", "-1"),
+         "--max-lookahead must be >= 0"),
+        (("run", replace, "--input", "(001)^w", "--letters", "3",
+          "--max-lookahead", "-1"), "--max-lookahead must be >= 0"),
+    ):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli("check", normalize, "--bound", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == "continuous: false (witness u=0, u'=1)"
+    assert run_cli("annotate", replace, "--input", "(1)^w", "--letters",
+                   "1", "--max-lookahead", "0")[:2] == (0, "C0 {q0}\n1\t{q0}\n")
+
+
+@pytest.mark.parametrize("kind, fixture, field, command", [
+    ("transducer", "replace.json", "transitions", ("check",)),
+    ("SST", "replace_sst.json", "out", ("convert", "--from", "sst", "--to", "2dt")),
+    ("2DT", "replace_2dt.json", "initial", ("convert", "--from", "2dt", "--to", "sst")),
+], ids=["transducer", "SST", "2DT"])
+def test_machine_file_errors(tmp_path, kind, fixture, field, command):
+    def argv(path):
+        extra = (str(tmp_path / "out.json"),) if command[0] == "convert" else ()
+        return (*command, str(path), *extra)
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert run_cli(*argv(listed)) == (
+        2, "", f"error: {kind} must be a JSON object, not list\n")
+    with open(fixture_path(fixture)) as fh:
+        doc = json.load(fh)
+    del doc[field]
+    partial = tmp_path / fixture
+    partial.write_text(json.dumps(doc))
+    assert run_cli(*argv(partial)) == (
+        2, "", f"error: {kind} has no field {field!r}\n")
+
+
+def test_transition_without_a_target(tmp_path):
+    path = tmp_path / "no_target.json"
+    path.write_text(json.dumps({
+        "input_alphabet": ["a"], "output_alphabet": ["a"], "states": ["p"],
+        "initial": ["p"], "final": ["p"],
+        "transitions": [{"from": "p", "letter": "a", "out": "a"}]}))
+    assert run_cli("check", str(path)) == (
+        2, "", "error: transition has no field 'to'\n")
+
+
+def test_letter_outside_the_input_alphabet():
+    path = fixture_path("replace.json")
+    code, out, err = run_cli("run", path, "--input", "0(3)^w", "--letters", "5")
+    assert (code, out, err) == (
+        1, "", "error: letter '3' at index 1 is not in the input alphabet\n")
+    code, out, err = run_cli("run", path, "--stdin", stdin=_stdin_letters("0031"))
+    assert (code, out, err) == (
+        1, "", "error: letter '3' at index 2 is not in the input alphabet\n")
+    # increments flushed before the letter was read stay on stdout
+    code, out, err = run_cli("run", path, "--stdin",
+                             stdin=_stdin_letters("00103"))
+    assert (code, out.splitlines()) == (1, ["1", "1", "1"])
+    assert err == "error: letter '3' at index 4 is not in the input alphabet\n"
+    code, out, err = run_cli("annotate", path, "--stdin",
+                             stdin=_stdin_letters("0013"))
+    assert (code, out.splitlines()) == (1, ["C0 {q0}", "0\t{q1}", "0\t{q1}",
+                                            "1\t{q0}"])
+    assert err == "error: letter '3' at index 3 is not in the input alphabet\n"
+
+
+def _subcommand_parsers(parser):
+    (subs,) = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def test_main_parser_help_matches_a_fresh_parser():
+    from omegastream import cli
+
+    shared, fresh = cli._parser(), cli.build_parser()
+    assert shared is cli._parser() and fresh is not cli.build_parser()
+    assert shared.format_help() == fresh.format_help()
+    shared_subs, fresh_subs = _subcommand_parsers(shared), _subcommand_parsers(fresh)
+    assert list(shared_subs) == list(fresh_subs) == [
+        "check", "analyze", "annotate", "determinize", "run", "convert",
+        "oracle"]
+    for name, sub in fresh_subs.items():
+        assert shared_subs[name].format_help() == sub.format_help()
+
+
+def test_reused_parser_carries_no_value_between_calls():
+    from omegastream import cli
+
+    path = fixture_path("replace.json")
+    calls = [
+        (("run", path, "--letters", "3", "--bound", "x"), None),
+        (("run", path, "--input", "(001)^w", "--letters", "3"), None),
+        (("run", path, "--stdin"), _stdin_letters("001001")),
+        (("check", path, "--bound", "4"), None),
+    ]
+    first = []
+    for argv, stdin in calls:
+        cli._parser.cache_clear()  # each call is the first with its parser
+        first.append(run_cli(*argv, stdin=stdin))
+    assert first[0][:2] == (2, "")
+    assert "argument --bound: invalid int value: 'x'" in first[0][2]
+    assert first[1] == (0, "111\n", "")
+    assert first[2] == (0, "1\n" * 6 + "111111\n", "")  # every letter read
+    assert first[3][0] == 0
+    assert [run_cli(*argv, stdin=stdin) for argv, stdin in calls] == first
