@@ -14,8 +14,6 @@ def main():
     ap.add_argument("--machine", default=fixture_path("replace.json"))
     ap.add_argument("--input", default="(001)^w")
     ap.add_argument("--letters", type=int, default=40)
-    ap.add_argument("--theta-policy", choices=["lcm", "capped"],
-                    default="lcm")
     args = ap.parse_args()
 
     T = nft.load(args.machine)
@@ -23,8 +21,7 @@ def main():
     y = nft.oracle_eval(T, x)
     print(f"input : {args.input}")
     print(f"oracle: {format_upword(y) if y else 'undefined'}")
-    r = run_pipeline(T, x, args.letters, check_invariants=True,
-                     theta_policy=args.theta_policy)
+    r = run_pipeline(T, x, args.letters, check_invariants=True)
     print(f"run   : {args.letters} letters consumed, "
           f"{len(r.emitted)} letters emitted")
     for rec in r.trace:

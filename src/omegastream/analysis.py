@@ -16,7 +16,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .nft import (  # BudgetExceeded is re-exported for existing imports
@@ -40,7 +39,6 @@ from .words import (
 )
 
 NODE_BUDGET = 400_000
-OMEGA_CAP = 100_000
 FUTURES_LIMIT = 4  # accepting futures compared per anchor by is_continuous
 
 
@@ -181,11 +179,8 @@ def _max_out_len(T: OneWayTransducer) -> int:
 class AnalysisContext:
     """Memoized analysis session for one normalized transducer."""
 
-    def __init__(self, T: OneWayTransducer, theta_policy: str = "capped"):
+    def __init__(self, T: OneWayTransducer):
         self.T = T
-        if theta_policy not in ("lcm", "capped"):
-            raise ValueError(f"unknown theta policy {theta_policy!r}")
-        self.theta_policy = theta_policy
         self._compat: Dict[FrozenSet[str], Optional[CompatibleSet]] = {}
         self._lattices: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self._separ: Dict[FrozenSet[str], Optional[SeparabilityWitness]] = {}
@@ -372,36 +367,22 @@ class AnalysisContext:
         """The global period length Theta shared by all looping futures.
 
         Computed once per machine: the lcm of every loop-output length and
-        end-word period length arising from separable compatible sets,
-        scaled (under the default policy) to exceed four times the
-        comparison bound, so that alignment adjustments stay within one
-        period.
+        end-word period length arising from separable compatible sets.  It
+        is the shortest length that all of them divide, so the determinizer
+        releases output as soon as it is certain.
         """
-        if self._theta is not None:
-            return self._theta
-        pool = {1}
-        tau_lens = [0]
-        for C in self.comp_subsets(self.T.states):
-            w = self.is_separable(C)
-            if w is None:
-                continue
-            compat = self.is_compatible(C)
-            pool |= {len(o) for o in w.loop_outputs.values() if len(o) > 0}
-            pool |= {len(o) for o in compat.loop_alphas.values() if len(o) > 0}
-            ends = self.end_words(C)
-            pool |= {len(e.period) for e in ends.values()}
-            tau_lens.append(max(len(e.prefix) for e in ends.values()))
-        base = reduce(lcm, pool)
-        if self.theta_policy == "lcm":
-            theta = base
-        else:
-            nq = len(self.T.states)
-            M = max(10, _max_out_len(self.T))
-            omega_eff = min(M * nq ** nq, OMEGA_CAP)
-            target = 4 * max(omega_eff, max(tau_lens), 1)
-            theta = base * ceil(target / base)
-        self._theta = theta
-        return theta
+        if self._theta is None:
+            pool = {1}
+            for C in self.comp_subsets(self.T.states):
+                w = self.is_separable(C)
+                if w is None:
+                    continue
+                compat = self.is_compatible(C)
+                pool |= {len(o) for o in w.loop_outputs.values() if len(o) > 0}
+                pool |= {len(o) for o in compat.loop_alphas.values() if len(o) > 0}
+                pool |= {len(e.period) for e in self.end_words(C).values()}
+            self._theta = reduce(lcm, pool)
+        return self._theta
 
     def looping_future(self, C, profile: AdvanceProfile) -> LoopingFuture:
         """(tau, theta) bounding all future productions from separable C.

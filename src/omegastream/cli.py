@@ -57,11 +57,6 @@ def _add_bound(p):
                    help="override for the loop-length bound")
 
 
-def _add_theta_policy(p):
-    p.add_argument("--theta-policy", choices=["lcm", "capped"],
-                   default="capped")
-
-
 def _check_counts(args):
     """ContractError for a numeric option below its least value."""
     for flag, dest, least in (("--letters", "letters", 0),
@@ -139,7 +134,7 @@ def _load_unambiguous(path):
 
 def cmd_analyze(args) -> int:
     T = _load_unambiguous(args.machine)
-    ctx = AnalysisContext(T, theta_policy=args.theta_policy)
+    ctx = AnalysisContext(T)
     C0 = frozenset(T.initial)
     rows = []
     for C in ctx.comp_subsets(C0):
@@ -182,7 +177,7 @@ def cmd_analyze(args) -> int:
 def cmd_annotate(args) -> int:
     _check_counts(args)
     T = _load_unambiguous(args.machine)
-    ctx = AnalysisContext(T, theta_policy=args.theta_policy)
+    ctx = AnalysisContext(T)
     _, stream = _input_letters(args)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
     ann = islice(ann, None if args.letters is None else args.letters + 1)
@@ -243,7 +238,7 @@ def cmd_determinize(args) -> int:
     if x is not None and args.letters is None:
         raise ContractError("--letters is required with --input")
     _check_counts(args)
-    ctx = prepare(T, bound=args.bound, theta_policy=args.theta_policy)
+    ctx = prepare(T, bound=args.bound)
     session = StreamSession(ctx, x, args.check_invariants)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
     for _, delta in session.run(ann, args.letters):
@@ -319,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="compatible-set analysis")
     p.add_argument("machine")
-    _add_theta_policy(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -330,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read letters from stdin, one per line")
     p.add_argument("--letters", type=int, default=None)
     p.add_argument("--max-lookahead", type=int, default=None)
-    _add_theta_policy(p)
     _add_common(p)
     p.set_defaults(func=cmd_annotate)
 
@@ -348,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--check-invariants", action="store_true")
         p.add_argument("--trace", action="store_true")
         _add_bound(p)
-        _add_theta_policy(p)
+        # ignored: Theta is always the lcm period, but bench/sweep.py passes it
+        p.add_argument("--theta-policy", choices=["lcm"], help=argparse.SUPPRESS)
         _add_common(p)
         p.set_defaults(func=cmd_determinize)
 

@@ -678,8 +678,8 @@ class InvariantChecker:
 # -- streaming session -----------------------------------------------------------
 
 
-def prepare(T: OneWayTransducer, bound: Optional[int] = None,
-            theta_policy: str = "capped") -> AnalysisContext:
+def prepare(T: OneWayTransducer,
+            bound: Optional[int] = None) -> AnalysisContext:
     """The analysis context of normalized T, once T is known continuous."""
     ok, witness = is_continuous(T, bound=bound)
     if not ok:
@@ -687,7 +687,7 @@ def prepare(T: OneWayTransducer, bound: Optional[int] = None,
             f"function is not continuous: outputs {witness.words[0]} and "
             f"{witness.words[1]} diverge on arbitrarily close inputs"
         )
-    return AnalysisContext(normalize(T), theta_policy=theta_policy)
+    return AnalysisContext(normalize(T))
 
 
 class StreamSession:
@@ -753,10 +753,9 @@ def run_pipeline(
     check_invariants: bool = False,
     max_lookahead: Optional[int] = None,
     bound: Optional[int] = None,
-    theta_policy: str = "capped",
 ) -> PipelineResult:
     """Normalize, annotate and determinize T over the first n letters of x."""
-    ctx = prepare(T, bound=bound, theta_policy=theta_policy)
+    ctx = prepare(T, bound=bound)
     session = StreamSession(ctx, x, check_invariants, trace=[])
     ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
     annotations = [item for item, _ in session.run(ann, n)]

@@ -139,11 +139,11 @@ class OneWayTransducer:
 
 
 def from_dict(doc: dict) -> OneWayTransducer:
-    json_object(doc, "transducer", "input_alphabet", "output_alphabet",
-                "states", "initial", "final", "transitions")
+    json_object(doc, "transducer", entries=("transitions",), lists=(
+        "input_alphabet", "output_alphabet", "states", "initial", "final"))
     transitions = {}
     for t in doc["transitions"]:
-        json_object(t, "transition", "from", "letter", "to")
+        json_object(t, "transition", "from", "letter", "to", optional=("out",))
         key = (t["from"], t["letter"], t["to"])
         if key in transitions:
             raise ValueError(f"duplicate transition {key}")

@@ -522,13 +522,13 @@ def _pair_name(pair) -> str:
 
 
 def from_dict(doc: dict) -> StreamingTransducer:
-    json_object(doc, "SST", "input_alphabet", "output_alphabet", "states",
-                "initial", "registers", "out", "delta", "updates")
+    json_object(doc, "SST", "initial", "out", entries=("delta", "updates"), lists=(
+        "input_alphabet", "output_alphabet", "states", "registers"))
     registers = frozenset(doc["registers"])
     updates = {}
     delta = {}
     for entry in doc["updates"]:
-        json_object(entry, "update", "state", "letter", "assign")
+        json_object(entry, "update", "state", "letter", maps=("assign",))
         key = (entry["state"], entry["letter"])
         assign = {r: parse_mixed(s) for r, s in entry["assign"].items()}
         for r in registers:

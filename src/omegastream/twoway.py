@@ -122,12 +122,13 @@ def eval_2dt(
 
 
 def from_dict(doc: dict) -> TwoWayTransducer:
-    json_object(doc, "2DT", "input_alphabet", "output_alphabet", "states",
-                "initial", "transitions")
+    json_object(doc, "2DT", "initial", entries=("transitions",), lists=(
+        "input_alphabet", "output_alphabet", "states"))
     delta = {}
     out = {}
     for tr in doc["transitions"]:
-        json_object(tr, "transition", "state", "symbol", "to", "move")
+        json_object(tr, "transition", "state", "symbol", "to", "move",
+                    optional=("lookbehind", "out"))
         key = (tr["state"], tr["symbol"])
         if "lookbehind" in tr:
             key = key + (tr["lookbehind"],)
@@ -136,7 +137,9 @@ def from_dict(doc: dict) -> TwoWayTransducer:
     lb = None
     if "lookbehind" in doc:
         d = doc["lookbehind"]
-        json_object(d, "lookbehind", "states", "initial", "delta")
+        json_object(d, "lookbehind", "initial", lists=("states",), entries=("delta",))
+        for e in d["delta"]:
+            json_object(e, "lookbehind delta entry", "state", "letter", "to")
         lb = LookbehindDFA(
             states=frozenset(d["states"]),
             initial=d["initial"],

@@ -212,11 +212,32 @@ def parse_upword(s: str) -> UPWord:
     return canonicalize(prefix, period)
 
 
-def json_object(doc, what: str, *fields) -> None:
-    """ValueError unless doc is a JSON object holding every one of
-    `fields`; the message names `what` and the first missing field."""
+_KINDS = {  # the kinds of field that json_object checks, by description
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: (
+        isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    "a list": lambda v: isinstance(v, list),
+    "a JSON object of strings": lambda v: (
+        isinstance(v, dict) and all(isinstance(s, str) for s in v.values())),
+}
+
+
+def json_object(doc, what: str, *strings, lists=(), entries=(), maps=(),
+                optional=()) -> None:
+    """ValueError unless doc is a JSON object holding every named field,
+    each of its kind: `strings` a string, `lists` a list of strings,
+    `entries` a list (whose items the caller checks), `maps` an object of
+    strings, and those `optional` fields that it holds a string.  The
+    message names `what` and the first field missing or of another kind."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    for name in fields:
-        if name not in doc:
-            raise ValueError(f"{what} has no field {name!r}")
+    for names, kind in ((strings, "a string"), (lists, "a list of strings"),
+                        (entries, "a list"), (maps, "a JSON object of strings")):
+        for name in names:
+            if name not in doc:
+                raise ValueError(f"{what} has no field {name!r}")
+            if not _KINDS[kind](doc[name]):
+                raise ValueError(f"{what} field {name!r} must be {kind}")
+    for name in optional:
+        if name in doc and not isinstance(doc[name], str):
+            raise ValueError(f"{what} field {name!r} must be a string")

@@ -363,12 +363,12 @@ def _run_resize(det):
 
 def _collect_sep_states(machines):
     T = machines["double"]
-    ctx = AnalysisContext(nft.normalize(T), theta_policy="lcm")
+    ctx = AnalysisContext(nft.normalize(T))
     states = []
     for xs in ["(0)^w", "(001)^w", "(0002)^w", "(02)^w", "0(010)^w",
                "(00012)^w"]:
         x = parse_upword(xs)
-        r = run_pipeline(T, x, 25, theta_policy="lcm")
+        r = run_pipeline(T, x, 25)
         # replay on a live determinizer to snapshot every separable state
         det = Determinizer(ctx)
         det.init(frozenset(r.annotations[0]))

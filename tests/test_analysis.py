@@ -136,8 +136,7 @@ def test_looping_future_memo_keeps_continuity_check(double_t):
 
 def test_theta_policies(double_t):
     Tn = nft.normalize(double_t)
-    assert AnalysisContext(Tn).theta_length() == 1080
-    assert AnalysisContext(Tn, theta_policy="lcm").theta_length() == 2
+    assert AnalysisContext(Tn).theta_length() == 2
 
 
 # -- continuity --------------------------------------------------------------

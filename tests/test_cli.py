@@ -75,6 +75,13 @@ def test_determinize_run_golden():
     assert len(out.strip()) >= 10
 
 
+def test_run_emits_as_soon_as_certain():
+    # the output keeps pace with a 0-run instead of waiting for it to end
+    code, out, _ = run_cli("run", fixture_path("double.json"),
+                           "--input", "(0)^w", "--letters", "300")
+    assert (code, out.splitlines()[-1]) == (0, "0" * 299)
+
+
 def test_run_alias_with_invariants():
     code, out, _ = run_cli(
         "run", fixture_path("replace.json"),
@@ -108,7 +115,7 @@ def test_analyze():
     code, out, _ = run_cli("analyze", fixture_path("double.json"))
     assert code == 0
     lines = out.splitlines()
-    assert "theta length: 1080" in lines
+    assert "theta length: 2" in lines
     assert "compatible {q0}: not separable" in lines
 
 
@@ -372,8 +379,11 @@ def test_machine_file_errors(tmp_path, kind, fixture, field, command):
         2, "", f"error: {kind} must be a JSON object, not list\n")
     with open(fixture_path(fixture)) as fh:
         doc = json.load(fh)
-    del doc[field]
     partial = tmp_path / fixture
+    partial.write_text(json.dumps({**doc, "states": 5}))
+    assert run_cli(*argv(partial)) == (
+        2, "", f"error: {kind} field 'states' must be a list of strings\n")
+    del doc[field]
     partial.write_text(json.dumps(doc))
     assert run_cli(*argv(partial)) == (
         2, "", f"error: {kind} has no field {field!r}\n")
@@ -387,6 +397,33 @@ def test_transition_without_a_target(tmp_path):
         "transitions": [{"from": "p", "letter": "a", "out": "a"}]}))
     assert run_cli("check", str(path)) == (
         2, "", "error: transition has no field 'to'\n")
+
+
+def test_machine_file_entry_errors(tmp_path):
+    path = tmp_path / "machine.json"
+    with open(fixture_path("replace.json")) as fh:
+        doc = json.load(fh)
+    doc["transitions"][0]["out"] = 5
+    path.write_text(json.dumps(doc))
+    assert run_cli("check", str(path)) == (
+        2, "", "error: transition field 'out' must be a string\n")
+    with open(fixture_path("replace_sst.json")) as fh:
+        doc = json.load(fh)
+    doc["updates"][0]["assign"]["out"] = 5
+    path.write_text(json.dumps(doc))
+    assert run_cli("convert", "--from", "sst", "--to", "2dt", str(path),
+                   str(tmp_path / "out.json")) == (
+        2, "", "error: update field 'assign' must be a JSON object of strings\n")
+    path.write_text(json.dumps({
+        "input_alphabet": ["a"], "output_alphabet": ["a"], "states": ["s"],
+        "initial": "s",
+        "transitions": [{"state": "s", "symbol": "^", "to": "s",
+                         "move": "right"}],
+        "lookbehind": {"states": ["p"], "initial": "p",
+                       "delta": [{"state": "p", "letter": "a"}]}}))
+    assert run_cli("convert", "--from", "2dt", "--to", "sst", str(path),
+                   str(tmp_path / "out.json")) == (
+        2, "", "error: lookbehind delta entry has no field 'to'\n")
 
 
 def test_letter_outside_the_input_alphabet():

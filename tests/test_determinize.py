@@ -4,9 +4,15 @@ full pipeline, and trace 1-boundedness."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from omegastream import nft
-from omegastream.analysis import AnalysisContext, ContinuityViolation
+from omegastream.analysis import (
+    AnalysisContext,
+    ContinuityViolation,
+    is_continuous,
+)
 from omegastream.annotator import annotate
 from omegastream.determinize import (
     Determinizer,
@@ -20,9 +26,10 @@ from omegastream.determinize import (
     run_pipeline,
 )
 from omegastream.nft import ContractError
-from omegastream.words import parse_upword, up_starts_with
+from omegastream.words import UPWord, parse_upword, up_starts_with
 
 from conftest import flushy_corpus
+from test_lattice import lasso_branch_machines, small_machines
 
 
 @pytest.fixture()
@@ -156,7 +163,7 @@ def test_pipeline_goldens(replace_t, double_t):
     assert r.emitted == ("1",) * 30
     assert len(r.emitted) >= 20
     r2 = run_pipeline(double_t, parse_upword("002(0)^w"), 40)
-    assert r2.emitted == tuple("000020")
+    assert r2.emitted == tuple("00002" + "0" * 37)
     assert up_starts_with(parse_upword("00002(0)^w"), r2.emitted)
 
 
@@ -191,6 +198,59 @@ def test_one_bounded_traces(replace_t, double_t):
         for x in flushy_corpus(4):
             r = run_pipeline(T, x, 60)
             assert one_bounded_trace(r.trace)
+
+
+@st.composite
+def period_branch_machines(draw):
+    """double.json with drawn loops: on an a, q0 guesses q1 or q2, which
+    output r^m per a until b or c closes the run, for r = x or xy; q1 and
+    q2 may be final.  Where {q1, q2} is compatible, an a-run puts the
+    determinizer in its separable mode, with Theta up to 12."""
+    root = draw(st.sampled_from(["x", "xy"]))
+    transitions = {("q0", "b", "q0"): ("b",), ("q0", "c", "q0"): ("c",)}
+    for q, c in (("q1", "b"), ("q2", "c")):
+        loop = tuple(root * draw(st.integers(1, 3)))
+        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = loop
+        transitions[(q, c, "q0")] = tuple(draw(st.sampled_from(["", c, "x" + c])))
+    return nft.OneWayTransducer(
+        input_alphabet=frozenset("abc"),
+        output_alphabet=frozenset("xybc"),
+        states=frozenset({"q0", "q1", "q2"}),
+        initial=frozenset({"q0"}),
+        final=frozenset({"q0"} | draw(st.sets(st.sampled_from(["q1", "q2"])))),
+        transitions=transitions,
+    )
+
+
+@st.composite
+def continuous_runs(draw):
+    """An unambiguous continuous machine, an input in its domain and the
+    oracle's output on it."""
+    T = draw(st.one_of(small_machines(), lasso_branch_machines(),
+                       period_branch_machines()))
+    assume(nft.is_unambiguous(T) and is_continuous(T)[0])
+    rng = draw(st.randoms(use_true_random=False))
+    letters = sorted(T.input_alphabet)
+    for _ in range(20):  # the first of 20 random words that is in the domain
+        # half of them end in a^w, the longest a-run there is
+        period = rng.choices(letters, k=rng.randint(1, 4))
+        x = UPWord(tuple(rng.choices(letters, k=rng.randint(0, 4))),
+                   tuple(period) if rng.random() < 0.5 else ("a",))
+        y = nft.oracle_eval(T, x)
+        if y is not None:
+            return T, x, y
+    assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(continuous_runs())
+def test_streamed_output_is_a_prefix_of_the_oracle(run):
+    T, x, y = run
+    r = run_pipeline(T, x, 60, check_invariants=True)
+    assert up_starts_with(y, r.emitted)
+    assert one_bounded_trace(r.trace)
 
 
 def test_invariant_checker_catches_corruption(double_t):
