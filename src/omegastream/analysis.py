@@ -425,29 +425,34 @@ def analyze_step(T: OneWayTransducer, C, u, D) -> Optional[StepAnalysis]:
     C = frozenset(C)
     D = frozenset(D)
     u = word(u)
-    # entries per state: {(start, output): multiplicity<=2}
-    entries: Dict[str, Dict[Tuple[str, Word], int]] = {
-        q: {(q, ()): 1} for q in C
-    }
+    # per state: (start, runs capped at 2, output chain), where a chain is
+    # None or (previous chain, one transition's output); a state reached
+    # twice is ambiguous whatever its runs' starts and outputs, so one
+    # entry per state suffices and each letter costs O(transitions)
+    runs: Dict[str, tuple] = {q: (q, 1, None) for q in C}
+    succ = T._by_src().get  # T.succ inlined: this loop is the hot path
     for a in u:
-        nxt: Dict[str, Dict[Tuple[str, Word], int]] = {}
-        for q, cell in entries.items():
-            for q2, out in T.succ(q, a):
-                tgt = nxt.setdefault(q2, {})
-                for (start, w), mult in cell.items():
-                    key = (start, w + out)
-                    tgt[key] = min(2, tgt.get(key, 0) + mult)
-        entries = nxt
+        nxt: Dict[str, tuple] = {}
+        for q, (start, count, chain) in runs.items():
+            for q2, out in succ((q, a), ()):
+                if q2 in nxt:
+                    nxt[q2] = (start, 2, chain)
+                else:
+                    nxt[q2] = (start, count, (chain, out) if out else chain)
+        runs = nxt
     pre = {}
     val = {}
     for q in D:
-        cell = entries.get(q, {})
-        total = sum(cell.values())
-        if total != 1:
+        start, count, chain = runs.get(q, (None, 0, None))
+        if count != 1:
             return None
-        (start, w), _ = next(iter(cell.items()))
+        outs = []
+        while chain is not None:
+            chain, out = chain
+            outs.append(out)
+        outs.reverse()
         pre[q] = start
-        val[q] = w
+        val[q] = tuple(itertools.chain.from_iterable(outs))
     image = set(pre.values())
     is_step = image == set(C)
     return StepAnalysis(

@@ -31,6 +31,7 @@ from .analysis import (
     AdvanceProfile,
     AnalysisContext,
     ContinuityViolation,
+    StepAnalysis,
     is_continuous,
 )
 from .annotator import annotate
@@ -470,17 +471,42 @@ class InvariantChecker:
 
     Maintains the run productions val(q) incrementally (mirroring the
     machine), spot-recomputes them from scratch periodically, and checks
-    each invariant against the machine's state."""
+    each invariant against the machine's state.
+
+    val(q) is held as rest(q): val(q) with the emitted output removed.
+    Invariants 3a and 4e force the output to be a prefix of every val(q), so
+    each step strips its output delta from the rests and raises when the
+    delta does not fit.  A rest is the output the machine still holds back
+    for q (its lag, theta powers and last), so a step's cost and each
+    snapshot in `history` follow that, not the length of the stream.  Only
+    the from-scratch recomputation every RECOMPUTE_EVERY letters reads the
+    whole prefix."""
 
     def __init__(self, det: Determinizer, x: Optional[UPWord] = None):
         self.det = det
         self.x = x
         self.letters: List = []
-        self.vals: Dict[str, Word] = {q: () for q in det.C}
+        self.n_out = 0  # output letters already stripped from the rests
+        self._moves: Dict[Tuple[FrozenSet[str], object],
+                          Optional[StepAnalysis]] = {}
+        self.rest = self._strip({q: () for q in det.C})
         self.history: List[Dict] = [
-            {"C": det.C, "vals": dict(self.vals), "pre": {q: q for q in det.C}}
+            {"C": det.C, "rest": self.rest, "pre": {q: q for q in det.C}}
         ]
         self.check()
+
+    def _strip(self, vals: Dict[str, Word]) -> Dict[str, Word]:
+        """Remove the output emitted since the last call from vals, which
+        already lack the output before it; raise unless it is a prefix of
+        each."""
+        emitted = self.det.emitted
+        delta = tuple(emitted[self.n_out:])
+        self.n_out = len(emitted)
+        k = len(delta)
+        for q, w in vals.items():
+            if w[:k] != delta:
+                raise InvariantError("soundness", f"out diverges from val({q})")
+        return {q: w[k:] for q, w in vals.items()}
 
     def after_step(self, a, pre_step: Dict[str, str]):
         det = self.det
@@ -488,12 +514,9 @@ class InvariantChecker:
         if sa is None:
             raise InvariantError("2", "consumed move is not a pre-step")
         self.letters.append(a)
-        self.vals = {
-            q: self.vals[sa.pre[q]] + sa.val[q] for q in det.C
-        }
-        self.history.append(
-            {"C": det.C, "vals": dict(self.vals), "pre": dict(sa.pre)}
-        )
+        self.rest = self._strip(
+            {q: self.rest[sa.pre[q]] + sa.val[q] for q in det.C})
+        self.history.append({"C": det.C, "rest": self.rest, "pre": sa.pre})
         if len(self.letters) % RECOMPUTE_EVERY == 0:
             self._spot_recompute()
         self.check()
@@ -503,8 +526,9 @@ class InvariantChecker:
         sa = det.ctx.analyze_step(det.J, tuple(self.letters), det.C)
         if sa is None or not sa.is_step:
             raise InvariantError("2", "J, x[1:i], C is not an initial step")
+        emitted = tuple(det.emitted)
         for q in det.C:
-            if sa.val[q] != self.vals[q]:
+            if sa.val[q] != emitted + self.rest[q]:
                 raise InvariantError(
                     "2", f"incremental val({q}) drifted from recomputation"
                 )
@@ -515,28 +539,21 @@ class InvariantChecker:
 
     def check(self):
         det = self.det
-        emitted = tuple(det.emitted)
         # inv 2 (shape): pre maps into J and covers it
         if frozenset(det.pre_total.values()) != det.J:
             raise InvariantError("2", "pre image differs from J")
-        for q in det.C:
-            if not is_prefix(emitted, self.vals[q]) and not is_prefix(
-                self.vals[q], emitted
-            ):
-                raise InvariantError("soundness", f"out diverges from val({q})")
+        if len(det.emitted) != self.n_out:
+            raise InvariantError("soundness", "out changed outside a step")
         if det.mode == "nonsep":
-            common = reduce(
-                lcp_finite, [self.vals[q] for q in sorted(det.C)]
-            )
-            if emitted != common:
+            if reduce(lcp_finite, [self.rest[q] for q in sorted(det.C)]):
                 raise InvariantError("3a", "out != common production")
             for q in det.C:
-                if det.lag[q] != self.vals[q][len(common):]:
+                if det.lag[q] != self.rest[q]:
                     raise InvariantError("3b", f"lag({q}) != advance({q})")
         else:
-            self._check_sep(emitted)
+            self._check_sep()
 
-    def _check_sep(self, emitted: Word):
+    def _check_sep(self):
         det = self.det
         th = det.theta
         if not any(len(det.lag[q]) == 0 for q in det.C):
@@ -571,11 +588,11 @@ class InvariantChecker:
                         raise InvariantError(
                             "4d", f"lagging {q} with out_pi != eps"
                         )
-        self._check_past(emitted)
-        self._check_future(emitted)
+        self._check_past()
+        self._check_future()
         self._check_decompositions()
 
-    def _check_past(self, emitted: Word):
+    def _check_past(self):
         det = self.det
         th = det.theta
         for p in det.nb:
@@ -583,9 +600,9 @@ class InvariantChecker:
                 continue
             (q,) = p[-1]
             if det.lagging(q):
-                expected = emitted + det.lag[q]
+                expected = det.lag[q]
             else:
-                expected = emitted + det.max_lag + th * det.nb[(det.C,)][q]
+                expected = det.max_lag + th * det.nb[(det.C,)][q]
                 for i in range(1, len(p)):
                     sub = p[: i + 1]
                     expected = (
@@ -594,50 +611,49 @@ class InvariantChecker:
                         + th * det.nb[sub][q]
                     )
                 expected = expected + det.last[q]
-            if expected != self.vals[q]:
+            if expected != self.rest[q]:
                 raise InvariantError(
                     "4e", f"stored decomposition of val({q}) is wrong"
                 )
 
-    def _check_future(self, emitted: Word):
+    def _check_future(self):
         det = self.det
         if self.x is None:
             return
         future = UPWord(prefix=det.max_lag, period=det.theta)
         i = len(self.letters)
-        u: List = []
         C = det.C
-        vals = dict(self.vals)
+        rest = self.rest
+        start = {q: q for q in C}  # each run's state in det.C
         for m in range(FUTURE_LETTERS):
-            a = self.x.letter_at(i + m)
-            D = frozenset(
-                q2 for q in C for q2, _ in det.T.succ(q, a)
-            )
-            if not D:
-                break
-            sa = det.ctx.analyze_step(C, (a,), D)
+            sa = self._move(C, self.x.letter_at(i + m))
             if sa is None:
                 break
-            vals = {q: vals[sa.pre[q]] + sa.val[q] for q in D}
+            D = sa.target
+            rest = {q: rest[sa.pre[q]] + sa.val[q] for q in D}
+            start = {q: start[sa.pre[q]] for q in D}
             C = D
-            full = det.ctx.analyze_step(det.C, tuple(u) + (a,), D)
-            u.append(a)
-            if full is None or not full.is_step:
-                # only extensions forming a step from det.C are constrained
+            # D holds every successor and each has one predecessor, so the
+            # runs from det.C are unique: the extension is a step from det.C
+            # exactly when they all survive, and only steps are constrained
+            if set(start.values()) != det.C:
                 continue
             for q in D:
-                w = vals[q]
-                if not is_prefix(emitted, w):
-                    if not is_prefix(w, emitted):
-                        raise InvariantError(
-                            "4f", f"future val({q}) diverges from out"
-                        )
-                    continue
-                rest = w[len(emitted):]
-                if not up_starts_with(future, rest):
+                if not up_starts_with(future, rest[q]):
                     raise InvariantError(
                         "4f", f"future val({q}) escapes max_lag theta^w"
                     )
+
+    def _move(self, C: FrozenSet[str], a) -> Optional[StepAnalysis]:
+        """The step from C on a into all of C's a-successors; None when
+        there are none or one has two runs.  Memoized: _check_future asks
+        the same few moves at every step."""
+        key = (C, a)
+        if key not in self._moves:
+            D = frozenset(q2 for q in C for q2, _ in self.det.T.succ(q, a))
+            self._moves[key] = (
+                self.det.ctx.analyze_step(C, (a,), D) if D else None)
+        return self._moves[key]
 
     def _check_decompositions(self):
         det = self.det
@@ -662,13 +678,14 @@ class InvariantChecker:
 
     def _find_decomposition(self, Cn: FrozenSet[str], bound: int) -> bool:
         # walk the run states of Cn backwards through the stored pre maps,
-        # looking for a past position whose advances already spread by >= bound
+        # looking for a past position whose advances already spread by >= bound;
+        # a snapshot's vals share its output, so its rests spread as much
         states = {q: q for q in Cn}
         for j in range(len(self.history) - 1, -1, -1):
             snap = self.history[j]
-            vals = [snap["vals"][states[q]] for q in sorted(Cn)]
-            common = reduce(lcp_finite, vals)
-            if max(len(v) for v in vals) - len(common) >= bound:
+            rests = [snap["rest"][states[q]] for q in sorted(Cn)]
+            common = reduce(lcp_finite, rests)
+            if max(len(v) for v in rests) - len(common) >= bound:
                 return True
             if j > 0:
                 states = {q: snap["pre"][states[q]] for q in Cn}

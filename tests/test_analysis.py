@@ -1,16 +1,21 @@
 """Compatible-set analysis: steps, separability, looping futures, and the
 continuity decision."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from omegastream import nft
 from omegastream.analysis import (
     AdvanceProfile,
     AnalysisContext,
     ContinuityViolation,
+    StepAnalysis,
     advance_profile,
+    analyze_step,
     is_continuous,
 )
 from omegastream.words import (
@@ -24,6 +29,7 @@ from omegastream.words import (
 )
 
 from conftest import random_upword
+from test_lattice import lasso_branch_machines, small_machines
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,68 @@ def test_analyze_step_golden(dctx):
 def test_analyze_step_rejects_non_steps(dctx):
     # no run from q0 over "2" reaches q1
     assert dctx.analyze_step(frozenset({"q0"}), ("2",), frozenset({"q1"})) is None
+
+
+def reference_analyze_step(T, C, u, D):
+    """The walk analyze_step used to make: every state keeps one entry per
+    (start, output word) with its run count capped at 2, and rebuilds each
+    output at every letter.  A state with two entries already has two runs,
+    and so has every state it leads to, so keeping two entries per state
+    changes no result; it keeps ambiguous machines from doubling the
+    entries at every letter."""
+    C, D, u = frozenset(C), frozenset(D), tuple(u)
+    entries = {q: {(q, ()): 1} for q in C}
+    for a in u:
+        nxt = {}
+        for q, cell in entries.items():
+            for q2, out in T.succ(q, a):
+                tgt = nxt.setdefault(q2, {})
+                for (start, w), mult in cell.items():
+                    key = (start, w + out)
+                    tgt[key] = min(2, tgt.get(key, 0) + mult)
+        entries = {q: dict(itertools.islice(cell.items(), 2))
+                   for q, cell in nxt.items()}
+    pre, val = {}, {}
+    for q in D:
+        cell = entries.get(q, {})
+        if sum(cell.values()) != 1:
+            return None
+        (start, w), _ = next(iter(cell.items()))
+        pre[q], val[q] = start, w
+    is_step = set(pre.values()) == set(C)
+    return StepAnalysis(source=C, word=u, target=D, pre=pre, val=val,
+                        is_step=is_step, initial=is_step and C <= T.initial)
+
+
+@st.composite
+def step_queries(draw):
+    """A generated machine (normalized or not, ambiguous ones included), a
+    source set, a word of 0-40 letters and a target set.  Each letter is
+    drawn among those some run survives, when there are any, and the target
+    set half the time among the states the word reaches."""
+    T = draw(st.one_of(small_machines(), lasso_branch_machines()))
+    if draw(st.booleans()) and nft.is_unambiguous(T):
+        Tn = nft.normalize(T)
+        T = Tn if Tn.states else T
+    states, letters = sorted(T.states), sorted(T.input_alphabet)
+    C = draw(st.sets(st.sampled_from(states)))
+    u, reached = [], set(C)
+    for _ in range(draw(st.integers(0, 40))):
+        live = [a for a in letters if any(T.succ(q, a) for q in reached)]
+        u.append(draw(st.sampled_from(live or letters)))
+        reached = {q2 for q in reached for q2, _ in T.succ(q, u[-1])}
+    pool = sorted(reached) if reached and draw(st.booleans()) else states
+    D = draw(st.sets(st.sampled_from(pool)))
+    return T, C, tuple(u), D
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(step_queries())
+def test_analyze_step_matches_the_reference_walk(query):
+    T, C, u, D = query
+    # StepAnalysis equality covers None-ness, pre, val, is_step and initial
+    assert analyze_step(T, C, u, D) == reference_analyze_step(T, C, u, D)
 
 
 def test_end_words(dctx):

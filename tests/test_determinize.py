@@ -347,3 +347,127 @@ def test_recorder_keeps_out_append_only():
     for mapping in ({"out": None}, {"out": "out", "r": "out"}, {"r": "r"}):
         with pytest.raises(InvariantError):
             rec.remap(mapping)
+
+
+# -- invariant checker ---------------------------------------------------------
+
+
+def _checked_session(T, x, n):
+    """A StreamSession over the first n letters of x with the checker on."""
+    ctx = prepare(T)
+    session = StreamSession(ctx, x, check_invariants=True)
+    for _ in session.run(annotate(ctx, x.letters()), n):
+        pass
+    return session
+
+
+def _corrupt_lag(det):
+    det.lag["q1"] = det.lag["q1"] + ("0",)
+
+
+def _corrupt_max_lag(det):
+    det.max_lag = det.max_lag + ("0",)
+
+
+def _corrupt_last(det):
+    det.last["q1"] = ()
+
+
+def _corrupt_nb(det):
+    det.nb[(det.C,)]["q2"] += 1
+
+
+def _corrupt_out_pi(det):
+    det.out_regs["out@{q1,q2}>{q2}"] = det.theta
+
+
+def _corrupt_emitted(det):
+    det.emitted.append("0")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_lag, _corrupt_max_lag, _corrupt_last, _corrupt_nb,
+    _corrupt_out_pi, _corrupt_emitted,
+])
+def test_invariant_checker_catches_separable_corruption(double_t, corrupt):
+    # after 00 of (001)^w, double is in its separable mode with
+    # last = {q1: 0, q2: 0} and a theta counter of 1 on q2
+    session = _checked_session(double_t, parse_upword("(001)^w"), 2)
+    det = session.det
+    assert det.mode == "sep" and det.nb[(det.C,)]["q2"] == 1
+    session.checker.check()
+    corrupt(det)
+    with pytest.raises(InvariantError):
+        session.checker.check()
+
+
+def test_invariant_checker_catches_a_wrong_output_letter(double_t):
+    x = parse_upword("(001)^w")
+    ctx = prepare(double_t)
+    session = StreamSession(ctx, x, check_invariants=True)
+    ann = annotate(ctx, x.letters())
+    session.feed(next(ann))
+    a, C = next(ann)
+    det = session.det
+    det.step(a, C)
+    assert det.emitted == ["0"]
+    # the right length with the wrong letter: every rest keeps its length
+    det.emitted[-1] = "1"
+    with pytest.raises(InvariantError):
+        session.checker.after_step(a, det.trace[-1].pre_step)
+
+def three_branch_machine():
+    """double.json with a third branch: on an a, q0 guesses q1, q2 or q3,
+    which output y, yy or yyy per a until b, c or d closes the run; q0 and
+    q1 are final.  Its compatible sets nest three deep, so on a long a-run
+    theta counters overflow below {q1, q3}, a path that is then not close."""
+    transitions = {}
+    for q, c, loop in (("q1", "b", "y"), ("q2", "c", "yy"), ("q3", "d", "yyy")):
+        transitions[("q0", c, "q0")] = (c,)
+        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = tuple(loop)
+        transitions[(q, c, "q0")] = (c,)
+    return nft.OneWayTransducer(
+        input_alphabet=frozenset("abcd"),
+        output_alphabet=frozenset("ybcd"),
+        states=frozenset({"q0", "q1", "q2", "q3"}),
+        initial=frozenset({"q0"}),
+        final=frozenset({"q0", "q1"}),
+        transitions=transitions,
+    )
+
+
+def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):
+    T, x = three_branch_machine(), parse_upword("(a)^w")
+    found = []
+    find = InvariantChecker._find_decomposition
+
+    def counting(self, Cn, bound):
+        found.append(find(self, Cn, bound))
+        return found[-1]
+
+    monkeypatch.setattr(InvariantChecker, "_find_decomposition", counting)
+    session = _checked_session(T, x, 20)
+    assert found and all(found)
+    assert session.emitted == ("y",) * 19
+    assert up_starts_with(nft.oracle_eval(T, x), session.emitted)
+    # with the spread of the past forgotten, no split point is left
+    checker = session.checker
+    for snap in checker.history:
+        snap["rest"] = {q: () for q in snap["rest"]}
+    with pytest.raises(InvariantError) as err:
+        checker.check()
+    assert err.value.which == "4g"
+
+
+def test_invariant_checker_state_is_bounded(double_t):
+    x = parse_upword("(001)^w")
+    ctx = prepare(double_t)
+    session = StreamSession(ctx, x, check_invariants=True)
+    longest = {}
+    for item, _ in session.run(annotate(ctx, x.letters()), 2000):
+        if session.steps in (500, 2000):
+            longest[session.steps] = max(
+                len(w) for snap in session.checker.history
+                for w in snap["rest"].values())
+    assert longest[2000] == longest[500]
+    assert session.emitted == run_pipeline(double_t, x, 2000).emitted
