@@ -61,7 +61,8 @@ def _check_counts(args):
     """ContractError for a numeric option below its least value."""
     for flag, dest, least in (("--letters", "letters", 0),
                               ("--bound", "bound", 1),
-                              ("--max-lookahead", "max_lookahead", 0)):
+                              ("--max-lookahead", "max_lookahead", 0),
+                              ("--k", "k", 1)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ContractError(f"{flag} must be >= {least}")
@@ -275,6 +276,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    _check_counts(args)
     pair = (args.source, args.target)
     if pair == ("2dt", "sst"):
         machine = conv.twoway_to_sst(twoway.load(args.infile))
@@ -377,9 +379,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ContinuityViolation, DivergedError, UnknownLetterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except conv.DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
     except (

@@ -1,20 +1,13 @@
 """Conversions between machine models.
 
-Four constructions live here:
+Three constructions live here:
 
 * ``twoway_to_sst`` -- crossing-sequence simulation of a two-way transducer
   by a 1-bounded streaming transducer;
 * ``sst_to_twoway`` -- recursive register evaluation of a copyless streaming
   transducer by a two-way transducer with a lookbehind DFA;
 * ``kbounded_to_copyless`` -- removal of bounded copying by guessing a
-  decomposition forest of copy-count labels and storing virtual copies;
-* ``compose_restricted`` -- composition of a restricted (all-states-final)
-  nondeterministic transducer with a streaming transducer by maintaining a
-  bounded tree of runs.  Its second form composes a deterministic
-  annotation stream (C0, then one (letter, C) pair per input letter, as
-  ``annotator.annotate`` yields it) with a core fed one item at a time;
-  the core is ``DeterminizerCore``, the determinizer's streaming session
-  ``determinize.StreamSession``.
+  decomposition forest of copy-count labels and storing virtual copies.
 """
 
 from __future__ import annotations
@@ -23,29 +16,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-# the annotation-stream core of compose_restricted
-from .determinize import StreamSession as DeterminizerCore  # noqa: F401
-from .nft import AmbiguityError, OneWayTransducer
 from .sst import (
     MixedWord,
     Reg,
     StreamingTransducer,
     Substitution,
-    _Evaluator,
     check_bounded,
     check_copyless,
     count_ref,
 )
 from .twoway import ENDMARKER, LEFT, RIGHT, LookbehindDFA, TwoWayTransducer
-from .words import UPWord, Word
+from .words import Word
 
 
 class ConversionError(Exception):
     pass
-
-
-class DomainError(Exception):
-    """The streaming evaluator left the domain of the composed function."""
 
 
 # =============================================================================
@@ -776,167 +761,3 @@ def _merge_levels(levels, roots, regs, assign):
     )
     return new_levels, new_assign
 
-
-# =============================================================================
-# Restricted composition
-# =============================================================================
-
-
-class _Node:
-    __slots__ = ("delta", "children", "n_state", "config")
-
-    def __init__(self, delta=(), n_state=None, config=None):
-        self.delta = tuple(delta)
-        self.children: List[_Node] = []
-        self.n_state = n_state  # set on leaves
-        self.config = config  # set on leaves
-
-    @property
-    def is_leaf(self):
-        return self.n_state is not None
-
-
-class ComposedEvaluator:
-    """Deterministic evaluator for S after a restricted transducer N.
-
-    Maintains the tree of initial runs of N; each leaf carries the state of
-    N together with the configuration of S on that run's output.  The
-    out-increments along merged segments hang on the tree nodes; whatever
-    reaches the root is confirmed output shared by every surviving run.
-    """
-
-    def __init__(self, N: OneWayTransducer, S: StreamingTransducer):
-        if set(N.final) != set(N.states):
-            raise ConversionError("N must be restricted: all states final")
-        self.N = N
-        self.S = S
-        self.root = _Node()
-        for q in sorted(N.initial):
-            self.root.children.append(
-                _Node(n_state=q, config=_Evaluator(S))
-            )
-        self.emitted: List = []
-
-    def max_nodes(self) -> int:
-        def count(node):
-            return 1 + sum(count(c) for c in node.children)
-
-        return count(self.root)
-
-    def feed(self, a) -> Word:
-        # New transition: extend every leaf by every N-transition on a.
-        created: List[Tuple[_Node, _Node]] = []
-        removed_ambiguous = False
-        leaves = []
-
-        def collect(node):
-            if node.is_leaf:
-                leaves.append(node)
-            for c in node.children:
-                collect(c)
-
-        collect(self.root)
-        for leaf in leaves:
-            for q2, w in self.N.succ(leaf.n_state, a):
-                conf = leaf.config.copy()
-                inc = conf.feed(w)
-                if inc is None:
-                    continue  # S blocks on this branch's output
-                created.append(
-                    (leaf, _Node(delta=inc, n_state=q2, config=conf))
-                )
-        # Removing ambiguity: two new leaves in the same N-state would both
-        # extend to accepting runs, so none of them can be the unique run.
-        by_state: Dict[str, int] = {}
-        for _, child in created:
-            by_state[child.n_state] = by_state.get(child.n_state, 0) + 1
-        surviving = []
-        for leaf, child in created:
-            if by_state[child.n_state] >= 2:
-                removed_ambiguous = True
-                continue
-            surviving.append((leaf, child))
-        for leaf, child in surviving:
-            leaf.children.append(child)
-        for leaf in leaves:
-            # old leaves become interior nodes (or die in the trimming)
-            leaf.n_state = None
-            leaf.config = None
-
-        # Trimming: drop nodes without a new leaf below.
-        def trim(node) -> bool:
-            if node.is_leaf:
-                return True
-            node.children = [c for c in node.children if trim(c)]
-            return bool(node.children)
-
-        if not trim(self.root):
-            self.root.children = []
-            if removed_ambiguous:
-                raise AmbiguityError(
-                    "all runs collided: input outside the restricted domain"
-                )
-            raise DomainError("every run of N died")
-
-        # Merging single nodes.
-        def merge(node):
-            while len(node.children) == 1 and not node.is_leaf:
-                child = node.children[0]
-                node.delta = node.delta + child.delta
-                node.children = child.children
-                node.n_state = child.n_state
-                node.config = child.config
-                if node.is_leaf:
-                    break
-            for c in node.children:
-                merge(c)
-
-        for c in self.root.children:
-            merge(c)
-        # Root absorption: a single child of the (virtual) root is confirmed.
-        while len(self.root.children) == 1:
-            child = self.root.children[0]
-            self.root.delta = self.root.delta + child.delta
-            if child.is_leaf:
-                child.delta = ()
-                break
-            self.root.children = child.children
-
-        inc = self.root.delta
-        self.root.delta = ()
-        self.emitted.extend(inc)
-        return inc
-
-    def run(self, x: UPWord, n_letters: int) -> Word:
-        for i in range(n_letters):
-            self.feed(x.letter_at(i))
-        return tuple(self.emitted)
-
-
-class PipedEvaluator:
-    """Sequential composition with a deterministic annotation stream."""
-
-    def __init__(self, factory, core):
-        self.factory = factory
-        self.core = core
-        self.emitted: List = []
-
-    def run(self, x: UPWord, n_letters: int) -> Word:
-        # the first item (C0) carries no input letter
-        for item in itertools.islice(self.factory(x.letters()), n_letters + 1):
-            self.emitted.extend(self.core.feed(item))
-        return tuple(self.emitted)
-
-
-def compose_restricted(N, S):
-    """Streaming evaluator for S composed after N.
-
-    N is either a restricted one-way transducer (every state final) or a
-    deterministic annotation-stream factory (a callable taking the raw
-    letter stream); in the latter case S must expose feed(item) -> Word.
-    """
-    if isinstance(N, OneWayTransducer):
-        if not isinstance(S, StreamingTransducer):
-            raise ConversionError("S must be a streaming transducer")
-        return ComposedEvaluator(N, S)
-    return PipedEvaluator(N, S)

@@ -208,8 +208,8 @@ def _accessible(T: OneWayTransducer) -> FrozenSet[str]:
     return frozenset(seen)
 
 
-def _reaches(T: OneWayTransducer, sources, targets) -> FrozenSet[str]:
-    """States in `sources` (all states if None) that can reach `targets`."""
+def _reaches(T: OneWayTransducer, targets) -> FrozenSet[str]:
+    """States that can reach `targets` (the targets included)."""
     rev: Dict[str, set] = {}
     for (q, _, q2) in T.transitions:
         rev.setdefault(q2, set()).add(q)
@@ -224,28 +224,18 @@ def _reaches(T: OneWayTransducer, sources, targets) -> FrozenSet[str]:
     return frozenset(seen)
 
 
-def _on_cycle(T: OneWayTransducer, q: str, nonempty_output=False) -> bool:
-    """Whether q lies on a cycle; optionally restrict to all-ε-output cycles
-    being excluded (nonempty_output=True requires some output on the cycle).
-
-    With nonempty_output=False the plain graph is used.
-    """
-    # BFS from successors of q back to q
-    frontier = [(q2, len(out) > 0) for _, q2, out in T.out_edges(q)]
-    seen = {}
-    found = False
-    while frontier:
-        p, has_out = frontier.pop()
-        if p == q and (has_out or not nonempty_output):
-            found = True
-            break
-        prev = seen.get(p)
-        if prev is not None and (prev or not has_out):
-            continue
-        seen[p] = has_out
-        for _, p2, out in T.out_edges(p):
-            frontier.append((p2, has_out or len(out) > 0))
-    return found
+def _on_cycle(T: OneWayTransducer, q: str) -> bool:
+    """Whether q lies on a cycle: some successor of q reaches q."""
+    stack = [q2 for _, q2, _ in T.out_edges(q)]
+    seen = set()
+    while stack:
+        p = stack.pop()
+        if p == q:
+            return True
+        if p not in seen:
+            seen.add(p)
+            stack.extend(q2 for _, q2, _ in T.out_edges(p))
+    return False
 
 
 def is_trim(T: OneWayTransducer) -> bool:
@@ -256,7 +246,7 @@ def _trim_keep(T: OneWayTransducer) -> FrozenSet[str]:
     acc = _accessible(T)
     # live final states: finals lying on a cycle (reachable from themselves)
     live = {f for f in T.final if _on_cycle(T, f)}
-    coacc = _reaches(T, None, live)
+    coacc = _reaches(T, live)
     return acc & coacc
 
 

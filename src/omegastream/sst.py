@@ -172,13 +172,10 @@ class _Evaluator:
 
     __slots__ = ("S", "q", "val")
 
-    def __init__(self, S: StreamingTransducer, q=None, val=None):
+    def __init__(self, S: StreamingTransducer):
         self.S = S
-        self.q = S.initial if q is None else q
-        self.val = {r: () for r in S.registers} if val is None else val
-
-    def copy(self) -> "_Evaluator":
-        return _Evaluator(self.S, self.q, dict(self.val))
+        self.q = S.initial
+        self.val = {r: () for r in S.registers}
 
     def feed(self, w) -> Optional[Word]:
         """Run S over the letters of w; returns the out-increment, or None
@@ -377,7 +374,6 @@ class BuchiAutomaton:
             if q is None:
                 return False
         seen = {q: 0}
-        trace = [q]
         accept_positions = []
         k = 0
         while True:
@@ -395,29 +391,6 @@ class BuchiAutomaton:
                 k0 = seen[q]
                 return any(accept_positions[k0:])
             seen[q] = k
-            trace.append(q)
-
-
-def universal_dba(alphabet) -> BuchiAutomaton:
-    alphabet = frozenset(alphabet)
-    return BuchiAutomaton(
-        alphabet=alphabet,
-        states=frozenset({"*"}),
-        initial="*",
-        accepting=frozenset({"*"}),
-        delta={("*", a): "*" for a in alphabet},
-    )
-
-
-def empty_dba(alphabet) -> BuchiAutomaton:
-    alphabet = frozenset(alphabet)
-    return BuchiAutomaton(
-        alphabet=alphabet,
-        states=frozenset({"*"}),
-        initial="*",
-        accepting=frozenset(),
-        delta={("*", a): "*" for a in alphabet},
-    )
 
 
 def domain_automaton(S: StreamingTransducer) -> BuchiAutomaton:
@@ -461,61 +434,6 @@ def domain_automaton(S: StreamingTransducer) -> BuchiAutomaton:
         accepting=frozenset(s for s in states if s[2]),
         delta=delta,
     )
-
-
-def restrict_domain(S: StreamingTransducer, D: BuchiAutomaton) -> StreamingTransducer:
-    """Product machine equal to S on L(D) and undefined elsewhere.
-
-    New out-material is buffered and flushed into out only on transitions
-    leaving an accepting D-state, so out grows infinitely iff D accepts.
-    """
-    buf = "outbuf"
-    while buf in S.registers:
-        buf += "_"
-    registers = S.registers | {buf}
-    init = (S.initial, D.initial)
-    states = {init}
-    delta = {}
-    updates = {}
-    stack = [init]
-    while stack:
-        q, d = stack.pop()
-        for a in S.input_alphabet:
-            if (q, a) not in S.delta or (d, a) not in D.delta:
-                continue
-            sub = S.updates[(q, a)]
-            tail = sub.assignment[S.out][1:]
-            assign = {
-                r: sub.assignment[r] for r in S.registers if r != S.out
-            }
-            if d in D.accepting:
-                assign[S.out] = (Reg(S.out), Reg(buf)) + tail
-                assign[buf] = ()
-            else:
-                assign[S.out] = (Reg(S.out),)
-                assign[buf] = (Reg(buf),) + tail
-            st = (q, d)
-            nxt = (S.delta[(q, a)], D.delta[(d, a)])
-            key = (_pair_name(st), a)
-            delta[key] = _pair_name(nxt)
-            updates[key] = Substitution(assign)
-            if nxt not in states:
-                states.add(nxt)
-                stack.append(nxt)
-    return StreamingTransducer(
-        input_alphabet=S.input_alphabet,
-        output_alphabet=S.output_alphabet,
-        states=frozenset(_pair_name(s) for s in states),
-        initial=_pair_name(init),
-        registers=registers,
-        out=S.out,
-        delta=delta,
-        updates=updates,
-    )
-
-
-def _pair_name(pair) -> str:
-    return f"{pair[0]}|{pair[1]}"
 
 
 # -- JSON format --------------------------------------------------------------------

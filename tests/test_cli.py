@@ -354,6 +354,8 @@ def test_bound_and_max_lookahead_ranges():
          "--max-lookahead must be >= 0"),
         (("run", replace, "--input", "(001)^w", "--letters", "3",
           "--max-lookahead", "-1"), "--max-lookahead must be >= 0"),
+        (("convert", "--from", "ksst", "--to", "copyless", "--k", "0",
+          fixture_path("replace_sst.json"), "unused.json"), "--k must be >= 1"),
     ):
         assert run_cli(*argv) == (2, "", f"error: {message}\n")
     code, out, _ = run_cli("check", normalize, "--bound", "1")

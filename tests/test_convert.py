@@ -1,17 +1,16 @@
-"""Model conversions and the restricted composition evaluator."""
+"""Model conversions between two-way and streaming transducers."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegastream import convert as conv
-from omegastream import nft, sst, twoway
-from omegastream.analysis import AnalysisContext
-from omegastream.annotator import annotate
-from omegastream.determinize import run_pipeline
-from omegastream.nft import AmbiguityError, OneWayTransducer
+from omegastream import sst, twoway
 from omegastream.sst import (
     Reg,
     Substitution,
@@ -21,7 +20,7 @@ from omegastream.sst import (
     eval_prefix,
 )
 from omegastream.twoway import ENDMARKER, RIGHT, TwoWayTransducer, eval_2dt
-from omegastream.words import parse_upword, up_equal, word
+from omegastream.words import parse_upword, up_equal
 
 from conftest import identity_sst, in_domain_corpus, two_bounded_machine
 
@@ -220,110 +219,21 @@ def test_validate_forest_rejects_broken():
         conv.validate_forest(out_of_range, [], K=5)
 
 
-# -- restricted composition ----------------------------------------------------
+# -- module footprint ------------------------------------------------------------
 
 
-def _identity_nt(alphabet):
-    return OneWayTransducer(
-        input_alphabet=frozenset(alphabet),
-        output_alphabet=frozenset(alphabet),
-        states=frozenset({"s"}),
-        initial=frozenset({"s"}),
-        final=frozenset({"s"}),
-        transitions={("s", a, "s"): (a,) for a in alphabet},
-    )
+def test_convert_does_not_load_the_determinizer():
+    """The conversions need no streaming machinery: importing them in a
+    fresh interpreter loads neither the determinizer nor its analyses."""
+    import omegastream
 
-
-def test_compose_identity_degenerates(replace_sst_m):
-    ev = conv.compose_restricted(_identity_nt("012"), replace_sst_m)
-    out = ev.run(_up("(001)^w"), 30)
-    assert out == eval_prefix(replace_sst_m, _up("(001)^w").first(30)).out
-    assert ev.max_nodes() <= 2
-
-
-def test_compose_wrong_guess_trimmed():
-    N = OneWayTransducer(
-        input_alphabet=frozenset("01"),
-        output_alphabet=frozenset("01"),
-        states=frozenset({"s", "g1", "g2"}),
-        initial=frozenset({"s"}),
-        final=frozenset({"s", "g1", "g2"}),
-        transitions={
-            ("s", "0", "g1"): word("1"),
-            ("s", "0", "g2"): word("11"),
-            ("g1", "1", "s"): word("0"),
-        },
-    )
-    ev = conv.compose_restricted(N, identity_sst("01"))
-    inc0 = ev.feed("0")
-    assert inc0 == ()  # both guesses alive, nothing confirmed
-    inc1 = ev.feed("1")
-    assert inc1 == tuple("10")  # g2 died, g1's branch is confirmed
-    assert ev.max_nodes() <= 4
-    fresh = conv.compose_restricted(N, identity_sst("01"))
-    out = fresh.run(_up("(01)^w"), 20)
-    assert out == tuple("10" * 10)
-
-
-def test_compose_requires_restricted(replace_t, replace_sst_m):
-    # replace has final = {q0} != all states
-    Tn = nft.normalize(replace_t)
-    if set(Tn.final) != set(Tn.states):
-        with pytest.raises(conv.ConversionError):
-            conv.compose_restricted(Tn, replace_sst_m)
-
-
-def test_compose_domain_error():
-    N = _identity_nt("0")
-    ev = conv.compose_restricted(N, identity_sst("01"))
-    ev.feed("0")
-    with pytest.raises(conv.DomainError):
-        ev.feed("1")
-
-
-def test_compose_ambiguity_error():
-    N = OneWayTransducer(
-        input_alphabet=frozenset("0"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset({"s", "a", "b", "t"}),
-        initial=frozenset({"s"}),
-        final=frozenset({"s", "a", "b", "t"}),
-        transitions={
-            ("s", "0", "a"): word("x"),
-            ("s", "0", "b"): word("y"),
-            ("a", "0", "t"): (),
-            ("b", "0", "t"): (),
-        },
-    )
-    ev = conv.compose_restricted(N, identity_sst("xy"))
-    ev.feed("0")
-    with pytest.raises(AmbiguityError):
-        ev.feed("0")
-
-
-def test_piped_annotator_matches_pipeline(replace_t, double_t):
-    for T, xs in ((replace_t, "(001)^w"), (double_t, "(02)^w")):
-        Tn = nft.normalize(T)
-        ctx = AnalysisContext(Tn)
-        core = conv.DeterminizerCore(ctx)
-        piped = conv.compose_restricted(
-            lambda stream, ctx=ctx: annotate(ctx, stream), core
-        )
-        out = piped.run(_up(xs), 40)
-        ref = run_pipeline(T, _up(xs), 40)
-        assert out == ref.emitted
-
-
-def test_determinizer_core_is_the_stream_session():
-    from omegastream.determinize import StreamSession
-
-    assert conv.DeterminizerCore is StreamSession
-
-
-def test_piped_evaluator_reads_n_letters(replace_t):
-    Tn = nft.normalize(replace_t)
-    ctx = AnalysisContext(Tn)
-    for n in (0, 1, 5):
-        piped = conv.compose_restricted(
-            lambda stream: annotate(ctx, stream), conv.DeterminizerCore(ctx))
-        assert piped.run(_up("(1)^w"), n) == ("1",) * n
+    root = os.path.dirname(os.path.dirname(os.path.abspath(omegastream.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    script = "import sys, omegastream.convert; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "omegastream.convert" in loaded
+    for name in ("analysis", "annotator", "determinize"):
+        assert f"omegastream.{name}" not in loaded

@@ -20,13 +20,10 @@ from omegastream.sst import (
     counting_matrix,
     count_ref,
     domain_automaton,
-    empty_dba,
     eval_limit,
     eval_prefix,
     format_mixed,
     parse_mixed,
-    restrict_domain,
-    universal_dba,
 )
 from omegastream.words import parse_upword, up_equal, word
 
@@ -313,16 +310,6 @@ def test_domain_automaton(replace_sst_m):
     dba = domain_automaton(replace_sst_m)
     assert dba.accepts(parse_upword("(001)^w"))
     assert not dba.accepts(parse_upword("(0)^w"))
-
-
-def test_restrict_domain(replace_sst_m):
-    uni = universal_dba(replace_sst_m.input_alphabet)
-    emp = empty_dba(replace_sst_m.input_alphabet)
-    x = parse_upword("(001)^w")
-    assert uni.accepts(x) and not emp.accepts(x)
-    assert up_equal(eval_limit(restrict_domain(replace_sst_m, uni), x),
-                    eval_limit(replace_sst_m, x))
-    assert eval_limit(restrict_domain(replace_sst_m, emp), x) is None
 
 
 def test_out_prefix_form_enforced():
