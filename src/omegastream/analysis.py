@@ -23,6 +23,7 @@ from .nft import (  # BudgetExceeded is re-exported for existing imports
     ContractError,
     OneWayTransducer,
     accepting_future,
+    closure,
     product_path,
 )
 from .words import (
@@ -82,11 +83,6 @@ class LoopingFuture:
 
 @dataclass
 class SeparabilityWitness:
-    i: Dict[str, str]
-    ell: Dict[str, str]
-    u: Word
-    u_loop: Word
-    u_tail: Word
     loop_outputs: Dict[str, Word]
     unequal_pair: Tuple[str, str]
 
@@ -304,59 +300,32 @@ class AnalysisContext:
         return res
 
     def _search_separable(self, C) -> Optional[SeparabilityWitness]:
-        if self.is_compatible(C) is None:
+        """A cycle through a tuple reachable from I^|C| that reaches C's
+        sorted tuple, with outputs of unequal lengths at some pair of
+        components; None when there is none.  A cycle's length difference
+        at (j, i) is minus its difference at (i, j), so only i < j is
+        searched."""
+        if len(C) < 2 or self.is_compatible(C) is None:
             return None
         T = self.T
         order = tuple(sorted(C))
-        base = order
         starts = [tuple(c) for c in itertools.product(sorted(T.initial), repeat=len(order))]
         fwd = _tuple_bfs(T, starts)
-        if base not in fwd:
+        if order not in fwd:
             return None
-        # adjacency restricted to forward-reachable tuples
-        adj: Dict[tuple, List[tuple]] = {}
+        rev: Dict[tuple, set] = {}
         for t in fwd:
-            adj[t] = sorted(
-                {nxt for a in T.input_alphabet for nxt, _ in _tuple_successors(T, t, a)
-                 if nxt in fwd},
-                key=str,
-            )
-        # tuples that can reach base
-        rev: Dict[tuple, List[tuple]] = {t: [] for t in fwd}
-        for t, ns in adj.items():
-            for n in ns:
-                rev[n].append(t)
-        can_reach = {base}
-        queue = deque([base])
-        while queue:
-            t = queue.popleft()
-            for p in rev[t]:
-                if p not in can_reach:
-                    can_reach.add(p)
-                    queue.append(p)
-        anchors = sorted((t for t in fwd if t in can_reach), key=str)
-        for i_idx in range(len(order)):
-            for j_idx in range(len(order)):
-                if i_idx == j_idx:
-                    continue
-                for t in anchors:
-                    cyc = _tuple_cycle(T, t, weight_idx=(i_idx, j_idx))
-                    if cyc is None:
-                        continue
-                    u, _, start = product_path(fwd, t)
-                    u_loop, loop_outs = cyc
-                    # tail t -> base
-                    tail = _tuple_bfs(T, [t])
-                    if base not in tail:
-                        continue
-                    u_tail, _, _ = product_path(tail, base)
+            for a in T.input_alphabet:
+                for nxt, _ in _tuple_successors(T, t, a):
+                    rev.setdefault(nxt, set()).add(t)
+        anchors = sorted(closure([order], lambda t: rev.get(t, ())), key=str)
+        for i_idx, j_idx in itertools.combinations(range(len(order)), 2):
+            for t in anchors:
+                cyc = _tuple_cycle(T, t, weight_idx=(i_idx, j_idx))
+                if cyc is not None:
+                    _, loop_outs = cyc
                     return SeparabilityWitness(
-                        i={order[k]: start[k] for k in range(len(order))},
-                        ell={order[k]: t[k] for k in range(len(order))},
-                        u=u,
-                        u_loop=u_loop,
-                        u_tail=u_tail,
-                        loop_outputs={order[k]: tuple(loop_outs[k]) for k in range(len(order))},
+                        loop_outputs={q: tuple(o) for q, o in zip(order, loop_outs)},
                         unequal_pair=(order[i_idx], order[j_idx]),
                     )
         return None
@@ -485,58 +454,65 @@ def advance_profile(sa: StepAnalysis) -> AdvanceProfile:
 # -- continuity ------------------------------------------------------------------
 
 
+def _preorder(root, children):
+    """The nodes of the tree below root in depth-first preorder, without
+    recursion: a node's children(node) are expanded after it is yielded."""
+    stack = [iter([root])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        else:
+            yield node
+            stack.append(children(node))
+
+
 def _simple_pair_paths(T: OneWayTransducer, bound: int):
     """DFS over simple product paths from I x I; yields
     (start_pair, path_pairs, out1, out2) for every prefix endpoint."""
     starts = sorted(
         {(p, q) for p in T.initial for q in T.initial}, key=str
     )
-    count = [0]
 
-    def dfs(pair, visited, out1, out2, letters, start):
-        count[0] += 1
-        if count[0] > NODE_BUDGET:
-            raise BudgetExceeded("continuity path search too large")
-        yield start, pair, out1, out2, letters
+    def children(node):
+        pair, visited, out1, out2, letters = node
         if len(visited) > bound:
             return
         for a, nxt, (o1, o2) in T.tuple_succ(pair):
-            if nxt in visited:
-                continue
-            yield from dfs(
-                nxt,
-                visited | {nxt},
-                out1 + o1,
-                out2 + o2,
-                letters + (a,),
-                start,
-            )
+            if nxt not in visited:
+                yield nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
 
+    count = 0
     for s in starts:
-        yield from dfs(s, {s}, (), (), (), s)
+        for pair, _, out1, out2, letters in _preorder((s, {s}, (), (), ()), children):
+            count += 1
+            if count > NODE_BUDGET:
+                raise BudgetExceeded("continuity path search too large")
+            yield s, pair, out1, out2, letters
 
 
 def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int):
     """Simple product cycles at anchor: yields (out1, out2, letters)."""
-    count = [0]
 
-    def dfs(pair, visited, out1, out2, letters):
-        count[0] += 1
-        if count[0] > NODE_BUDGET:
-            raise BudgetExceeded("continuity cycle search too large")
-        if len(letters) > bound:
+    def children(node):
+        pair, visited, out1, out2, letters = node
+        if pair is None or len(letters) > bound:  # a closed cycle, or too long
             return
         for a, nxt, (o1, o2) in T.tuple_succ(pair):
             if nxt == anchor:
-                yield out1 + o1, out2 + o2, letters + (a,)
-                continue
-            if nxt in visited:
-                continue
-            yield from dfs(
-                nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
-            )
+                yield None, None, out1 + o1, out2 + o2, letters + (a,)
+            elif nxt not in visited:
+                yield nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
 
-    yield from dfs(anchor, set(), (), (), ())
+    count = 0
+    for pair, _, out1, out2, letters in _preorder(
+            (anchor, set(), (), (), ()), children):
+        if pair is None:
+            yield out1, out2, letters
+            continue
+        count += 1
+        if count > NODE_BUDGET:
+            raise BudgetExceeded("continuity cycle search too large")
 
 
 def accepting_futures(T: OneWayTransducer, q: str) -> List[UPWord]:

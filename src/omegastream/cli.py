@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, analyze, annotate, determinize (run), run, convert,
-oracle.  ``run --letters n`` reads exactly n input letters and
-``annotate --letters n`` prints C0 and n annotated letters; n must be
->= 0.  ``--bound`` (the continuity search's loop-length bound, >= 1)
+oracle.  annotate, run and determinize run take exactly one of
+``--input`` and ``--stdin``.  ``run --letters n`` reads exactly n input
+letters and ``annotate --letters n`` prints C0 and n annotated letters;
+n must be >= 0.  ``--bound`` (the continuity search's loop-length bound, >= 1)
 belongs to the commands that run that search: check and run.
 ``--max-lookahead`` must be >= 0.  Exit status:
 
@@ -57,6 +58,14 @@ def _add_bound(p):
                    help="override for the loop-length bound")
 
 
+def _add_source(p):
+    """--input or --stdin: exactly one of them."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None, help='UP word, e.g. "001(01)^w"')
+    source.add_argument("--stdin", action="store_true",
+                        help="read letters from stdin, one per line")
+
+
 def _check_counts(args):
     """ContractError for a numeric option below its least value."""
     for flag, dest, least in (("--letters", "letters", 0),
@@ -73,8 +82,6 @@ def _input_letters(args):
     if args.input is not None:
         x = parse_upword(args.input)
         return x, x.letters()
-    if not args.stdin:
-        raise ContractError("provide --input or --stdin")
 
     def from_stdin():
         for line in sys.stdin:
@@ -321,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("annotate", help="compatible-set annotations of a stream")
     p.add_argument("machine")
-    p.add_argument("--input", default=None, help='UP word, e.g. "001(01)^w"')
-    p.add_argument("--stdin", action="store_true",
-                   help="read letters from stdin, one per line")
+    _add_source(p)
     p.add_argument("--letters", type=int, default=None)
     p.add_argument("--max-lookahead", type=int, default=None)
     _add_common(p)
@@ -336,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_action:
             p.add_argument("action", choices=["run"])
         p.add_argument("machine")
-        p.add_argument("--input", default=None)
-        p.add_argument("--stdin", action="store_true")
+        _add_source(p)
         p.add_argument("--letters", type=int, default=None)
         p.add_argument("--max-lookahead", type=int, default=None)
         p.add_argument("--check-invariants", action="store_true")

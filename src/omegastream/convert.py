@@ -24,6 +24,7 @@ from .sst import (
     check_bounded,
     check_copyless,
     count_ref,
+    substitute,
 )
 from .twoway import ENDMARKER, LEFT, RIGHT, LookbehindDFA, TwoWayTransducer
 from .words import Word
@@ -737,10 +738,7 @@ def _merge_levels(levels, roots, regs, assign):
                     put_chunk(_chunk_name(l + 1, h, r, c, k + 1))
                 assert len(pieces) == len(composed[i]) + 1
                 for j, piece in enumerate(pieces):
-                    img: List = []
-                    for tok in piece:
-                        img.extend(inner[str(tok)])
-                    new_assign[_chunk_name(l, h, r, c, j)] = tuple(img)
+                    new_assign[_chunk_name(l, h, r, c, j)] = substitute(piece, inner)
 
     # Levels above the fused pair move down one depth; rekey their registers.
     for d in range(l + 2, depth + 1):

@@ -196,46 +196,27 @@ def push(T: OneWayTransducer, S, u) -> FrozenSet[str]:
     return frozenset(cur)
 
 
-def _accessible(T: OneWayTransducer) -> FrozenSet[str]:
-    seen = set(T.initial)
-    stack = list(T.initial)
+def closure(starts, succ) -> FrozenSet:
+    """The nodes reachable from `starts` (the starts included) in the graph
+    node -> succ(node)."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        q = stack.pop()
-        for _, q2, _ in T.out_edges(q):
-            if q2 not in seen:
-                seen.add(q2)
-                stack.append(q2)
+        for n in succ(stack.pop()):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
     return frozenset(seen)
 
 
-def _reaches(T: OneWayTransducer, targets) -> FrozenSet[str]:
-    """States that can reach `targets` (the targets included)."""
-    rev: Dict[str, set] = {}
-    for (q, _, q2) in T.transitions:
-        rev.setdefault(q2, set()).add(q)
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
-
-
-def _on_cycle(T: OneWayTransducer, q: str) -> bool:
+def _on_cycle(q, succ) -> bool:
     """Whether q lies on a cycle: some successor of q reaches q."""
-    stack = [q2 for _, q2, _ in T.out_edges(q)]
-    seen = set()
-    while stack:
-        p = stack.pop()
-        if p == q:
-            return True
-        if p not in seen:
-            seen.add(p)
-            stack.extend(q2 for _, q2, _ in T.out_edges(p))
-    return False
+    return q in closure(succ(q), succ)
+
+
+def _targets(T: OneWayTransducer):
+    """The successor function q -> targets of q's transitions."""
+    return lambda q: [q2 for _, q2, _ in T.out_edges(q)]
 
 
 def is_trim(T: OneWayTransducer) -> bool:
@@ -243,11 +224,13 @@ def is_trim(T: OneWayTransducer) -> bool:
 
 
 def _trim_keep(T: OneWayTransducer) -> FrozenSet[str]:
-    acc = _accessible(T)
+    succ = _targets(T)
+    rev: Dict[str, set] = {}
+    for (q, _, q2) in T.transitions:
+        rev.setdefault(q2, set()).add(q)
     # live final states: finals lying on a cycle (reachable from themselves)
-    live = {f for f in T.final if _on_cycle(T, f)}
-    coacc = _reaches(T, live)
-    return acc & coacc
+    live = [f for f in T.final if _on_cycle(f, succ)]
+    return closure(T.initial, succ) & closure(live, lambda q: rev.get(q, ()))
 
 
 def trim(T: OneWayTransducer) -> OneWayTransducer:
@@ -270,13 +253,11 @@ def trim(T: OneWayTransducer) -> OneWayTransducer:
 
 def is_clean(T: OneWayTransducer) -> bool:
     """No cycle through a final state with empty total output."""
-    eps = {k: v for k, v in T.transitions.items() if len(v) == 0}
-    if not eps:
-        return True
-    sub = OneWayTransducer(
-        T.input_alphabet, T.output_alphabet, T.states, T.initial, T.final, eps
-    )
-    return not any(_on_cycle(sub, f) for f in T.final)
+    eps: Dict[str, List[str]] = {}
+    for (q, _, q2), out in T.transitions.items():
+        if len(out) == 0:
+            eps.setdefault(q, []).append(q2)
+    return not any(_on_cycle(f, lambda q: eps.get(q, ())) for f in T.final)
 
 
 def clean(T: OneWayTransducer) -> OneWayTransducer:
@@ -410,51 +391,22 @@ def is_unambiguous(T: OneWayTransducer) -> bool:
     with first component final and a pair with second component final (a
     single product cycle can then visit both kinds).
     """
-    # reachable diverged pairs
-    start = [(p, q, p != q) for p in T.initial for q in T.initial]
-    seen = set(start)
-    stack = list(start)
-    diverged = set()
-    while stack:
-        p, q, d = stack.pop()
-        if d:
-            diverged.add((p, q))
-        for _, (p2, q2), _ in T.tuple_succ((p, q)):
-            node = (p2, q2, d or p != q or p2 != q2)
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    if not diverged:
-        return True
+    def step(node):
+        p, q, d = node
+        return [(p2, q2, d or p2 != q2) for _, (p2, q2), _ in T.tuple_succ((p, q))]
 
-    # SCCs of the full pair graph (inputs synchronized)
-    adj = {
-        pq: sorted({t for _, t, _ in T.tuple_succ(pq)})
-        for pq in itertools.product(sorted(T.states), repeat=2)
-    }
-    target = {
-        v
-        for comp in _sccs(adj)
-        if _cyclic(comp, adj)
+    start = [(p, q, p != q) for p in T.initial for q in T.initial]
+    diverged = {(p, q) for p, q, d in closure(start, step) if d}
+    # an SCC that holds a pair reachable from a diverged one is reachable
+    # as a whole, so the SCCs of that closure are all the search needs
+    reach = closure(diverged, lambda pq: [t for _, t, _ in T.tuple_succ(pq)])
+    adj = {pq: {t for _, t, _ in T.tuple_succ(pq)} for pq in reach}
+    return not any(
+        _cyclic(comp, adj)
         and any(p in T.final for p, _ in comp)
         and any(q in T.final for _, q in comp)
-        for v in comp
-    }
-    if not target:
-        return True
-
-    # can a diverged pair reach a good SCC?
-    frontier = [pq for pq in diverged]
-    seen_r = set(frontier)
-    while frontier:
-        pq = frontier.pop()
-        if pq in target:
-            return False
-        for w in adj[pq]:
-            if w not in seen_r:
-                seen_r.add(w)
-                frontier.append(w)
-    return True
+        for comp in _sccs(adj)
+    )
 
 
 # -- lasso evaluation ----------------------------------------------------------
@@ -718,17 +670,11 @@ def make_productive(T: OneWayTransducer) -> OneWayTransducer:
     states = set(T.states)
     transitions = dict(T.transitions)
     final = set(T.final)
+    succ = _targets(T)
     for q, beta in constants.items():
         alpha, alpha_loop = beta.prefix, beta.period
         # states reachable from q (in the original machine)
-        reach = set()
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for _, p2, _ in T.out_edges(p):
-                if p2 not in reach:
-                    reach.add(p2)
-                    stack.append(p2)
+        reach = closure(succ(q), succ)
 
         def gname(p, q=q):
             return f"{p}!{q}"

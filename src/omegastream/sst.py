@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .nft import BudgetExceeded
+from .nft import BudgetExceeded, closure
 from .words import UPWord, Word, canonicalize, json_object, word
 
 
@@ -282,14 +282,7 @@ def _reachable(S: StreamingTransducer):
     succ: Dict[str, List[Tuple[object, str]]] = {}
     for (p, a), q2 in S.delta.items():
         succ.setdefault(p, []).append((a, q2))
-    reach = {S.initial}
-    stack = [S.initial]
-    while stack:
-        for _, q2 in succ.get(stack.pop(), ()):
-            if q2 not in reach:
-                reach.add(q2)
-                stack.append(q2)
-    return succ, reach
+    return succ, closure([S.initial], lambda q: [q2 for _, q2 in succ.get(q, ())])
 
 
 def _matrix_closure(S: StreamingTransducer, cap: int):

@@ -488,3 +488,36 @@ def test_reused_parser_carries_no_value_between_calls():
     assert first[2] == (0, "1\n" * 6 + "111111\n", "")  # every letter read
     assert first[3][0] == 0
     assert [run_cli(*argv, stdin=stdin) for argv, stdin in calls] == first
+
+
+def test_input_and_stdin_are_exclusive_and_required():
+    path = fixture_path("replace.json")
+    for source in ((), ("--input", "(1)^w", "--stdin")):
+        for command in (("run", path, "--letters", "3"),
+                        ("determinize", "run", path, "--letters", "3"),
+                        ("annotate", path)):
+            code, out, err = run_cli(*command, *source, stdin="1\n")
+            assert (code, out) == (2, "")
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def _ring(tmp_path, n):
+    """s_i --a/a--> s_(i+1 mod n), with s0 initial and final."""
+    path = tmp_path / f"ring{n}.json"
+    path.write_text(json.dumps({
+        "input_alphabet": ["a"], "output_alphabet": ["a"],
+        "states": [f"s{i}" for i in range(n)],
+        "initial": ["s0"], "final": ["s0"],
+        "transitions": [{"from": f"s{i}", "letter": "a",
+                         "to": f"s{(i + 1) % n}", "out": "a"}
+                        for i in range(n)],
+    }))
+    return str(path)
+
+
+def test_long_simple_paths_get_a_verdict(tmp_path):
+    path = _ring(tmp_path, 1500)
+    code, out, err = run_cli("check", path)
+    assert (code, out.splitlines()[-1], err) == (0, "continuous: true", "")
+    assert run_cli("run", path, "--input", "(a)^w", "--letters", "5") == (
+        0, "aaaaa\n", "")

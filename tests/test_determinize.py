@@ -1,6 +1,7 @@
 """The streaming determinizer: initialization, stepping, the toolbox, the
 full pipeline, and trace 1-boundedness."""
 
+import itertools
 import random
 
 import pytest
@@ -434,6 +435,22 @@ def three_branch_machine():
         final=frozenset({"q0", "q1"}),
         transitions=transitions,
     )
+
+
+def test_three_branch_separability():
+    T = three_branch_machine()
+    ctx = AnalysisContext(T)
+    unequal = {
+        frozenset({"q1", "q2"}): ("q1", "q2"),
+        frozenset({"q1", "q3"}): ("q1", "q3"),
+        frozenset({"q1", "q2", "q3"}): ("q1", "q2"),
+    }
+    # no singleton and no set holding q0 is separable, nor is {q2, q3}
+    for r in range(1, len(T.states) + 1):
+        for C in itertools.combinations(sorted(T.states), r):
+            sep = ctx.is_separable(C)
+            assert (sep and sep.unequal_pair) == unequal.get(frozenset(C)), C
+    assert ctx.theta_length() == 6
 
 
 def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):

@@ -1,9 +1,12 @@
 """One-way transducers: structure predicates, normalization, and the
 exact oracle on ultimately periodic inputs."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegastream import nft
 from omegastream.nft import AmbiguityError, OneWayTransducer
@@ -82,6 +85,91 @@ def test_ambiguity_detected():
     assert not nft.is_unambiguous(M)
     with pytest.raises(AmbiguityError):
         nft.oracle_eval(M, parse_upword("(a)^w"))
+
+
+@st.composite
+def tiny_machines(draw):
+    """1 to 5 states over a, b: each state gets zero to two targets per
+    letter, some of them with empty output."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    transitions = {}
+    for q in states:
+        for a in "ab":
+            for q2 in draw(st.sets(st.sampled_from(states), max_size=2)):
+                transitions[(q, a, q2)] = word(draw(st.sampled_from(["", "x"])))
+    some = st.sets(st.sampled_from(states), min_size=1, max_size=3)
+    return OneWayTransducer(frozenset("ab"), frozenset("x"), frozenset(states),
+                            frozenset(draw(some)), frozenset(draw(some)),
+                            transitions)
+
+
+def _reach_matrix(nodes, edges):
+    """R[u][v]: a nonempty path leads from u to v (Warshall)."""
+    R = {u: {v: (u, v) in edges for v in nodes} for u in nodes}
+    for k in nodes:
+        for u in nodes:
+            if R[u][k]:
+                for v in nodes:
+                    R[u][v] = R[u][v] or R[k][v]
+    return R
+
+
+def _reference_trim(T):
+    """States reachable from an initial state that reach a final state on
+    a cycle."""
+    R = _reach_matrix(T.states, {(q, q2) for q, _, q2 in T.transitions})
+    live = {f for f in T.final if R[f][f]}
+    return {q for q in T.states
+            if any(q == i or R[i][q] for i in T.initial)
+            and any(q == f or R[q][f] for f in live)}
+
+
+def _reference_clean(T):
+    """No final state on a cycle of empty-output transitions."""
+    R = _reach_matrix(T.states, {(q, q2) for (q, _, q2), out
+                                 in T.transitions.items() if not out})
+    return not any(R[f][f] for f in T.final)
+
+
+def _reference_unambiguous(T):
+    """The all-pairs construction: ambiguous iff a pair reached after the
+    two runs split reaches a cyclic SCC of the whole pair graph that holds
+    a pair with a final first state and one with a final second state."""
+    pairs = list(itertools.product(sorted(T.states), repeat=2))
+    edges = {((p, q), (p2, q2)) for (p, a, p2) in T.transitions
+             for (q, b, q2) in T.transitions if a == b}
+    R = _reach_matrix(pairs, edges)
+    seen = {(p, q, p != q) for p in T.initial for q in T.initial}
+    while True:
+        more = {(p2, q2, d or p2 != q2) for p, q, d in seen
+                for (s, (p2, q2)) in edges if s == (p, q)} - seen
+        if not more:
+            break
+        seen |= more
+    diverged = {(p, q) for p, q, d in seen if d}
+
+    def scc(v):
+        return [w for w in pairs if R[v][w] and R[w][v]]
+
+    good = [v for v in pairs if R[v][v]
+            and any(w[0] in T.final for w in scc(v))
+            and any(w[1] in T.final for w in scc(v))]
+    return not any(d == v or R[d][v] for d in diverged for v in good)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tiny_machines())
+def test_normal_form_predicates_match_references(T):
+    keep = _reference_trim(T)
+    assert nft.is_trim(T) == (keep == T.states)
+    trimmed = nft.trim(T)
+    assert trimmed.states == keep
+    assert (trimmed.initial, trimmed.final) == (T.initial & keep, T.final & keep)
+    assert trimmed.transitions == {
+        (q, a, q2): out for (q, a, q2), out in T.transitions.items()
+        if q in keep and q2 in keep}
+    assert nft.is_clean(T) == _reference_clean(T)
+    assert nft.is_unambiguous(T) == _reference_unambiguous(T)
 
 
 # -- the oracle --------------------------------------------------------------
