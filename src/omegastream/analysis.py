@@ -19,11 +19,13 @@ from functools import reduce
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .nft import (  # BudgetExceeded is re-exported for existing imports
+    NODE_BUDGET,
     BudgetExceeded,
     ContractError,
     OneWayTransducer,
     accepting_future,
     closure,
+    product_bfs,
     product_path,
 )
 from .words import (
@@ -39,7 +41,6 @@ from .words import (
     word,
 )
 
-NODE_BUDGET = 400_000
 FUTURES_LIMIT = 4  # accepting futures compared per anchor by is_continuous
 
 
@@ -91,38 +92,12 @@ class SeparabilityWitness:
 class ContinuityWitness:
     u: Word
     u_loop: Word
-    starts: Tuple[str, str]
-    anchor: Tuple[str, str]
     outputs: Tuple[Word, Word]
     loop_outputs: Tuple[Word, Word]
     words: Tuple[UPWord, UPWord]
 
 
 # -- tuple-product searches ---------------------------------------------------
-
-
-def _tuple_successors(T: OneWayTransducer, tup, a):
-    per = [T.succ(q, a) for q in tup]
-    if any(not s for s in per):
-        return
-    for combo in itertools.product(*per):
-        yield tuple(c[0] for c in combo), tuple(c[1] for c in combo)
-
-
-def _tuple_bfs(T: OneWayTransducer, starts):
-    """Forward BFS over state tuples; parents[t] = (prev, letter, outs)."""
-    parents = {t: None for t in starts}
-    queue = deque(starts)
-    while queue:
-        t = queue.popleft()
-        for a in sorted(T.input_alphabet, key=str):
-            for nxt, outs in _tuple_successors(T, t, a):
-                if nxt not in parents:
-                    if len(parents) >= NODE_BUDGET:
-                        raise BudgetExceeded("tuple-product search too large")
-                    parents[nxt] = (t, a, outs)
-                    queue.append(nxt)
-    return parents
 
 
 def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
@@ -142,26 +117,25 @@ def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
     while queue:
         node = queue.popleft()
         tup, diff = node
-        for a in sorted(T.input_alphabet, key=str):
-            for nxt, outs in _tuple_successors(T, tup, a):
-                d2 = diff
-                if weight_idx is not None:
-                    i, j = weight_idx
-                    d2 = diff + len(outs[i]) - len(outs[j])
-                    if abs(d2) > wcap:
-                        continue
-                key = (nxt, d2)
-                if nxt == t and (weight_idx is None or d2 != 0):
-                    # the bare tuple t is no search key: it marks the end
-                    # and gives product_path the tuple width
-                    parents[t] = (node, a, outs)
-                    letters, outputs, _ = product_path(parents, t)
-                    return letters, outputs
-                if key not in parents:
-                    if len(parents) >= NODE_BUDGET:
-                        raise BudgetExceeded("tuple-cycle search too large")
-                    parents[key] = (node, a, outs)
-                    queue.append(key)
+        for a, nxt, outs in T.tuple_succ(tup):
+            d2 = diff
+            if weight_idx is not None:
+                i, j = weight_idx
+                d2 = diff + len(outs[i]) - len(outs[j])
+                if abs(d2) > wcap:
+                    continue
+            key = (nxt, d2)
+            if nxt == t and (weight_idx is None or d2 != 0):
+                # the bare tuple t is no search key: it marks the end
+                # and gives product_path the tuple width
+                parents[t] = (node, a, outs)
+                letters, outputs, _ = product_path(parents, t)
+                return letters, outputs
+            if key not in parents:
+                if len(parents) >= NODE_BUDGET:
+                    raise BudgetExceeded("tuple-cycle search too large")
+                parents[key] = (node, a, outs)
+                queue.append(key)
     return None
 
 
@@ -193,9 +167,8 @@ class AnalysisContext:
         if C in self._compat:
             return self._compat[C]
         order = tuple(sorted(C))
-        base = order
         res = None
-        parents = _tuple_bfs(self.T, [base])
+        parents = product_bfs(self.T, [order])
         for t in sorted(parents, key=str):
             if not any(q in self.T.final for q in t):
                 continue
@@ -310,14 +283,13 @@ class AnalysisContext:
         T = self.T
         order = tuple(sorted(C))
         starts = [tuple(c) for c in itertools.product(sorted(T.initial), repeat=len(order))]
-        fwd = _tuple_bfs(T, starts)
+        fwd = product_bfs(T, starts)
         if order not in fwd:
             return None
         rev: Dict[tuple, set] = {}
         for t in fwd:
-            for a in T.input_alphabet:
-                for nxt, _ in _tuple_successors(T, t, a):
-                    rev.setdefault(nxt, set()).add(t)
+            for _, nxt, _ in T.tuple_succ(t):
+                rev.setdefault(nxt, set()).add(t)
         anchors = sorted(closure([order], lambda t: rev.get(t, ())), key=str)
         for i_idx, j_idx in itertools.combinations(range(len(order)), 2):
             for t in anchors:
@@ -469,7 +441,7 @@ def _preorder(root, children):
 
 def _simple_pair_paths(T: OneWayTransducer, bound: int):
     """DFS over simple product paths from I x I; yields
-    (start_pair, path_pairs, out1, out2) for every prefix endpoint."""
+    (end pair, out1, out2, letters) for every prefix endpoint."""
     starts = sorted(
         {(p, q) for p in T.initial for q in T.initial}, key=str
     )
@@ -488,7 +460,7 @@ def _simple_pair_paths(T: OneWayTransducer, bound: int):
             count += 1
             if count > NODE_BUDGET:
                 raise BudgetExceeded("continuity path search too large")
-            yield s, pair, out1, out2, letters
+            yield pair, out1, out2, letters
 
 
 def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int):
@@ -551,7 +523,7 @@ def is_continuous(
     if bound is None:
         bound = max(4, len(T.states) ** 2)
     checked = set()
-    for start, anchor, out1, out2, path in _simple_pair_paths(T, bound):
+    for anchor, out1, out2, path in _simple_pair_paths(T, bound):
         f, q = anchor
         if f not in T.final:
             continue
@@ -566,20 +538,14 @@ def is_continuous(
                 continue
             w1 = canonicalize(out1, c1)
             if len(c2) > 0:
-                w2 = canonicalize(out2, c2)
+                candidates = [canonicalize(out2, c2)]
+            else:
+                candidates = [concat_up(out2, beta)
+                              for beta in accepting_futures(T, q)]
+            for w2 in candidates:
                 if not up_equal(w1, w2):
                     return False, ContinuityWitness(
-                        u=path, u_loop=letters, starts=start, anchor=anchor,
-                        outputs=(out1, out2), loop_outputs=(c1, c2),
-                        words=(w1, w2),
+                        u=path, u_loop=letters, outputs=(out1, out2),
+                        loop_outputs=(c1, c2), words=(w1, w2),
                     )
-            else:
-                for beta in accepting_futures(T, q):
-                    w2 = concat_up(out2, beta)
-                    if not up_equal(w1, w2):
-                        return False, ContinuityWitness(
-                            u=path, u_loop=letters, starts=start, anchor=anchor,
-                            outputs=(out1, out2), loop_outputs=(c1, c2),
-                            words=(w1, w2),
-                        )
     return True, None

@@ -16,7 +16,8 @@ belongs to the commands that run that search: check and run.
   out of its node budget (BudgetExceeded).
 
 An exception mapped to 1 or 2 prints one ``error: ...`` line to stderr,
-never a traceback.
+never a traceback.  A reader that closes stdout early (``run --stdin |
+head -n 2``) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import islice
 
@@ -382,6 +384,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ContinuityViolation, DivergedError, UnknownLetterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE

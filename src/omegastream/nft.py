@@ -30,6 +30,8 @@ from .words import (
 
 Transition = Tuple[str, object, str]  # (source, letter, target)
 
+NODE_BUDGET = 400_000  # nodes a product-graph search may visit
+
 
 class AmbiguityError(Exception):
     """Two distinct accepting runs were found on the same input."""
@@ -299,13 +301,15 @@ def clean(T: OneWayTransducer) -> OneWayTransducer:
 def product_bfs(T: OneWayTransducer, starts):
     """Breadth-first search over state tuples from `starts`, following
     T.tuple_succ; parents[t] = (previous tuple, letter, outputs), None at
-    a start."""
+    a start.  Raises BudgetExceeded past NODE_BUDGET tuples."""
     parents = {t: None for t in starts}
     queue = deque(starts)
     while queue:
         t = queue.popleft()
         for a, nxt, outs in T.tuple_succ(t):
             if nxt not in parents:
+                if len(parents) >= NODE_BUDGET:
+                    raise BudgetExceeded("tuple-product search too large")
                 parents[nxt] = (t, a, outs)
                 queue.append(nxt)
     return parents

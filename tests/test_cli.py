@@ -521,3 +521,52 @@ def test_long_simple_paths_get_a_verdict(tmp_path):
     assert (code, out.splitlines()[-1], err) == (0, "continuous: true", "")
     assert run_cli("run", path, "--input", "(a)^w", "--letters", "5") == (
         0, "aaaaa\n", "")
+
+
+def test_tuple_product_budget(monkeypatch, tmp_path):
+    from test_lattice import replace_k
+
+    from omegastream import nft
+    from omegastream.analysis import AnalysisContext, BudgetExceeded
+
+    T = replace_k(3)
+    path = tmp_path / "replace_3.json"
+    nft.save(T, str(path))
+    monkeypatch.setattr(nft, "NODE_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="tuple-product search too large"):
+        AnalysisContext(T).is_compatible({"q0", "q1"})
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: tuple-product search too large\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """`run ... | head -n 2`: the reader closes the pipe early, and the
+    command stops with exit 0 and nothing on stderr."""
+    import os
+    import subprocess
+
+    import omegastream
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(omegastream.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    letters = tmp_path / "letters"
+    letters.write_text(_stdin_letters("001" * 40000))
+    # both write far more than a pipe buffer holds
+    cases = [
+        (["run", fixture_path("replace.json"), "--stdin"], letters),
+        (["run", fixture_path("double.json"), "--input", "(001)^w",
+          "--letters", "3000", "--trace"], os.devnull),
+    ]
+    for argv, stdin in cases:
+        with open(stdin) as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "omegastream.cli", *argv], stdin=fh,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.readline()
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
