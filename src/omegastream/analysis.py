@@ -27,6 +27,7 @@ from .nft import (  # BudgetExceeded is re-exported for existing imports
     closure,
     product_bfs,
     product_path,
+    product_walk,
 )
 from .words import (
     UPWord,
@@ -100,47 +101,42 @@ class ContinuityWitness:
 # -- tuple-product searches ---------------------------------------------------
 
 
-def _tuple_cycle(T: OneWayTransducer, t, weight_idx=None):
-    """A cycle t ->+ t in the tuple graph.
+def _unequal_loop(T: OneWayTransducer, t, i: int, j: int, rev):
+    """Per-component outputs of a closed walk through t whose outputs at
+    components i and j differ in length; None when there is none.
 
-    weight_idx: if set to (i, j), require that the cycle's outputs at
-    components i and j have different total lengths; the search space then
-    carries the running length difference.
-    """
-    # node: (tuple, weight_diff)
-    start = (t, 0)
-    parents = {start: None}
-    queue = deque([start])
-    wcap = None
-    if weight_idx is not None:
-        wcap = 4 * _max_out_len(T) * (len(T.states) ** len(t) + 2)
-    while queue:
-        node = queue.popleft()
-        tup, diff = node
-        for a, nxt, outs in T.tuple_succ(tup):
-            d2 = diff
-            if weight_idx is not None:
-                i, j = weight_idx
-                d2 = diff + len(outs[i]) - len(outs[j])
-                if abs(d2) > wcap:
-                    continue
-            key = (nxt, d2)
-            if nxt == t and (weight_idx is None or d2 != 0):
-                # the bare tuple t is no search key: it marks the end
-                # and gives product_path the tuple width
-                parents[t] = (node, a, outs)
-                letters, outputs, _ = product_path(parents, t)
-                return letters, outputs
-            if key not in parents:
-                if len(parents) >= NODE_BUDGET:
-                    raise BudgetExceeded("tuple-cycle search too large")
-                parents[key] = (node, a, outs)
-                queue.append(key)
+    Every closed walk through t stays in t's strongly connected component,
+    so one exists exactly when the length difference w = |out_i| - |out_j|
+    is not a potential difference there.  pot[v] is w summed along the
+    breadth-first path t ⇝ v.  An edge u -> v of the component with
+    pot[u] + w != pot[v] closes the two walks t ⇝ u -> v ⇝ t and
+    t ⇝ v ⇝ t, whose differences differ by that amount; the first of them,
+    in that order, with a nonzero difference is the witness (theta_length
+    reads its lengths).  rev maps a tuple to its predecessors."""
+
+    def w(outs):
+        return len(outs[i]) - len(outs[j])
+
+    parents = product_bfs(T, [t])
+    pot = {}
+    for v, edge in parents.items():
+        pot[v] = 0 if edge is None else pot[edge[0]] + w(edge[2])
+    comp = parents.keys() & closure([t], lambda v: rev.get(v, ()))
+    for u in parents:
+        if u not in comp:
+            continue
+        for _, v, outs in T.tuple_succ(u):
+            if v not in comp or pot[u] + w(outs) == pot[v]:
+                continue
+            back = ([()] * len(t) if v == t
+                    else product_walk(T, v, {t})[1])
+            _, to_u, _ = product_path(parents, u)
+            _, to_v, _ = product_path(parents, v)
+            for loop in ([x + o + y for x, o, y in zip(to_u, outs, back)],
+                         [x + y for x, y in zip(to_v, back)]):
+                if len(loop[i]) != len(loop[j]):
+                    return loop
     return None
-
-
-def _max_out_len(T: OneWayTransducer) -> int:
-    return max((len(o) for o in T.transitions.values()), default=0)
 
 
 # -- context -------------------------------------------------------------------
@@ -172,11 +168,11 @@ class AnalysisContext:
         for t in sorted(parents, key=str):
             if not any(q in self.T.final for q in t):
                 continue
-            cyc = _tuple_cycle(self.T, t)
+            cyc = product_walk(self.T, t, {t})
             if cyc is None:
                 continue
             u, alphas, _ = product_path(parents, t)
-            u_loop, loop_alphas = cyc
+            u_loop, loop_alphas, _ = cyc
             res = CompatibleSet(
                 states=C,
                 d={order[i]: t[i] for i in range(len(order))},
@@ -293,9 +289,8 @@ class AnalysisContext:
         anchors = sorted(closure([order], lambda t: rev.get(t, ())), key=str)
         for i_idx, j_idx in itertools.combinations(range(len(order)), 2):
             for t in anchors:
-                cyc = _tuple_cycle(T, t, weight_idx=(i_idx, j_idx))
-                if cyc is not None:
-                    _, loop_outs = cyc
+                loop_outs = _unequal_loop(T, t, i_idx, j_idx, rev)
+                if loop_outs is not None:
                     return SeparabilityWitness(
                         loop_outputs={q: tuple(o) for q, o in zip(order, loop_outs)},
                         unequal_pair=(order[i_idx], order[j_idx]),

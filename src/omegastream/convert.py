@@ -51,7 +51,7 @@ class ConversionError(Exception):
 _SINK = "~sink"
 
 
-def _walk_crossing(T2, Q_size, look, next_map, token_of):
+def _walk_crossing(Q_size, look, next_map, token_of):
     """Extend a crossing run through the freshly read cell.
 
     `look(q)` gives T2's transition at the new cell; `token_of(p)` the mixed
@@ -137,7 +137,7 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
                     return init_out.get(p, ())
                 return (Reg(reg_of[p]),)
 
-            walk = _walk_crossing(T2, len(Q), look, next_map, token_of)
+            walk = _walk_crossing(len(Q), look, next_map, token_of)
             res_first = walk(first)
             if res_first is None:
                 continue  # the main run dies: no transition
@@ -198,7 +198,7 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
 # O(|lookbehind pairs| · |Σ| · Σ|image|).
 
 
-def _scan_image(tokens: Sequence, j: int, c: str):
+def _scan_image(tokens: Sequence, j: int):
     """Letters from position j up to the next register token.
 
     Returns (letters, next_reg or None); next_reg None means the image is
@@ -264,7 +264,7 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
 
     def emit_walk(state_key, tokens, j, c):
         """One transition continuing the walk of c's image from index j."""
-        letters, nxt = _scan_image(tokens, j, c)
+        letters, nxt = _scan_image(tokens, j)
         if nxt is not None:
             delta[state_key] = (wname(nxt), LEFT)
         elif c == S.out:

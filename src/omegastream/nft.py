@@ -333,6 +333,32 @@ def product_path(parents, node):
     return tuple(letters), outputs, cur
 
 
+def product_walk(T: OneWayTransducer, start, goals, keep=None):
+    """(letters, per-component outputs, end tuple) of a shortest nonempty
+    walk from the tuple `start` to a tuple in `goals`, or None.
+
+    Breadth-first in T.tuple_succ order, following only the edges whose
+    outputs pass `keep` (all edges when it is None).  Raises
+    BudgetExceeded past NODE_BUDGET tuples."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for a, nxt, outs in T.tuple_succ(t):
+            if keep is not None and not keep(outs):
+                continue
+            if nxt in goals:
+                letters, outputs, _ = product_path(parents, t)
+                return (letters + (a,),
+                        [o + x for o, x in zip(outputs, outs)], nxt)
+            if nxt not in parents:
+                if len(parents) >= NODE_BUDGET:
+                    raise BudgetExceeded("tuple-product search too large")
+                parents[nxt] = (t, a, outs)
+                queue.append(nxt)
+    return None
+
+
 # -- unambiguity ---------------------------------------------------------------
 
 
@@ -453,37 +479,6 @@ def _live_nodes(T: OneWayTransducer, v: Word) -> set:
     return live
 
 
-def _bfs_path(adj, src, targets, min_len=0):
-    """Shortest path of length >= min_len from src to any target.
-
-    Returns (node, path) where path is a list of (node, out) edges, or None.
-    Tracks (node, min(len, min_len)) to honor the length floor.
-    """
-    start = (src, 0 if min_len > 0 else min_len)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        node, l = cur
-        if node in targets and l >= min_len:
-            # reconstruct
-            path = []
-            walk = cur
-            while parent[walk] is not None:
-                prev, edge = parent[walk]
-                path.append(edge)
-                walk = prev
-            path.reverse()
-            return node, path
-        for nxt, out in adj[node]:
-            l2 = min(l + 1, min_len) if min_len else 0
-            key = (nxt, l2)
-            if key not in parent:
-                parent[key] = (cur, (nxt, out))
-                queue.append(key)
-    return None
-
-
 def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     """The unique accepting run on x = u v^w as a lasso, or None.
 
@@ -565,36 +560,27 @@ def oracle_eval(T: OneWayTransducer, x: UPWord) -> Optional[UPWord]:
 
 
 def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
-    """Output of some accepting infinite-output run from q, as a UPWord."""
-    # lasso in the plain graph: q -> m, cycle at m through F with output
-    # reuse the phase-graph helpers with a single phase
-    adj1 = {(p, 0): [((p2, 0), out) for _, p2, out in T.out_edges(p)] for p in T.states}
-    f_nodes = {(f, 0) for f in T.final}
+    """Output of some accepting infinite-output run from q, as a UPWord.
 
-    def cyc(node):
-        got = _bfs_path(adj1, node, f_nodes, 0)
-        if got is None:
-            return None
-        f, p1 = got
-        back = _bfs_path(adj1, f, {node}, min_len=0 if p1 else 1)
-        if back is None:
-            return None
-        _, p2 = back
-        out = tuple(b for _, o in list(p1) + list(p2) for b in o)
-        return out
-
-    # prefer anchors whose cycle output is nonempty
-    seen = {(q, 0)}
-    frontier = [((q, 0), ())]
+    States m reachable from q are tried breadth-first; the run reaches m,
+    walks to the nearest final f (staying put when m is final) and back to
+    m by a shortest nonempty walk, and the first m whose loop outputs
+    something gives the lasso."""
+    finals = {(f,) for f in T.final}
+    seen = {q}
+    frontier = deque([(q, ())])
     while frontier:
-        node, pref = frontier.pop(0)
-        loop = cyc(node)
-        if loop is not None and len(loop) > 0:
-            return canonicalize(pref, loop)
-        for nxt, out in adj1[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, pref + out))
+        m, pref = frontier.popleft()
+        walk = ((), [()], (m,)) if m in T.final else product_walk(T, (m,), finals)
+        back = walk and product_walk(T, walk[2], {(m,)})
+        if back:
+            loop = walk[1][0] + back[1][0]
+            if loop:
+                return canonicalize(pref, loop)
+        for _, m2, out in T.out_edges(m):
+            if m2 not in seen:
+                seen.add(m2)
+                frontier.append((m2, pref + out))
     return None
 
 
@@ -616,31 +602,11 @@ def _constant_witnesses(T: OneWayTransducer) -> Dict[str, tuple]:
     found = {}
     for f, q in reach:
         if f in T.final and q not in T.final and q not in found:
-            loop = _pair_loop(T, f, q)
+            loop = product_walk(T, (f, q), {(f, q)}, keep=lambda outs: not outs[1])
             if loop is not None:
                 _, (a1, a2), _ = product_path(reach, (f, q))
-                found[q] = (a1, loop, a2)
+                found[q] = (a1, loop[1][0], a2)
     return {q: found[q] for q in sorted(found)}
-
-
-def _pair_loop(T: OneWayTransducer, f: str, q: str):
-    """Loop output of the first component on a synchronized cycle at (f, q)
-    where the second component produces ε; None if no such cycle."""
-    start = (f, q)
-    parent = {start: ()}  # first component's output so far
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        w1 = parent[pair]
-        for _, nxt, (o1, o2) in T.tuple_succ(pair):
-            if len(o2) != 0:
-                continue
-            if nxt == start:
-                return w1 + o1
-            if nxt not in parent:
-                parent[nxt] = w1 + o1
-                queue.append(nxt)
-    return None
 
 
 def is_productive(T: OneWayTransducer) -> bool:

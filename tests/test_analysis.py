@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from omegastream import nft
@@ -29,6 +29,7 @@ from omegastream.words import (
 )
 
 from conftest import random_upword
+from test_determinize import period_branch_machines
 from test_lattice import lasso_branch_machines, small_machines
 
 
@@ -164,6 +165,108 @@ def test_separability_brute_force_crosscheck(dctx):
             lens = {len(sa.val[q]) for q in C}
             spreads.append(len(lens) > 1)
     assert any(spreads)
+
+
+def test_separable_through_a_loop_before_the_set():
+    """{q1, q2} loops on c with outputs of one length, but the runs that
+    reach it spread apart on the a-loop of (p1, p2) before: a separating
+    loop may sit on any tuple from which C's tuple is reached."""
+    edges = [("i", "a", "p1", "y"), ("p1", "a", "p1", "y"), ("p1", "b", "q1", ""),
+             ("q1", "c", "q1", "z"), ("i", "a", "p2", "yy"), ("p2", "a", "p2", "yy"),
+             ("p2", "b", "q2", ""), ("q2", "c", "q2", "z")]
+    T = nft.from_dict({
+        "input_alphabet": ["a", "b", "c"], "output_alphabet": ["y", "z"],
+        "states": ["i", "p1", "p2", "q1", "q2"], "initial": ["i"],
+        "final": ["q1"],
+        "transitions": [{"from": p, "letter": a, "to": p2, "out": o}
+                        for p, a, p2, o in edges],
+    })
+    ctx = AnalysisContext(T)
+    assert ctx.is_compatible({"q1", "q2"}) is not None
+    sep = ctx.is_separable({"q1", "q2"})
+    assert sep is not None and sep.unequal_pair == ("q1", "q2")
+    assert sep.loop_outputs == {"q1": ("y",), "q2": ("y", "y")}
+    assert ctx.theta_length() == 2
+
+
+def reference_unequal_pair(T, C):
+    """The first pair (i, j), i < j, of C's sorted states such that a
+    closed walk through an anchor (a tuple reachable from I^|C| that
+    reaches C's tuple) outputs words of different lengths at components i
+    and j; None when there is none.
+
+    A breadth-first search over (tuple, length difference) pairs with
+    |difference| <= 2·N·M, N the tuples reachable from the anchor and M
+    the longest output.  The bound loses nothing: when such a walk exists,
+    one of at most 2·N edges exists too (through an edge that breaks the
+    potentials, along shortest paths), and its differences stay within
+    it."""
+    order = tuple(sorted(C))
+
+    def succ(t):
+        return [nxt for _, nxt, _ in T.tuple_succ(t)]
+
+    reach = nft.closure(itertools.product(sorted(T.initial), repeat=len(order)), succ)
+    anchors = [t for t in reach if order in nft.closure([t], succ)]
+    longest = max((len(o) for o in T.transitions.values()), default=0)
+    for i, j in itertools.combinations(range(len(order)), 2):
+        for t in anchors:
+            bound = 2 * len(nft.closure([t], succ)) * longest
+            seen = {(t, 0)}
+            queue = [(t, 0)]
+            for tup, diff in queue:
+                for _, nxt, outs in T.tuple_succ(tup):
+                    d2 = diff + len(outs[i]) - len(outs[j])
+                    if nxt == t and d2 != 0:
+                        return order[i], order[j]
+                    if abs(d2) <= bound and (nxt, d2) not in seen:
+                        seen.add((nxt, d2))
+                        queue.append((nxt, d2))
+    return None
+
+
+@st.composite
+def cycle_branch_machines(draw):
+    """On an a, q0 guesses one of two or three branches.  Branch i runs an
+    a-cycle through one or two states with drawn outputs and returns to q0
+    on its own letter; any branch state may be final.  Their separable
+    sets can need loops of several edges."""
+    letters = "bcd"[:draw(st.integers(2, 3))]
+    states, transitions = ["q0"], {}
+    outs = st.sampled_from(["x", "y", "yy", "xyx"])
+    for i, c in enumerate(letters, start=1):
+        cycle = [f"q{i}", f"r{i}"][:draw(st.integers(1, 2))]
+        states += cycle
+        transitions[("q0", c, "q0")] = (c,)
+        transitions[("q0", "a", cycle[0])] = tuple(draw(st.sampled_from(["", "x"])))
+        for p, p2 in zip(cycle, cycle[1:] + cycle[:1]):
+            transitions[(p, "a", p2)] = tuple(draw(outs))
+        transitions[(cycle[-1], c, "q0")] = (c,)
+    return nft.OneWayTransducer(
+        input_alphabet=frozenset("a" + letters),
+        output_alphabet=frozenset("xy" + letters),
+        states=frozenset(states),
+        initial=frozenset({"q0"}),
+        final=frozenset({"q0"} | draw(st.sets(st.sampled_from(states[1:])))),
+        transitions=transitions,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(small_machines(), lasso_branch_machines(),
+                 period_branch_machines(), cycle_branch_machines()))
+def test_separability_matches_a_length_difference_search(T):
+    assume(nft.is_unambiguous(T))
+    Tn = nft.normalize(T)
+    ctx = AnalysisContext(Tn)
+    for C in ctx.comp_subsets(Tn.states):
+        sep = ctx.is_separable(C)
+        assert (sep and sep.unequal_pair) == reference_unequal_pair(Tn, C), C
+        if sep is not None:
+            p, q = sep.unequal_pair
+            assert len(sep.loop_outputs[p]) != len(sep.loop_outputs[q])
 
 
 def test_looping_future_contains_step_productions(dctx, double_t):

@@ -453,6 +453,51 @@ def test_three_branch_separability():
     assert ctx.theta_length() == 6
 
 
+def with_branches(T, branches):
+    """T with more branches guessed by q0 on an a: (state, closing letter,
+    loop output) each."""
+    transitions = dict(T.transitions)
+    for q, c, loop in branches:
+        transitions[("q0", c, "q0")] = (c,)
+        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = tuple(loop)
+        transitions[(q, c, "q0")] = (c,)
+    return nft.OneWayTransducer(
+        input_alphabet=T.input_alphabet | {c for _, c, _ in branches},
+        output_alphabet=T.output_alphabet | {c for _, c, _ in branches},
+        states=T.states | {q for q, _, _ in branches},
+        initial=T.initial,
+        final=T.final,
+        transitions=transitions,
+    )
+
+
+def test_four_branch_machine_streams():
+    """A fourth branch, yyyy closed by e: every compatible set is decided
+    and the machine streams under the invariant checker."""
+    T = with_branches(three_branch_machine(), [("q4", "e", "yyyy")])
+    ctx = AnalysisContext(T)
+    assert ctx.theta_length() == 12
+    # the separable sets are those holding the final q1 and another branch
+    for r in range(1, len(T.states) + 1):
+        for C in itertools.combinations(sorted(T.states), r):
+            sep = ctx.is_separable(C)
+            expected = None
+            if "q1" in C and "q0" not in C and r > 1:
+                expected = ("q1", min(q for q in C if q != "q1"))
+            assert (sep and sep.unequal_pair) == expected, C
+    x = parse_upword("(aaab)^w")
+    r = run_pipeline(T, x, 60, check_invariants=True)
+    assert up_starts_with(nft.oracle_eval(T, x), r.emitted)
+    assert len(r.emitted) > 0
+    assert one_bounded_trace(r.trace)
+
+
+def test_five_branch_theta():
+    T = with_branches(three_branch_machine(),
+                      [("q4", "e", "yyyy"), ("q5", "f", "yyyyy")])
+    assert AnalysisContext(T).theta_length() == 60
+
+
 def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):
     T, x = three_branch_machine(), parse_upword("(a)^w")
     found = []
