@@ -4,12 +4,13 @@ Subcommands: check, analyze, annotate, determinize (run), run, convert,
 oracle.  annotate, run and determinize run take exactly one of
 ``--input`` and ``--stdin``.  ``run --letters n`` reads exactly n input
 letters and ``annotate --letters n`` prints C0 and n annotated letters;
-n must be >= 0.  ``--bound`` (the continuity search's loop-length bound, >= 1)
-belongs to the commands that run that search: check and run.
-``--max-lookahead`` must be >= 0.  Exit status:
+n must be >= 0.  check, analyze and run run the continuity search, on the
+trimmed machine; ``--bound`` (its loop-length bound, >= 1) belongs to check
+and run.  ``--max-lookahead`` must be >= 0.  Exit status:
 
 - 0 on success;
-- 1 on negative verdicts or inputs outside a domain (among them a letter
+- 1 on negative verdicts (among them a machine given to analyze or run
+  that is not continuous) or inputs outside a domain (among them a letter
   outside the machine's input alphabet);
 - 2 on contract violations (among them an ambiguous machine given to
   analyze or annotate), malformed files, or an analysis search that ran
@@ -106,7 +107,8 @@ def cmd_check(args) -> int:
         "unambiguous": nft.is_unambiguous(T),
         "productive": nft.is_productive(T),
     }
-    ok, witness = is_continuous(T, bound=args.bound)
+    # the search runs on the trimmed machine: a dead branch is no witness
+    ok, witness = is_continuous(nft.trim(T), bound=args.bound)
     if args.format == "json":
         doc = dict(verdicts)
         doc["continuous"] = ok
@@ -143,8 +145,8 @@ def _load_unambiguous(path):
 
 
 def cmd_analyze(args) -> int:
-    T = _load_unambiguous(args.machine)
-    ctx = AnalysisContext(T)
+    ctx = prepare(_load_unambiguous(args.machine))
+    T = ctx.T
     C0 = frozenset(T.initial)
     rows = []
     for C in ctx.comp_subsets(C0):

@@ -5,7 +5,7 @@ The interpreter keeps the machine's state explicitly and computes each
 step afresh.  The control states it reaches (everything but register
 contents, caches and counters) are few in practice: 3 on `replace`, 8 on
 `double` and 13 on `replace_12` over 3,000-letter random block streams.
-Compiling them lazily into an explicit SST is ROADMAP.md item 3.  The
+Compiling them lazily into an explicit SST is ROADMAP.md item 4.  The
 state:
 
 - non-separable mode: out = common production of the surviving runs,
@@ -35,7 +35,7 @@ from .analysis import (
     is_continuous,
 )
 from .annotator import annotate
-from .nft import ContractError, OneWayTransducer, normalize
+from .nft import ContractError, OneWayTransducer, clean, make_productive, trim
 from .sst import Reg, substitute
 from .words import UPWord, Word, is_prefix, lcp_finite, up_starts_with
 
@@ -462,7 +462,7 @@ class Determinizer:
 
 # -- invariant checking ------------------------------------------------------------
 
-RECOMPUTE_EVERY = 25  # steps between from-scratch recomputations of val
+RECOMPUTE_EVERY = 25  # letters between re-derivations of val from T
 FUTURE_LETTERS = 6  # input letters of lookahead for the future invariant 4f
 
 
@@ -470,25 +470,39 @@ class InvariantChecker:
     """Oracle-backed per-step verification of the determinizer invariants.
 
     Maintains the run productions val(q) incrementally (mirroring the
-    machine), spot-recomputes them from scratch periodically, and checks
-    each invariant against the machine's state.
+    machine), re-derives them from T's transitions every RECOMPUTE_EVERY
+    letters, and checks each invariant against the machine's state.
 
     val(q) is held as rest(q): val(q) with the emitted output removed.
     Invariants 3a and 4e force the output to be a prefix of every val(q), so
     each step strips its output delta from the rests and raises when the
     delta does not fit.  A rest is the output the machine still holds back
-    for q (its lag, theta powers and last), so a step's cost and each
-    snapshot in `history` follow that, not the length of the stream.  Only
-    the from-scratch recomputation every RECOMPUTE_EVERY letters reads the
-    whole prefix."""
+    for q (its lag, theta powers and last), so a step's cost follows that,
+    not the length of the stream.
+
+    The re-derivation is as strong as the walk J, x[1:i], C from position 0,
+    but it is an induction over checkpoints, so it walks only the letters
+    since the last one.  `runs` holds that walk's left fold per start s in
+    J: for each state reached from s, its runs capped at 2 and the
+    production of a unique run.  J only shrinks, so the fold from the
+    current J is the merge of the folds of its starts.  A production is
+    held without the output emitted at the last checkpoint, or as None
+    when it does not extend that output.  `history` still keeps one
+    snapshot per letter (ROADMAP item 7)."""
 
     def __init__(self, det: Determinizer, x: Optional[UPWord] = None):
         self.det = det
         self.x = x
-        self.letters: List = []
+        self.n_letters = 0  # input letters consumed
         self.n_out = 0  # output letters already stripped from the rests
-        self._moves: Dict[Tuple[FrozenSet[str], object],
-                          Optional[StepAnalysis]] = {}
+        # (C, a, D) -> analyze_step(C, a, D); (C, a) -> _move(C, a)
+        self._steps: Dict[Tuple, Optional[StepAnalysis]] = {}
+        # (start, state) -> (runs capped at 2, production after the first
+        # n_base output letters, or None)
+        self.runs: Dict[Tuple[str, str], Tuple[int, Optional[Word]]] = {
+            (q, q): (1, ()) for q in det.J}
+        self.n_base = 0
+        self.window: List = []  # the letters since the last checkpoint
         self.rest = self._strip({q: () for q in det.C})
         self.history: List[Dict] = [
             {"C": det.C, "rest": self.rest, "pre": {q: q for q in det.C}}
@@ -510,30 +524,65 @@ class InvariantChecker:
 
     def after_step(self, a, pre_step: Dict[str, str]):
         det = self.det
-        sa = det.ctx.analyze_step(self.history[-1]["C"], (a,), det.C)
+        sa = self._step(self.history[-1]["C"], a, det.C)
         if sa is None:
             raise InvariantError("2", "consumed move is not a pre-step")
-        self.letters.append(a)
+        self.n_letters += 1
+        self.window.append(a)
         self.rest = self._strip(
             {q: self.rest[sa.pre[q]] + sa.val[q] for q in det.C})
         self.history.append({"C": det.C, "rest": self.rest, "pre": sa.pre})
-        if len(self.letters) % RECOMPUTE_EVERY == 0:
+        if len(self.window) == RECOMPUTE_EVERY:
             self._spot_recompute()
         self.check()
 
+    def _fold(self) -> Dict[str, Tuple[str, Optional[Word]]]:
+        """Advance `runs` over the window, from the starts still in J, and
+        return (pre(q), production after the first n_base output letters)
+        for each q in C; raise unless J, x[1:i], C is an initial step."""
+        det = self.det
+        runs = {key: v for key, v in self.runs.items() if key[0] in det.J}
+        for a in self.window:
+            nxt: Dict[Tuple[str, str], Tuple[int, Optional[Word]]] = {}
+            for (s, q), (count, prod) in runs.items():
+                for q2, out in det.T.succ(q, a):
+                    key = (s, q2)
+                    nxt[key] = (2, None) if key in nxt else (
+                        count, None if prod is None else prod + out)
+            runs = nxt
+        self.runs = runs
+        self.window = []
+        folded: Dict[str, Tuple[str, Optional[Word]]] = {}
+        counts: Dict[str, int] = {}
+        for (s, q), (count, prod) in runs.items():
+            if q in det.C:
+                counts[q] = counts.get(q, 0) + count
+                folded[q] = (s, prod)
+        if (any(counts.get(q) != 1 for q in det.C)
+                or {s for s, _ in folded.values()} != det.J):
+            raise InvariantError("2", "J, x[1:i], C is not an initial step")
+        return folded
+
     def _spot_recompute(self):
         det = self.det
-        sa = det.ctx.analyze_step(det.J, tuple(self.letters), det.C)
-        if sa is None or not sa.is_step:
-            raise InvariantError("2", "J, x[1:i], C is not an initial step")
-        emitted = tuple(det.emitted)
+        folded = self._fold()
+        since = tuple(det.emitted[self.n_base:])
         for q in det.C:
-            if sa.val[q] != emitted + self.rest[q]:
+            start, prod = folded[q]
+            if prod != since + self.rest[q]:
                 raise InvariantError(
                     "2", f"incremental val({q}) drifted from recomputation"
                 )
-            if sa.pre[q] != det.pre_total[q]:
+            if start != det.pre_total[q]:
                 raise InvariantError("2", f"pre({q}) drifted")
+        # re-base the productions on the output emitted up to here
+        k = len(since)
+        self.n_base += k
+        self.runs = {
+            key: (count, prod[k:] if prod is not None and prod[:k] == since
+                  else None)
+            for key, (count, prod) in self.runs.items()
+        }
 
     # individual invariants ----------------------------------------------------
 
@@ -621,7 +670,7 @@ class InvariantChecker:
         if self.x is None:
             return
         future = UPWord(prefix=det.max_lag, period=det.theta)
-        i = len(self.letters)
+        i = self.n_letters
         C = det.C
         rest = self.rest
         start = {q: q for q in C}  # each run's state in det.C
@@ -644,16 +693,24 @@ class InvariantChecker:
                         "4f", f"future val({q}) escapes max_lag theta^w"
                     )
 
+    def _step(self, C: FrozenSet[str], a,
+              D: FrozenSet[str]) -> Optional[StepAnalysis]:
+        """analyze_step(C, a, D), memoized: a stream asks the same few
+        one-letter moves at every step."""
+        key = (C, a, D)
+        if key not in self._steps:
+            self._steps[key] = self.det.ctx.analyze_step(C, (a,), D)
+        return self._steps[key]
+
     def _move(self, C: FrozenSet[str], a) -> Optional[StepAnalysis]:
         """The step from C on a into all of C's a-successors; None when
-        there are none or one has two runs.  Memoized: _check_future asks
-        the same few moves at every step."""
+        there are none or one has two runs.  Memoized under (C, a) in the
+        same memo as _step."""
         key = (C, a)
-        if key not in self._moves:
+        if key not in self._steps:
             D = frozenset(q2 for q in C for q2, _ in self.det.T.succ(q, a))
-            self._moves[key] = (
-                self.det.ctx.analyze_step(C, (a,), D) if D else None)
-        return self._moves[key]
+            self._steps[key] = self._step(C, a, D) if D else None
+        return self._steps[key]
 
     def _check_decompositions(self):
         det = self.det
@@ -697,14 +754,20 @@ class InvariantChecker:
 
 def prepare(T: OneWayTransducer,
             bound: Optional[int] = None) -> AnalysisContext:
-    """The analysis context of normalized T, once T is known continuous."""
+    """The analysis context of normalized T, once T is known continuous.
+
+    The continuity search runs on the trimmed, clean machine, where every
+    run it follows can be completed to an accepting one; a dead branch of T
+    is no evidence against continuity.  make_productive comes last because
+    it needs a continuous machine."""
+    T = clean(trim(T))
     ok, witness = is_continuous(T, bound=bound)
     if not ok:
         raise ContinuityViolation(
             f"function is not continuous: outputs {witness.words[0]} and "
             f"{witness.words[1]} diverge on arbitrarily close inputs"
         )
-    return AnalysisContext(normalize(T))
+    return AnalysisContext(make_productive(T))
 
 
 class StreamSession:

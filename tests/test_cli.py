@@ -540,17 +540,24 @@ def test_tuple_product_budget(monkeypatch, tmp_path):
     assert err == "error: tuple-product search too large\n"
 
 
+def _child_env():
+    """The environment of a child process that imports this omegastream."""
+    import os
+
+    import omegastream
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(omegastream.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
     """`run ... | head -n 2`: the reader closes the pipe early, and the
     command stops with exit 0 and nothing on stderr."""
     import os
     import subprocess
 
-    import omegastream
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(omegastream.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     letters = tmp_path / "letters"
     letters.write_text(_stdin_letters("001" * 40000))
     # both write far more than a pipe buffer holds
@@ -570,3 +577,61 @@ def test_closed_stdout_ends_quietly(tmp_path):
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_a_dead_branch_is_no_continuity_witness(tmp_path):
+    """i --a/a--> i is the only accepting run; i --a/b--> d --a/b--> d is a
+    dead branch, which the continuity search must not compare with it."""
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps({
+        "input_alphabet": ["a"], "output_alphabet": ["a", "b"],
+        "states": ["i", "d"], "initial": ["i"], "final": ["i"],
+        "transitions": [{"from": "i", "letter": "a", "to": "i", "out": "a"},
+                        {"from": "i", "letter": "a", "to": "d", "out": "b"},
+                        {"from": "d", "letter": "a", "to": "d", "out": "b"}],
+    }))
+    code, out, _ = run_cli("check", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "trim: false"
+    assert out.splitlines()[-1] == "continuous: true"
+    assert run_cli("oracle", str(path), "(a)^w") == (0, "(a)^w\n", "")
+    assert run_cli("run", str(path), "--input", "(a)^w", "--letters", "5",
+                   "--check-invariants") == (0, "aaaaa\n", "")
+
+
+def test_analyze_stops_on_a_non_continuous_machine(tmp_path):
+    """A 7-state machine with 8,077 compatible subsets in normal form: on
+    an a, q0 guesses q1..q4, whose loops output x and nothing (q1, r1),
+    x (q2), nothing (q3, r3) and y (q4).  analyze rejects it as run does,
+    before any Theta walk."""
+    import subprocess
+    import time
+
+    transitions = []
+    for i, (c, out) in enumerate(zip("bcde", ["yyy", "yyy", "yyy", "y"]),
+                                 start=1):
+        transitions += [("q0", c, "q0", c), ("q0", "a", f"q{i}", out),
+                        (f"q{i}", c, "q0", c)]
+    transitions += [("q1", "a", "r1", "x"), ("r1", "a", "q1", ""),
+                    ("r1", "b", "q0", "b"), ("q2", "a", "q2", "x"),
+                    ("q3", "a", "r3", ""), ("r3", "a", "q3", ""),
+                    ("r3", "d", "q0", "d"), ("q4", "a", "q4", "y")]
+    path = tmp_path / "branches.json"
+    path.write_text(json.dumps({
+        "input_alphabet": list("abcde"), "output_alphabet": list("xybcde"),
+        "states": ["q0", "q1", "q2", "q3", "q4", "r1", "r3"],
+        "initial": ["q0"], "final": ["q0", "q1", "r1"],
+        "transitions": [{"from": p, "letter": a, "to": q, "out": o}
+                        for p, a, q, o in transitions],
+    }))
+    assert run_cli("check", str(path))[0] == 1
+    # a child process, so that a search that does not stop is killed
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegastream.cli", "analyze", str(path)],
+        capture_output=True, text=True, timeout=5,
+        env=_child_env())
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: function is not continuous")
+    assert len(proc.stderr.splitlines()) == 1

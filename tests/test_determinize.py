@@ -1,14 +1,16 @@
 """The streaming determinizer: initialization, stepping, the toolbox, the
 full pipeline, and trace 1-boundedness."""
 
+import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from omegastream import nft
+from omegastream import analysis, determinize, nft
 from omegastream.analysis import (
     AnalysisContext,
     ContinuityViolation,
@@ -16,6 +18,7 @@ from omegastream.analysis import (
 )
 from omegastream.annotator import annotate
 from omegastream.determinize import (
+    RECOMPUTE_EVERY,
     Determinizer,
     InvariantChecker,
     InvariantError,
@@ -224,11 +227,14 @@ def period_branch_machines(draw):
 
 
 @st.composite
-def continuous_runs(draw):
-    """An unambiguous continuous machine, an input in its domain and the
-    oracle's output on it."""
-    T = draw(st.one_of(small_machines(), lasso_branch_machines(),
-                       period_branch_machines()))
+def continuous_runs(draw, machines=None):
+    """An unambiguous continuous machine (from `machines`, by default the
+    three families above), an input in its domain and the oracle's output
+    on it."""
+    if machines is None:
+        machines = st.one_of(small_machines(), lasso_branch_machines(),
+                             period_branch_machines())
+    T = draw(machines)
     assume(nft.is_unambiguous(T) and is_continuous(T)[0])
     rng = draw(st.randoms(use_true_random=False))
     letters = sorted(T.input_alphabet)
@@ -533,3 +539,88 @@ def test_invariant_checker_state_is_bounded(double_t):
                 for w in snap["rest"].values())
     assert longest[2000] == longest[500]
     assert session.emitted == run_pipeline(double_t, x, 2000).emitted
+
+
+# -- the checkpointed re-derivation of val ----------------------------------------
+
+
+def starting_inside_a_run(T):
+    """A period branch machine whose words may start inside an a-run: q0's
+    guesses q1 and q2 are the initial states, so J holds both until the
+    run closes and then shrinks."""
+    return dataclasses.replace(T, initial=frozenset({"q1", "q2"}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(
+    continuous_runs(),
+    continuous_runs(period_branch_machines().map(starting_inside_a_run))))
+def test_folds_match_a_walk_from_J_over_the_whole_prefix(run):
+    """At every checkpoint the folded pre and val equal analyze_step(J,
+    x[1:i], C) from position 0, with a checkpoint every 3 letters."""
+    T, x, _ = run
+    ctx = prepare(T)
+    session = StreamSession(ctx, x, check_invariants=True)
+    fold = determinize.InvariantChecker._fold
+    checked = []
+
+    def compared(checker):
+        det = checker.det
+        before = tuple(det.emitted[:checker.n_base])
+        folded = fold(checker)
+        sa = analysis.analyze_step(ctx.T, det.J, x.first(session.steps),
+                                   det.C)
+        assert sa is not None and sa.is_step
+        assert {q: s for q, (s, _) in folded.items()} == sa.pre
+        assert {q: before + w for q, (_, w) in folded.items()} == sa.val
+        checked.append(session.steps)
+        return folded
+
+    with mock.patch.object(determinize, "RECOMPUTE_EVERY", 3), \
+            mock.patch.object(determinize.InvariantChecker, "_fold", compared):
+        for _ in session.run(annotate(ctx, x.letters()), 30):
+            pass
+    assert checked == list(range(3, 31, 3))
+
+
+def test_spot_recompute_catches_a_drift_only_it_can_see(replace_t,
+                                                        monkeypatch):
+    """A one-letter analysis that reads q0 --2/2--> q0 as q0 --2/1--> q0:
+    the machine and the checker's incremental vals drift together, so no
+    per-step invariant sees it, and the re-derivation from T raises at the
+    first checkpoint after the first 2."""
+    x = parse_upword("1" * 30 + "(2)^w")
+    ctx = prepare(replace_t)
+    analyze_step = ctx.analyze_step
+
+    def misread(C, u, D):
+        sa = analyze_step(C, u, D)
+        if sa is not None and u == ("2",):
+            sa.val = {q: ("1",) * len(w) for q, w in sa.val.items()}
+        return sa
+
+    monkeypatch.setattr(ctx, "analyze_step", misread)
+    session = StreamSession(ctx, x, check_invariants=True)
+    with pytest.raises(InvariantError) as err:
+        for _ in session.run(annotate(ctx, x.letters()), 100):
+            pass
+    assert err.value.which == "2"
+    assert session.steps == 2 * RECOMPUTE_EVERY
+    assert session.emitted == ("1",) * session.steps
+
+
+def test_recompute_folds_walk_each_letter_once(double_t, monkeypatch):
+    n = 2000
+    walked = []
+    fold = InvariantChecker._fold
+
+    def counting(checker):
+        walked.append(len(checker.window))
+        return fold(checker)
+
+    monkeypatch.setattr(InvariantChecker, "_fold", counting)
+    session = _checked_session(double_t, parse_upword("(001)^w"), n)
+    assert len(walked) == n // RECOMPUTE_EVERY
+    assert sum(walked) <= 2 * n
