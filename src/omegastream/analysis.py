@@ -3,8 +3,8 @@
 Everything here works on a normalized (unambiguous, clean, trim) machine:
 compatible state sets and their witnesses, pre-steps/steps with predecessor
 and production maps, the common/advance split of an initial step's
-productions, end-words, separability, looping futures (tau, theta), and the
-continuity decision itself.
+productions, end-words, separability and looping futures (tau, theta).
+The continuity decision takes any machine and normalizes it itself.
 
 An AnalysisContext memoizes the expensive searches (tuple-product lassos,
 compatible subsets, theta) for one machine.
@@ -24,10 +24,12 @@ from .nft import (  # BudgetExceeded is re-exported for existing imports
     ContractError,
     OneWayTransducer,
     accepting_future,
+    clean,
     closure,
     product_bfs,
     product_path,
     product_walk,
+    trim,
 )
 from .words import (
     UPWord,
@@ -37,12 +39,11 @@ from .words import (
     lcp_finite,
     lcm,
     mutual_prefixes,
+    strip_prefix,
     up_equal,
     up_starts_with,
     word,
 )
-
-FUTURES_LIMIT = 4  # accepting futures compared per anchor by is_continuous
 
 
 class ContinuityViolation(Exception):
@@ -434,17 +435,13 @@ def _preorder(root, children):
             stack.append(children(node))
 
 
-def _simple_pair_paths(T: OneWayTransducer, bound: int):
-    """DFS over simple product paths from I x I; yields
-    (end pair, out1, out2, letters) for every prefix endpoint."""
-    starts = sorted(
-        {(p, q) for p in T.initial for q in T.initial}, key=str
-    )
+def _simple_pair_paths(T: OneWayTransducer, starts):
+    """DFS over the simple paths of the pair graph from each start in turn;
+    yields (end pair, out1, out2, letters) for every path, the empty path at
+    each start included.  Raises BudgetExceeded past NODE_BUDGET paths."""
 
     def children(node):
         pair, visited, out1, out2, letters = node
-        if len(visited) > bound:
-            return
         for a, nxt, (o1, o2) in T.tuple_succ(pair):
             if nxt not in visited:
                 yield nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
@@ -458,89 +455,72 @@ def _simple_pair_paths(T: OneWayTransducer, bound: int):
             yield pair, out1, out2, letters
 
 
-def _simple_pair_cycles(T: OneWayTransducer, anchor, bound: int):
-    """Simple product cycles at anchor: yields (out1, out2, letters)."""
-
-    def children(node):
-        pair, visited, out1, out2, letters = node
-        if pair is None or len(letters) > bound:  # a closed cycle, or too long
-            return
+def _simple_pair_loops(T: OneWayTransducer, anchor):
+    """Simple loops at anchor, each a simple path from it plus one edge
+    back to it: yields (out1, out2, letters)."""
+    for pair, out1, out2, letters in _simple_pair_paths(T, [anchor]):
         for a, nxt, (o1, o2) in T.tuple_succ(pair):
             if nxt == anchor:
-                yield None, None, out1 + o1, out2 + o2, letters + (a,)
-            elif nxt not in visited:
-                yield nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
-
-    count = 0
-    for pair, _, out1, out2, letters in _preorder(
-            (anchor, set(), (), (), ()), children):
-        if pair is None:
-            yield out1, out2, letters
-            continue
-        count += 1
-        if count > NODE_BUDGET:
-            raise BudgetExceeded("continuity cycle search too large")
+                yield out1 + o1, out2 + o2, letters + (a,)
 
 
-def accepting_futures(T: OneWayTransducer, q: str) -> List[UPWord]:
-    """Up to FUTURES_LIMIT distinct outputs of accepting runs from q."""
-    results: List[UPWord] = []
-    seen_pref = set()
-    frontier = deque([(q, ())])
-    visited = {q: 0}
-    while frontier and len(results) < FUTURES_LIMIT:
-        p, out = frontier.popleft()
-        fut = accepting_future(T, p)
-        if fut is not None:
-            cand = concat_up(out, fut)
-            if not any(up_equal(cand, r) for r in results):
-                results.append(cand)
-        for a, p2, o in T.out_edges(p):
-            k = visited.get(p2, 0)
-            if k < 2 and (p2, out + o) not in seen_pref:
-                visited[p2] = k + 1
-                seen_pref.add((p2, out + o))
-                frontier.append((p2, out + o))
-    return results
+def _diverging_future(T: OneWayTransducer, q: str, head: Word,
+                      w: UPWord) -> Optional[UPWord]:
+    """head.gamma.beta for the first run from q, breadth-first, whose output
+    gamma makes head.gamma no prefix of w, beta an accepting future of the
+    run's end state; None when no run from q does.
+
+    The search is over (state, rest of w after head.gamma).  The rests are
+    canonical suffixes of the ultimately periodic w, so there are finitely
+    many of them."""
+    if not up_starts_with(w, head):
+        return concat_up(head, accepting_future(T, q))
+    start = (q, strip_prefix(w, head))
+    seen = {start}
+    queue = deque([(start, head)])
+    while queue:
+        (p, rest), out = queue.popleft()
+        for _, p2, o in T.out_edges(p):
+            if not up_starts_with(rest, o):
+                return concat_up(out + o, accepting_future(T, p2))
+            node = (p2, strip_prefix(rest, o))
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, out + o))
+    return None
 
 
-def is_continuous(
-    T: OneWayTransducer, bound: Optional[int] = None
-) -> Tuple[bool, Optional[ContinuityWitness]]:
-    """Decide continuity via the synchronized-loop criterion.
+def is_continuous(T: OneWayTransducer) -> Tuple[bool, Optional[ContinuityWitness]]:
+    """Continuity of T by the synchronized-loop criterion, decided on
+    clean(trim(T)), where every run extends to an accepting one with an
+    infinite output.
 
-    Searches product paths u from a pair of initial states to an anchor
-    (q1', q2') with q1' final, and product loops u' at the anchor; the two
-    resulting omega-outputs must coincide.  Simple paths/cycles up to
-    `bound` (default |Q|^2) suffice in practice; raise the bound to the
-    pumping bound for a certificate.
+    It searches every simple path u of the pair graph from I x I to an
+    anchor (f, q) with f final, with outputs out1 and out2, and every
+    simple loop u' at the anchor, with outputs c1 and c2; c1 is not empty,
+    since the loop passes the final f of a clean machine.  The inputs
+    u u'^n v converge to u u'^w, whose output is w1 = out1 c1^w, so
+    - when c2 is not empty, out2 c2^w must be w1;
+    - when c2 is empty, every run from q must output a prefix of
+      out2^-1 w1, which `_diverging_future` decides exactly.
+    The first pair of different words is the witness.  Paths that take a
+    loop before they reach the anchor are not simple and are not searched.
     """
-    if bound is None:
-        bound = max(4, len(T.states) ** 2)
+    T = clean(trim(T))
+    starts = sorted(itertools.product(T.initial, repeat=2), key=str)
     checked = set()
-    for anchor, out1, out2, path in _simple_pair_paths(T, bound):
+    for anchor, out1, out2, path in _simple_pair_paths(T, starts):
         f, q = anchor
-        if f not in T.final:
+        if f not in T.final or (anchor, out1, out2) in checked:
             continue
-        key = (anchor, out1, out2)
-        if key in checked:
-            continue
-        checked.add(key)
-        for c1, c2, letters in _simple_pair_cycles(T, anchor, bound):
-            if len(c1) == 0:
-                # a final-visiting silent loop would violate cleanliness;
-                # nothing to check against
-                continue
+        checked.add((anchor, out1, out2))
+        for c1, c2, letters in _simple_pair_loops(T, anchor):
             w1 = canonicalize(out1, c1)
-            if len(c2) > 0:
-                candidates = [canonicalize(out2, c2)]
-            else:
-                candidates = [concat_up(out2, beta)
-                              for beta in accepting_futures(T, q)]
-            for w2 in candidates:
-                if not up_equal(w1, w2):
-                    return False, ContinuityWitness(
-                        u=path, u_loop=letters, outputs=(out1, out2),
-                        loop_outputs=(c1, c2), words=(w1, w2),
-                    )
+            w2 = (canonicalize(out2, c2) if c2
+                  else _diverging_future(T, q, out2, w1))
+            if w2 is not None and not up_equal(w1, w2):
+                return False, ContinuityWitness(
+                    u=path, u_loop=letters, outputs=(out1, out2),
+                    loop_outputs=(c1, c2), words=(w1, w2),
+                )
     return True, None

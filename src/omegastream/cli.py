@@ -4,9 +4,8 @@ Subcommands: check, analyze, annotate, determinize (run), run, convert,
 oracle.  annotate, run and determinize run take exactly one of
 ``--input`` and ``--stdin``.  ``run --letters n`` reads exactly n input
 letters and ``annotate --letters n`` prints C0 and n annotated letters;
-n must be >= 0.  check, analyze and run run the continuity search, on the
-trimmed machine; ``--bound`` (its loop-length bound, >= 1) belongs to check
-and run.  ``--max-lookahead`` must be >= 0.  Exit status:
+n must be >= 0.  check, analyze and run run the continuity search, which
+has no options.  ``--max-lookahead`` must be >= 0.  Exit status:
 
 - 0 on success;
 - 1 on negative verdicts (among them a machine given to analyze or run
@@ -56,11 +55,6 @@ def _add_common(p):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
-def _add_bound(p):
-    p.add_argument("--bound", type=int, default=None,
-                   help="override for the loop-length bound")
-
-
 def _add_source(p):
     """--input or --stdin: exactly one of them."""
     source = p.add_mutually_exclusive_group(required=True)
@@ -72,7 +66,6 @@ def _add_source(p):
 def _check_counts(args):
     """ContractError for a numeric option below its least value."""
     for flag, dest, least in (("--letters", "letters", 0),
-                              ("--bound", "bound", 1),
                               ("--max-lookahead", "max_lookahead", 0),
                               ("--k", "k", 1)):
         value = getattr(args, dest, None)
@@ -99,7 +92,6 @@ def _input_letters(args):
 
 
 def cmd_check(args) -> int:
-    _check_counts(args)
     T = nft.load(args.machine)
     verdicts = {
         "trim": nft.is_trim(T),
@@ -107,8 +99,7 @@ def cmd_check(args) -> int:
         "unambiguous": nft.is_unambiguous(T),
         "productive": nft.is_productive(T),
     }
-    # the search runs on the trimmed machine: a dead branch is no witness
-    ok, witness = is_continuous(nft.trim(T), bound=args.bound)
+    ok, witness = is_continuous(T)
     if args.format == "json":
         doc = dict(verdicts)
         doc["continuous"] = ok
@@ -250,7 +241,7 @@ def cmd_determinize(args) -> int:
     if x is not None and args.letters is None:
         raise ContractError("--letters is required with --input")
     _check_counts(args)
-    ctx = prepare(T, bound=args.bound)
+    ctx = prepare(T)
     session = StreamSession(ctx, x, args.check_invariants)
     ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
     for _, delta in session.run(ann, args.letters):
@@ -321,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="structural and continuity verdicts")
     p.add_argument("machine")
-    _add_bound(p)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -350,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-lookahead", type=int, default=None)
         p.add_argument("--check-invariants", action="store_true")
         p.add_argument("--trace", action="store_true")
-        _add_bound(p)
         # ignored: Theta is always the lcm period, but bench/sweep.py passes it
         p.add_argument("--theta-policy", choices=["lcm"], help=argparse.SUPPRESS)
         _add_common(p)

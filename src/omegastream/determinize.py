@@ -752,16 +752,12 @@ class InvariantChecker:
 # -- streaming session -----------------------------------------------------------
 
 
-def prepare(T: OneWayTransducer,
-            bound: Optional[int] = None) -> AnalysisContext:
+def prepare(T: OneWayTransducer) -> AnalysisContext:
     """The analysis context of normalized T, once T is known continuous.
 
-    The continuity search runs on the trimmed, clean machine, where every
-    run it follows can be completed to an accepting one; a dead branch of T
-    is no evidence against continuity.  make_productive comes last because
-    it needs a continuous machine."""
+    make_productive comes last because it needs a continuous machine."""
     T = clean(trim(T))
-    ok, witness = is_continuous(T, bound=bound)
+    ok, witness = is_continuous(T)
     if not ok:
         raise ContinuityViolation(
             f"function is not continuous: outputs {witness.words[0]} and "
@@ -832,10 +828,9 @@ def run_pipeline(
     n: int,
     check_invariants: bool = False,
     max_lookahead: Optional[int] = None,
-    bound: Optional[int] = None,
 ) -> PipelineResult:
     """Normalize, annotate and determinize T over the first n letters of x."""
-    ctx = prepare(T, bound=bound)
+    ctx = prepare(T)
     session = StreamSession(ctx, x, check_invariants, trace=[])
     ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
     annotations = [item for item, _ in session.run(ann, n)]

@@ -267,10 +267,11 @@ def clean(T: OneWayTransducer) -> OneWayTransducer:
 
     Layer 1 is "must still produce"; leaving a final state drops to layer 0,
     which climbs back to layer 1 only through a producing transition.  Final
-    states live in layer 1, so any accepting cycle produces output.
+    states live in layer 1, so any accepting cycle produces output.  A
+    clean T is returned unchanged; the result is trim when T is.
     """
     if is_clean(T):
-        return trim(T)
+        return T
 
     def name(q, layer):
         return f"{q}~{layer}"

@@ -357,3 +357,60 @@ def test_continuity_random_consistency(replace_t):
                 outlen += run + 1
                 run = 0
         assert ox.first(outlen) == oy.first(outlen)
+
+
+def test_a_dead_branch_is_no_continuity_witness():
+    """i --a/a--> i is the only accepting run; i --a/b--> d --a/b--> d is a
+    dead branch.  is_continuous trims it away itself."""
+    T = nft.from_dict({
+        "input_alphabet": ["a"], "output_alphabet": ["a", "b"],
+        "states": ["i", "d"], "initial": ["i"], "final": ["i"],
+        "transitions": [{"from": "i", "letter": "a", "to": "i", "out": "a"},
+                        {"from": "i", "letter": "a", "to": "d", "out": "b"},
+                        {"from": "d", "letter": "a", "to": "d", "out": "b"}],
+    })
+    assert not nft.is_trim(T)
+    assert is_continuous(T) == (True, None)
+
+
+def random_machine(rng: random.Random) -> nft.OneWayTransducer:
+    """2-4 states over a, b, c.  Each state reads each letter into zero to
+    two targets with outputs '', x, y or xy; one or two states are initial,
+    and at least one state is not final."""
+    n = rng.randint(2, 4)
+    states = [f"s{i}" for i in range(n)]
+    transitions = {}
+    for q in states:
+        for a in "abc":
+            for q2 in rng.sample(states, rng.choice([0, 1, 1, 2])):
+                transitions[(q, a, q2)] = tuple(rng.choice(["", "x", "y", "xy"]))
+    return nft.OneWayTransducer(
+        input_alphabet=frozenset("abc"),
+        output_alphabet=frozenset("xy"),
+        states=frozenset(states),
+        initial=frozenset(rng.sample(states, rng.randint(1, 2))),
+        final=frozenset(rng.sample(states, rng.randint(1, n - 1))),
+        transitions=transitions,
+    )
+
+
+def test_continuity_witnesses_on_generated_machines():
+    """On 2,000 unambiguous generated machines, every witness of a "not
+    continuous" verdict holds: u u'^w is accepted with the first word as
+    its output, and the second word differs from it."""
+    rng = random.Random(1)
+    machines = negative = silent = 0
+    while machines < 2000:
+        T = random_machine(rng)
+        if not nft.is_unambiguous(T):
+            continue
+        machines += 1
+        ok, w = is_continuous(T)
+        if ok:
+            continue
+        negative += 1
+        silent += not w.loop_outputs[1]
+        x = UPWord(w.u, w.u_loop)
+        assert nft.oracle_eval(nft.clean(nft.trim(T)), x) == w.words[0]
+        assert not up_equal(*w.words)
+    assert negative >= 25 and silent >= 5

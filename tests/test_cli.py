@@ -298,18 +298,6 @@ def test_stdin_json_format():
     assert text.splitlines() == ["1"] * 5 + ["11111"]
 
 
-def test_bound_only_where_it_is_used():
-    path = fixture_path("replace.json")
-    for argv in (("analyze", path), ("annotate", path, "--input", "(1)^w")):
-        with contextlib.redirect_stderr(io.StringIO()):
-            with pytest.raises(SystemExit) as e:
-                main([*argv, "--bound", "1"])
-        assert e.value.code == 2
-    assert run_cli("check", path, "--bound", "4")[0] == 0
-    assert run_cli("run", path, "--input", "(1)^w", "--letters", "2",
-                   "--bound", "4")[:2] == (0, "11\n")
-
-
 def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
     path = fixture_path("replace.json")
     # the last 0 opens a 0-run whose cover waits for the closing letter
@@ -343,13 +331,9 @@ def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
                                             "1\t{q0}"])
 
 
-def test_bound_and_max_lookahead_ranges():
-    normalize, replace = fixture_path("normalize.json"), fixture_path("replace.json")
+def test_max_lookahead_and_k_ranges():
+    replace = fixture_path("replace.json")
     for argv, message in (
-        (("check", normalize, "--bound", "0"), "--bound must be >= 1"),
-        (("check", normalize, "--bound", "-3"), "--bound must be >= 1"),
-        (("run", normalize, "--input", "(01)^w", "--letters", "5",
-          "--bound", "0"), "--bound must be >= 1"),
         (("annotate", replace, "--input", "(001)^w", "--max-lookahead", "-1"),
          "--max-lookahead must be >= 0"),
         (("run", replace, "--input", "(001)^w", "--letters", "3",
@@ -358,9 +342,6 @@ def test_bound_and_max_lookahead_ranges():
           fixture_path("replace_sst.json"), "unused.json"), "--k must be >= 1"),
     ):
         assert run_cli(*argv) == (2, "", f"error: {message}\n")
-    code, out, _ = run_cli("check", normalize, "--bound", "1")
-    assert code == 1
-    assert out.splitlines()[-1] == "continuous: false (witness u=0, u'=1)"
     assert run_cli("annotate", replace, "--input", "(1)^w", "--letters",
                    "1", "--max-lookahead", "0")[:2] == (0, "C0 {q0}\n1\t{q0}\n")
 
@@ -473,17 +454,17 @@ def test_reused_parser_carries_no_value_between_calls():
 
     path = fixture_path("replace.json")
     calls = [
-        (("run", path, "--letters", "3", "--bound", "x"), None),
+        (("run", path, "--letters", "x"), None),
         (("run", path, "--input", "(001)^w", "--letters", "3"), None),
         (("run", path, "--stdin"), _stdin_letters("001001")),
-        (("check", path, "--bound", "4"), None),
+        (("check", path), None),
     ]
     first = []
     for argv, stdin in calls:
         cli._parser.cache_clear()  # each call is the first with its parser
         first.append(run_cli(*argv, stdin=stdin))
     assert first[0][:2] == (2, "")
-    assert "argument --bound: invalid int value: 'x'" in first[0][2]
+    assert "argument --letters: invalid int value: 'x'" in first[0][2]
     assert first[1] == (0, "111\n", "")
     assert first[2] == (0, "1\n" * 6 + "111111\n", "")  # every letter read
     assert first[3][0] == 0
@@ -597,6 +578,31 @@ def test_a_dead_branch_is_no_continuity_witness(tmp_path):
     assert run_cli("oracle", str(path), "(a)^w") == (0, "(a)^w\n", "")
     assert run_cli("run", str(path), "--input", "(a)^w", "--letters", "5",
                    "--check-invariants") == (0, "aaaaa\n", "")
+
+
+def test_a_silent_loop_with_an_escaping_run_is_not_continuous(tmp_path):
+    """The inputs e^n c d^w converge to e^w, whose output is (xy)^w, but
+    their outputs stay x(xy)^w.  On e^n, i's two runs reach (f, q), f
+    looping with xy and q silently; q's runs must all output a prefix of
+    (xy)^w, and only the c edge, with x, breaks that."""
+    edges = [("i", "e", "f", ""), ("i", "e", "q", ""), ("f", "e", "f", "xy"),
+             ("q", "e", "q", ""), ("q", "a", "s", ""), ("q", "b", "s", "xy"),
+             ("q", "c", "s", "x"), ("s", "d", "s", "xy")]
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps({
+        "input_alphabet": list("abcde"), "output_alphabet": ["x", "y"],
+        "states": ["i", "f", "q", "s"], "initial": ["i"], "final": ["f", "s"],
+        "transitions": [{"from": p, "letter": a, "to": q, "out": o}
+                        for p, a, q, o in edges],
+    }))
+    code, out, _ = run_cli("check", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["witness"]["words"] == ["(xy)^w", "x(xy)^w"]
+    code, out, err = run_cli("run", str(path), "--input", "eeec(d)^w",
+                             "--letters", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: function is not continuous")
+    assert len(err.splitlines()) == 1
 
 
 def test_analyze_stops_on_a_non_continuous_machine(tmp_path):
