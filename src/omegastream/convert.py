@@ -13,10 +13,13 @@ Three constructions live here:
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .sst import (
+    EMPTY_PARTS,
     MixedWord,
     Reg,
     StreamingTransducer,
@@ -191,25 +194,11 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
 # through a lookbehind DFA tracking (previous state, current state) of the
 # streaming machine.
 #
-# Cost: each cell (lookbehind pair, letter) reads its update's images a
-# constant number of times -- the walk states scan each gap between
-# register tokens once, and one index from register token to (image,
-# position) places every return state -- so the build is
-# O(|lookbehind pairs| · |Σ| · Σ|image|).
-
-
-def _scan_image(tokens: Sequence, j: int):
-    """Letters from position j up to the next register token.
-
-    Returns (letters, next_reg or None); next_reg None means the image is
-    exhausted (the walk of c is complete)."""
-    letters: List = []
-    for k in range(j, len(tokens)):
-        t = tokens[k]
-        if isinstance(t, Reg):
-            return tuple(letters), t
-        letters.append(t)
-    return tuple(letters), None
+# Cost: the rows (state, move, letters) that one update gives every walk and
+# return state are built once, from the parts of its images, in
+# O(|R| + Σ|image|); each cell (lookbehind pair, letter) then writes its
+# update's rows under its own lookbehind key, at most 2|R| of them.  So the
+# build is O(|updates| · (|R| + Σ|image|) + |lookbehind pairs| · |Σ| · |R|).
 
 
 def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
@@ -250,70 +239,72 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
         },
     )
 
-    def wname(c):
-        return f"w:{c}"
-
-    def rname(r):
-        return f"ret:{r}"
-
     regs = sorted(S.registers)
     others = [r for r in regs if r != S.out]
-    states = {wname(c) for c in regs} | {rname(r) for r in others}
+    wname = {c: f"w:{c}" for c in regs}
+    rname = {r: f"ret:{r}" for r in others}
+    states = set(wname.values()) | set(rname.values())
     delta: Dict[Tuple, Tuple[str, str]] = {}
     out: Dict[Tuple, Word] = {}
 
-    def emit_walk(state_key, tokens, j, c):
-        """One transition continuing the walk of c's image from index j."""
-        letters, nxt = _scan_image(tokens, j)
-        if nxt is not None:
-            delta[state_key] = (wname(nxt), LEFT)
-        elif c == S.out:
-            delta[state_key] = (wname(S.out), RIGHT)
-        else:
-            delta[state_key] = (rname(c), RIGHT)
-        out[state_key] = letters
+    walk_names = [wname[c] for c in regs]
+    idle = {r: ((rname[r], RIGHT), ()) for r in others}  # walk of an empty image
 
+    def rows(sub: Substitution):
+        """(states, moves, letters) at a cell updated by sub: the walk state
+        of every register starts its image, and the return state of every
+        register in an image resumes after its unique occurrence there."""
+
+        def row(c, i):
+            """Chunk i of c's image, then a left move to expand token i, or
+            the end of the walk of c."""
+            chunks, refs = sub.parts[c]
+            if i < len(refs):
+                return (wname[refs[i]], LEFT), chunks[i]
+            if c == S.out:
+                return (wname[S.out], RIGHT), chunks[i]
+            return (rname[c], RIGHT), chunks[i]
+
+        # the walk of out skips its leading out token
+        found = [row(c, int(c == S.out)) if c in sub.parts else idle[c]
+                 for c in regs]
+        back = {r: row(c, i + 1) for c, (_, refs) in sub.parts.items()
+                for i, r in enumerate(refs) if r != S.out}
+        returns = sorted(back)
+        found += [back[r] for r in returns]
+        return (walk_names + [rname[r] for r in returns],
+                [move for move, _ in found], [letters for _, letters in found])
+
+    rows_of = {key: rows(sub) for key, sub in S.updates.items()}
     for (p, q) in lb_states:
         if p == _SINK:
             continue
         for a in alphabet:
             if (p, a) not in S.updates:
                 continue
-            sub = S.updates[(p, a)]
             lbst = lb_delta[((p, q), a)]
             if lbst == (_SINK, _SINK):
                 continue
             lbst = lbname(lbst)
-            # Walk states: start the image of c at this cell.
-            for c in regs:
-                tokens = sub.assignment[c]
-                j = 1 if c == S.out else 0  # skip the leading out token
-                emit_walk((wname(c), a, lbst), tokens, j, c)
-            # Return states: resume after the unique occurrence of r.
-            where = {}
-            for c in regs:
-                for k, t in enumerate(sub.assignment[c]):
-                    if isinstance(t, Reg):
-                        where[t] = (c, k)
-            for r in others:
-                if r in where:
-                    c, k = where[r]
-                    emit_walk((rname(r), a, lbst), sub.assignment[c], k + 1, c)
+            names, moves, letters = rows_of[(p, a)]
+            keys = [(state, a, lbst) for state in names]
+            delta.update(zip(keys, moves))
+            out.update(zip(keys, letters))
 
     # Endmarker: registers are empty there, every expansion returns at once.
     for r in others:
-        key = (wname(r), ENDMARKER)
-        delta[key] = (rname(r), RIGHT)
+        key = (wname[r], ENDMARKER)
+        delta[key] = (rname[r], RIGHT)
         out[key] = ()
-    key = (wname(S.out), ENDMARKER)
-    delta[key] = (wname(S.out), RIGHT)
+    key = (wname[S.out], ENDMARKER)
+    delta[key] = (wname[S.out], RIGHT)
     out[key] = ()
 
     return TwoWayTransducer(
         input_alphabet=frozenset(S.input_alphabet),
         output_alphabet=frozenset(S.output_alphabet),
         states=frozenset(states),
-        initial=wname(S.out),
+        initial=wname[S.out],
         delta=delta,
         out=out,
         lookbehind=lb,
@@ -364,6 +355,13 @@ def _apply_parent(shapes, regs, h: Label) -> Label:
 def _chunk_name(depth: int, g: Label, r: str, c: int, j: int) -> str:
     lbl = ",".join(map(str, g))
     return f"n{depth}@{lbl}@{r}@{c}@{j}"
+
+
+def _copies(g: Label, shapes, regs) -> List[Tuple[str, int, int]]:
+    """(r, c, j) of every chunk register of a node labelled g: chunk j of
+    copy c of r's image in the segment with these shapes."""
+    return [(r, c, j) for i, r in enumerate(regs) for c in range(g[i])
+            for j in range(len(shapes[i]) + 1)]
 
 
 def validate_forest(
@@ -417,9 +415,10 @@ def validate_forest(
     return True
 
 
-def kbounded_to_copyless(
-    S: StreamingTransducer, K: int, max_states: int = 20000
-) -> StreamingTransducer:
+MAX_STATES = 20000  # forest states kbounded_to_copyless may build
+
+
+def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
     """Copyless streaming transducer equivalent to the K-bounded S."""
     if not check_bounded(S, K):
         raise ConversionError(f"input machine is not {K}-bounded")
@@ -430,38 +429,33 @@ def kbounded_to_copyless(
     all_labels: List[Label] = sorted(
         itertools.product(range(K + 1), repeat=n_regs)
     )
+    # The forests of different states share most labels and chunk
+    # registers; these memos live for this call only.
+    parents: Dict[Tuple, Label] = {}
+    chunk_names: Dict[Tuple, str] = {}
+
+    def parent(shapes, h: Label) -> Label:
+        key = (shapes, h)
+        if key not in parents:
+            parents[key] = _apply_parent(shapes, regs, h)
+        return parents[key]
+
+    def chunk(*key) -> str:
+        if key not in chunk_names:
+            chunk_names[key] = _chunk_name(*key)
+        return chunk_names[key]
 
     def node_registers(state: _ForestState) -> List[str]:
-        names = []
-        for d, level in enumerate(state.levels, start=1):
-            for g in level.labels:
-                for i, r in enumerate(regs):
-                    for c in range(g[i]):
-                        for j in range(len(level.shapes[i]) + 1):
-                            names.append(_chunk_name(d, g, r, c, j))
-        return names
+        return [chunk(d, g, *k) for d, level in enumerate(state.levels, start=1)
+                for g in level.labels for k in _copies(g, level.shapes, regs)]
 
     def transition(state: _ForestState, a):
         if (state.q, a) not in S.delta:
             return None
-        sub = S.updates[(state.q, a)]
-        alpha = sub.assignment[S.out][1:]
-        new_shapes = tuple(
-            tuple(str(t) for t in sub.assignment[r] if isinstance(t, Reg))
-            for r in regs
-        )
-        new_chunks: List[List[Word]] = []
-        for r in regs:
-            chunks: List[Word] = []
-            cur: List = []
-            for t in sub.assignment[r]:
-                if isinstance(t, Reg):
-                    chunks.append(tuple(cur))
-                    cur = []
-                else:
-                    cur.append(t)
-            chunks.append(tuple(cur))
-            new_chunks.append(chunks)
+        parts = S.updates[(state.q, a)].parts
+        new_parts = [parts.get(r, EMPTY_PARTS) for r in regs]
+        new_shapes = tuple(tuple(map(str, refs)) for _, refs in new_parts)
+        alpha_chunks, alpha_refs = parts[S.out]
 
         m = len(state.levels)
         old_labels: List[Tuple[Label, ...]] = [state.roots] + [
@@ -472,28 +466,27 @@ def kbounded_to_copyless(
         # Copies of each register consumed at each depth by this step's
         # out-production, bottom-up through the stored segments.
         used: List[Label] = [None] * (m + 1)
-        used[m] = tuple(count_ref(alpha, r) for r in regs)
+        used[m] = tuple(alpha_refs[1:].count(r) for r in regs)
         for d in range(m - 1, -1, -1):
-            used[d] = _apply_parent(shapes_at[d + 1], regs, used[d + 1])
+            used[d] = parent(shapes_at[d + 1], used[d + 1])
 
         # Step 1: consume -- subtract used from every label, drop negatives.
         tilde: List[Dict[Label, Label]] = []
         for d in range(m + 1):
             ren = {}
             for g in old_labels[d]:
-                g2 = tuple(g[i] - used[d][i] for i in range(n_regs))
-                if all(v >= 0 for v in g2):
+                g2 = tuple(map(operator.sub, g, used[d]))
+                if min(g2, default=0) >= 0:
                     ren[g] = g2
             tilde.append(ren)
+        inv_tilde = [{v: k for k, v in ren.items()} for ren in tilde]
 
         # Step 2: add depth m+1 below every surviving leaf.
         children: Dict[Label, Label] = {}  # child -> parent (tilde label)
-        for g2 in tilde[m].values():
-            for h in all_labels:
-                if _apply_parent(new_shapes, regs, h) == g2:
-                    if h in children:
-                        raise ConversionError("duplicate forest label")
-                    children[h] = g2
+        for h in all_labels:
+            g2 = parent(new_shapes, h)
+            if g2 in inv_tilde[m]:
+                children[h] = g2
 
         # Step 3: keep only ancestors of surviving new leaves.  The parent
         # equation commutes with the subtraction, so a leaf's ancestor chain
@@ -502,9 +495,9 @@ def kbounded_to_copyless(
         for h, par in children.items():
             chain = [par]
             for d in range(m - 1, -1, -1):
-                chain.append(_apply_parent(shapes_at[d + 1], regs, chain[-1]))
+                chain.append(parent(shapes_at[d + 1], chain[-1]))
             chain.reverse()  # depth 0..m
-            if all(chain[d] in tilde[d].values() for d in range(m + 1)):
+            if all(chain[d] in inv_tilde[d] for d in range(m + 1)):
                 keep[m + 1].add(h)
                 for d in range(m + 1):
                     keep[d].add(chain[d])
@@ -512,27 +505,14 @@ def kbounded_to_copyless(
             return None  # every candidate decomposition died: blocked
 
         # Branch providing the physical copies consumed by out: the smallest
-        # old leaf whose whole ancestor chain survived the subtraction.
-        inv_tilde = [{v: k for k, v in ren.items()} for ren in tilde]
-        branch = None
-        for g in sorted(old_labels[m]):
-            if g not in tilde[m] or tilde[m][g] not in keep[m]:
-                continue
-            chain_old = [g]
-            ok = tilde[m][g] in keep[m]
-            cur = tilde[m][g]
-            for d in range(m - 1, -1, -1):
-                cur = _apply_parent(shapes_at[d + 1], regs, cur)
-                if cur not in inv_tilde[d] or cur not in keep[d]:
-                    ok = False
-                    break
-                chain_old.append(inv_tilde[d][cur])
-            if ok:
-                chain_old.reverse()
-                branch = chain_old  # old labels, depth 0..m
-                break
-        if branch is None:
-            return None
+        # old leaf whose whole ancestor chain survived the subtraction, that
+        # is, whose tilde label is in keep (keep holds whole chains).
+        branch = [min(g for g in old_labels[m] if tilde[m].get(g) in keep[m])]
+        cur = tilde[m][branch[0]]
+        for d in range(m - 1, -1, -1):
+            cur = parent(shapes_at[d + 1], cur)
+            branch.append(inv_tilde[d][cur])
+        branch.reverse()  # old labels, depth 0..m
 
         # Out expansion along the branch, consuming the highest copy indices.
         counters = {}  # (depth, reg index) -> next copy index to consume
@@ -554,18 +534,16 @@ def kbounded_to_copyless(
             g = branch[d]
             c = next_copy(d, i)
             shape = shapes_at[d][i]
-            toks: List = [Reg(_chunk_name(d, g, r, c, 0))]
+            toks: List = [Reg(chunk(d, g, r, c, 0))]
             for k, s in enumerate(shape):
                 toks.extend(expand(s, d - 1))
-                toks.append(Reg(_chunk_name(d, g, r, c, k + 1)))
+                toks.append(Reg(chunk(d, g, r, c, k + 1)))
             return toks
 
-        emission: List = []
-        for t in alpha:
-            if isinstance(t, Reg):
-                emission.extend(expand(str(t), m))
-            else:
-                emission.append(t)
+        emission: List = list(alpha_chunks[1])
+        for t, letters in zip(alpha_refs[1:], alpha_chunks[2:]):
+            emission += expand(str(t), m)
+            emission += letters
 
         # Assemble the renaming of surviving copies plus the new level.
         assign: Dict[str, MixedWord] = {"out": (Reg("out"),) + tuple(emission)}
@@ -573,21 +551,13 @@ def kbounded_to_copyless(
             sorted(keep[d]) for d in range(m + 2)
         ]
         for d in range(1, m + 1):
-            shapes = shapes_at[d]
             for g_old, g_new in tilde[d].items():
-                if g_new not in keep[d]:
-                    continue
-                for i, r in enumerate(regs):
-                    for c in range(g_new[i]):
-                        for j in range(len(shapes[i]) + 1):
-                            assign[_chunk_name(d, g_new, r, c, j)] = (
-                                Reg(_chunk_name(d, g_old, r, c, j)),
-                            )
+                if g_new in keep[d]:
+                    assign.update((chunk(d, g_new, *k), (Reg(chunk(d, g_old, *k)),))
+                                  for k in _copies(g_new, shapes_at[d], regs))
         for h in new_level_labels[m + 1]:
-            for i, r in enumerate(regs):
-                for c in range(h[i]):
-                    for j in range(len(new_shapes[i]) + 1):
-                        assign[_chunk_name(m + 1, h, r, c, j)] = new_chunks[i][j]
+            for r, c, j in _copies(h, new_shapes, regs):
+                assign[chunk(m + 1, h, r, c, j)] = new_parts[reg_idx[r]][0][j]
 
         levels2: List[_Level] = [
             _Level(shapes_at[d], tuple(new_level_labels[d]))
@@ -597,7 +567,7 @@ def kbounded_to_copyless(
 
         # Merge adjacent segments while the forest is too deep.
         while len(levels2) > L:
-            merged = _merge_levels(levels2, roots2, regs, assign)
+            merged = _merge_levels(levels2, roots2, regs, assign, parent, chunk)
             if merged is None:
                 raise ConversionError("no mergeable level in an overdeep forest")
             levels2, assign = merged
@@ -618,10 +588,8 @@ def kbounded_to_copyless(
                 continue
             st2, assign = res
             if st2 not in names:
-                if len(names) >= max_states:
-                    raise ConversionError(
-                        f"state budget {max_states} exceeded"
-                    )
+                if len(names) >= MAX_STATES:
+                    raise ConversionError(f"state budget {MAX_STATES} exceeded")
                 names[st2] = f"f{len(names)}"
                 queue.append(st2)
             delta[(names[st], a)] = names[st2]
@@ -652,33 +620,24 @@ def kbounded_to_copyless(
     )
 
 
-def _merge_levels(levels, roots, regs, assign):
+def _merge_levels(levels, roots, regs, assign, parent, chunk):
     """Fuse two adjacent segments at the smallest all-single-children depth.
 
     Rewrites `assign` so that the fused nodes' chunk registers receive the
     concatenations realising the composed substitution; returns the new
-    level list and assignment, or None when no depth qualifies."""
+    level list and assignment, or None when no depth qualifies.  `parent`
+    and `chunk` are the caller's memoized `_apply_parent` and
+    `_chunk_name`."""
     n_regs = len(regs)
     labels_at = [roots] + [lv.labels for lv in levels]
     shapes_at = [None] + [lv.shapes for lv in levels]
     depth = len(levels)
-    pick = None
     for l in range(1, depth):
-        parents_with = {}
-        ok = True
-        for h in labels_at[l + 1]:
-            par = _apply_parent(shapes_at[l + 1], regs, h)
-            parents_with.setdefault(par, []).append(h)
-        for g in labels_at[l]:
-            if len(parents_with.get(g, [])) != 1:
-                ok = False
-                break
-        if ok:
-            pick = l
+        kids = Counter(parent(shapes_at[l + 1], h) for h in labels_at[l + 1])
+        if all(kids[g] == 1 for g in labels_at[l]):
             break
-    if pick is None:
+    else:
         return None
-    l = pick
     sh_low = shapes_at[l]  # sigma_l, between depth l-1 and l
     sh_high = shapes_at[l + 1]  # sigma_{l+1}, between depth l and l+1
     composed = tuple(
@@ -694,17 +653,15 @@ def _merge_levels(levels, roots, regs, assign):
     # Pull out the chunk registers of the two fused levels; their images are
     # inlined into the composed node's registers below.
     inner: Dict[str, MixedWord] = {}
-    for d, lbls in ((l, labels_at[l]), (l + 1, labels_at[l + 1])):
-        for g in lbls:
-            for i, r in enumerate(regs):
-                for c in range(g[i]):
-                    for j in range(len(shapes_at[d][i]) + 1):
-                        name = _chunk_name(d, g, r, c, j)
-                        if name in new_assign:
-                            inner[name] = new_assign.pop(name)
+    for d in (l, l + 1):
+        for g in labels_at[d]:
+            for k in _copies(g, shapes_at[d], regs):
+                name = chunk(d, g, *k)
+                if name in new_assign:
+                    inner[name] = new_assign.pop(name)
 
     for h in labels_at[l + 1]:
-        g = _apply_parent(shapes_at[l + 1], regs, h)
+        g = parent(shapes_at[l + 1], h)
         # Copy pools of the parent node feeding this (single) child.
         pool = {t: 0 for t in regs}
 
@@ -719,38 +676,24 @@ def _merge_levels(levels, roots, regs, assign):
             for c in range(h[i]):
                 # Interleave sigma_{l+1}(r)'s chunks (depth l+1 registers)
                 # with full expansions of sigma_l over its ref tokens.
-                pieces: List[List[Reg]] = [[]]
-
-                def put_chunk(name):
-                    pieces[-1].append(Reg(name))
-
-                def boundary():
-                    pieces.append([])
-
-                put_chunk(_chunk_name(l + 1, h, r, c, 0))
+                pieces: List[List[Reg]] = [[Reg(chunk(l + 1, h, r, c, 0))]]
                 for k, t in enumerate(sh_high[i]):
                     ct = take(t)
-                    ti = regs.index(t)
-                    put_chunk(_chunk_name(l, g, t, ct, 0))
-                    for jj in range(len(sh_low[ti])):
-                        boundary()
-                        put_chunk(_chunk_name(l, g, t, ct, jj + 1))
-                    put_chunk(_chunk_name(l + 1, h, r, c, k + 1))
+                    pieces[-1].append(Reg(chunk(l, g, t, ct, 0)))
+                    for jj in range(len(sh_low[regs.index(t)])):
+                        pieces.append([Reg(chunk(l, g, t, ct, jj + 1))])
+                    pieces[-1].append(Reg(chunk(l + 1, h, r, c, k + 1)))
                 assert len(pieces) == len(composed[i]) + 1
                 for j, piece in enumerate(pieces):
-                    new_assign[_chunk_name(l, h, r, c, j)] = substitute(piece, inner)
+                    new_assign[chunk(l, h, r, c, j)] = substitute(piece, inner)
 
     # Levels above the fused pair move down one depth; rekey their registers.
     for d in range(l + 2, depth + 1):
         for g in labels_at[d]:
-            for i, r in enumerate(regs):
-                for c in range(g[i]):
-                    for j in range(len(shapes_at[d][i]) + 1):
-                        old = _chunk_name(d, g, r, c, j)
-                        if old in new_assign:
-                            new_assign[_chunk_name(d - 1, g, r, c, j)] = (
-                                new_assign.pop(old)
-                            )
+            for k in _copies(g, shapes_at[d], regs):
+                old = chunk(d, g, *k)
+                if old in new_assign:
+                    new_assign[chunk(d - 1, g, *k)] = new_assign.pop(old)
 
     new_levels = (
         list(levels[: l - 1])

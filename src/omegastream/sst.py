@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .nft import BudgetExceeded, closure
 from .words import UPWord, Word, canonicalize, json_object, word
@@ -44,19 +44,41 @@ def count_ref(mw: MixedWord, r: str) -> int:
     return sum(1 for t in mw if isinstance(t, Reg) and t == r)
 
 
+Parts = Tuple[Tuple[Word, ...], Tuple[Reg, ...]]
+EMPTY_PARTS: Parts = ((),), ()  # the parts of an empty image
+
+
 @dataclass(frozen=True)
 class Substitution:
+    """Register images.  `parts[r]` is the non-empty image of r parsed once
+    into its register tokens and the len(tokens) + 1 letter chunks around
+    them, so consumers never rescan an image."""
+
     assignment: Dict[str, MixedWord] = field(hash=False)
+    parts: Dict[str, Parts] = field(init=False, repr=False, compare=False)
 
     @property
     def registers(self) -> FrozenSet[str]:
         return frozenset(self.assignment)
 
     def __post_init__(self):
+        parts = {}
         for r, mw in self.assignment.items():
+            if not mw:
+                continue
+            chunks, refs, cur = [], [], []
             for t in mw:
-                if isinstance(t, Reg) and t not in self.assignment:
-                    raise ValueError(f"unknown register {t!r} in image of {r}")
+                if isinstance(t, Reg):
+                    if t not in self.assignment:
+                        raise ValueError(f"unknown register {t!r} in image of {r}")
+                    chunks.append(tuple(cur))
+                    refs.append(t)
+                    cur = []
+                else:
+                    cur.append(t)
+            chunks.append(tuple(cur))
+            parts[r] = tuple(chunks), tuple(refs)
+        object.__setattr__(self, "parts", parts)
 
     def apply_mixed(self, mw: MixedWord) -> MixedWord:
         return substitute(mw, self.assignment)
@@ -134,17 +156,17 @@ class StreamingTransducer:
     updates: Dict[Tuple[str, object], Substitution] = field(hash=False)
 
     def __post_init__(self):
-        if set(self.delta) != set(self.updates):
+        if self.delta.keys() != self.updates.keys():
             raise ValueError("delta and updates must share their domain")
         if self.out not in self.registers:
             raise ValueError("out not among registers")
         for (q, a), sub in self.updates.items():
-            if sub.registers != self.registers:
+            if sub.assignment.keys() != self.registers:
                 raise ValueError(f"update at ({q},{a}) has wrong register set")
-            img = sub.assignment[self.out]
-            if not img or img[0] != self.out or not isinstance(img[0], Reg):
+            chunks, refs = sub.parts.get(self.out, EMPTY_PARTS)
+            if chunks[0] or not refs or refs[0] != self.out:
                 raise ValueError(f"out update at ({q},{a}) must start with out")
-            occurrences = sum(count_ref(mw, self.out) for mw in sub.assignment.values())
+            occurrences = sum(refs.count(self.out) for _, refs in sub.parts.values())
             if occurrences != 1:
                 raise ValueError(f"out must occur exactly once at ({q},{a})")
 
@@ -161,35 +183,67 @@ def eval_prefix(S: StreamingTransducer, prefix) -> EvalResult:
     ev = _Evaluator(S)
     blocked_at = None
     for i, a in enumerate(word(prefix)):
-        if ev.feed((a,)) is None:
+        if not ev.feed((a,)):
             blocked_at = i
             break
-    return EvalResult(ev.val[S.out], ev.q, ev.val, blocked_at=blocked_at)
+    out = tuple(ev.out)
+    valuation = {r: ev.val.get(r, ()) for r in S.registers}
+    valuation[S.out] = out
+    return EvalResult(out, ev.q, valuation, blocked_at=blocked_at)
+
+
+def _resolve(buf: List, chunks, refs, val) -> List:
+    """buf extended by the image with these parts, its registers read in val."""
+    buf += chunks[0]
+    for r, c in zip(refs, chunks[1:]):
+        buf += val.get(r, ())
+        buf += c
+    return buf
 
 
 class _Evaluator:
-    """Incremental register evaluation; out content only grows."""
+    """Incremental register evaluation.
 
-    __slots__ = ("S", "q", "val")
+    out only grows, so it is one list that each update extends by the
+    resolved tail of its image: a letter costs its new output, not a copy
+    of all output so far.  val holds only the non-empty other registers,
+    rebuilt from the parts of their images, so an empty image costs
+    nothing."""
+
+    __slots__ = ("S", "q", "out", "val")
 
     def __init__(self, S: StreamingTransducer):
         self.S = S
         self.q = S.initial
-        self.val = {r: () for r in S.registers}
+        self.out: List = []
+        self.val: Dict[str, Word] = {}
 
-    def feed(self, w) -> Optional[Word]:
-        """Run S over the letters of w; returns the out-increment, or None
-        when S blocks."""
-        S = self.S
-        before = len(self.val[S.out])
+    def feed(self, w) -> bool:
+        """Run S over the letters of w; False when S blocks."""
+        S, out_reg = self.S, self.S.out
         for a in w:
             key = (self.q, a)
             if key not in S.delta:
-                return None
-            assign = S.updates[key].assignment
-            self.val = {r: substitute(assign[r], self.val) for r in S.registers}
+                return False
+            parts, val, new = S.updates[key].parts, self.val, {}
+            chunks, refs = parts[out_reg]
+            _resolve(self.out, chunks[1:], refs[1:], val)
+            for r, (chunks, refs) in parts.items():
+                if r == out_reg:
+                    continue
+                # constants and renamings, most images of a copyless
+                # machine, are read without a copy
+                if len(chunks) == 1:
+                    v = chunks[0]
+                elif len(chunks) == 2 and not chunks[0] and not chunks[1]:
+                    v = val.get(refs[0], ())
+                else:
+                    v = tuple(_resolve([], chunks, refs, val))
+                if v:
+                    new[r] = v
+            self.val = new
             self.q = S.delta[key]
-        return self.val[S.out][before:]
+        return True
 
 
 MAX_LOOPS = 256  # period iterations eval_limit searches for a state lasso
@@ -207,19 +261,18 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
     """
     u, v = x.prefix, x.period
     ev = _Evaluator(S)
-    if ev.feed(u) is None:
+    if not ev.feed(u):
         return None
 
     def key():
-        empt = frozenset(r for r in S.registers if len(ev.val[r]) > 0)
-        return (ev.q, empt)
+        return ev.q, bool(ev.out), frozenset(ev.val)
 
     seen = {key(): 0}
-    outs = [ev.val[S.out]]
+    ends = [len(ev.out)]  # length of out after each period
     for k in range(1, MAX_LOOPS + 1):
-        if ev.feed(v) is None:
+        if not ev.feed(v):
             return None
-        outs.append(ev.val[S.out])
+        ends.append(len(ev.out))
         sig = key()
         if sig in seen:
             k0, delta = seen[sig], k - seen[sig]
@@ -230,16 +283,16 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
     # out-increments per lasso loop; require stability over a validation window
     while True:
         need = k0 + 7 * delta
-        while len(outs) - 1 < need:
-            if ev.feed(v) is None:
+        while len(ends) - 1 < need:
+            if not ev.feed(v):
                 return None
-            outs.append(ev.val[S.out])
-        marks = [outs[k0 + m * delta] for m in range(7)]
-        incs = [marks[m + 1][len(marks[m]):] for m in range(6)]
+            ends.append(len(ev.out))
+        marks = [ends[k0 + m * delta] for m in range(7)]
+        incs = [ev.out[marks[m]:marks[m + 1]] for m in range(6)]
         if all(i == incs[0] for i in incs):
             if len(incs[0]) == 0:
                 return None
-            return canonicalize(marks[0], incs[0])
+            return canonicalize(ev.out[:marks[0]], incs[0])
         k0 += delta
         if k0 > MAX_LOOPS * 4:
             raise BudgetExceeded("eval_limit: out growth did not stabilize")
@@ -248,9 +301,10 @@ def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
 # -- copy bounds ------------------------------------------------------------------
 
 
-def counting_matrix(assign: Dict[str, MixedWord], cap: int) -> Dict[Tuple[str, str], int]:
+def counting_matrix(assign: Dict[str, Sequence], cap: int) -> Dict[Tuple[str, str], int]:
     """Matrix m[(r, s)] = occurrences of old register r in new image of s,
-    saturated at cap."""
+    saturated at cap.  An image may be a mixed word or just its register
+    tokens."""
     m = {}
     for s, mw in assign.items():
         for t in mw:
@@ -288,11 +342,13 @@ def _reachable(S: StreamingTransducer):
 def _matrix_closure(S: StreamingTransducer, cap: int):
     """All window-composition matrices along reachable paths."""
     succ, reach = _reachable(S)
+    step = {
+        key: counting_matrix({r: refs for r, (_, refs) in sub.parts.items()}, cap)
+        for key, sub in S.updates.items() if key[0] in reach
+    }
     base = {}
-    for (q, a), sub in S.updates.items():
-        if q in reach:
-            m = _freeze(counting_matrix(sub.assignment, cap))
-            base.setdefault(S.delta[(q, a)], set()).add(m)
+    for (q, a), m in step.items():
+        base.setdefault(S.delta[(q, a)], set()).add(_freeze(m))
     # worklist over (end_state, matrix)
     seen = {(q, m) for q, ms in base.items() for m in ms}
     work = list(seen)
@@ -300,11 +356,7 @@ def _matrix_closure(S: StreamingTransducer, cap: int):
         q, m = work.pop()
         yield m
         for a, q2 in succ.get(q, ()):
-            m2 = _freeze(
-                compose_counting(
-                    dict(m), counting_matrix(S.updates[(q, a)].assignment, cap), cap
-                )
-            )
+            m2 = _freeze(compose_counting(dict(m), step[(q, a)], cap))
             if (q2, m2) not in seen:
                 seen.add((q2, m2))
                 work.append((q2, m2))
@@ -336,13 +388,9 @@ def check_copyless(S: StreamingTransducer) -> bool:
     for (q, _), sub in S.updates.items():
         if q not in reach:
             continue
-        used = set()
-        for mw in sub.assignment.values():
-            for t in mw:
-                if isinstance(t, Reg):
-                    if t in used:
-                        return False
-                    used.add(t)
+        used = [t for _, refs in sub.parts.values() for t in refs]
+        if len(set(used)) != len(used):
+            return False
     return True
 
 
@@ -401,20 +449,17 @@ def domain_automaton(S: StreamingTransducer) -> BuchiAutomaton:
             key = (q, a)
             if key not in S.delta:
                 continue
-            sub = S.updates[key]
+            parts = S.updates[key].parts
 
-            def grows(mw, skip_out=False):
-                toks = mw[1:] if skip_out else mw
-                return any(
-                    (not isinstance(t, Reg)) or (t in nonempty) for t in toks
-                )
+            def grows(r, skip=0):
+                """Whether r's image, past its first skip tokens, is non-empty."""
+                chunks, refs = parts.get(r, EMPTY_PARTS)
+                return any(chunks) or any(t in nonempty for t in refs[skip:])
 
-            new_nonempty = frozenset(
-                r
-                for r in S.registers
-                if r != S.out and grows(sub.assignment[r])
-            ) | (frozenset({S.out}) if (S.out in nonempty or grows(sub.assignment[S.out], skip_out=True)) else frozenset())
-            emitted = grows(sub.assignment[S.out], skip_out=True)
+            emitted = grows(S.out, skip=1)
+            new_nonempty = frozenset(r for r in parts if r != S.out and grows(r))
+            if emitted or S.out in nonempty:
+                new_nonempty |= {S.out}
             nxt = (S.delta[key], new_nonempty, emitted)
             delta[(st, a)] = nxt
             if nxt not in states:

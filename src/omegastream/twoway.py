@@ -42,7 +42,7 @@ class TwoWayTransducer:
     lookbehind: Optional[LookbehindDFA] = None
 
     def __post_init__(self):
-        if set(self.delta) != set(self.out):
+        if self.delta.keys() != self.out.keys():
             raise ValueError("delta and out must share their domain")
         for key, (q2, move) in self.delta.items():
             if key[1] == ENDMARKER and move != RIGHT:

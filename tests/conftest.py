@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from omegastream import fixture_path, nft, sst, twoway
 from omegastream.words import UPWord, parse_upword
@@ -127,3 +128,34 @@ def flushy_corpus(count: int):
         i += 1
         out.append(parse_upword(f"{p}({v})^w"))
     return out
+
+
+@st.composite
+def scattered_one_state_ssts(draw):
+    """One state, 1-12 registers, letters a and b.  Each update moves every
+    register into at most one image, mixes in constants and appends the
+    letter to out."""
+    Reg, Substitution = sst.Reg, sst.Substitution
+    regs = [f"r{i}" for i in range(1, draw(st.integers(1, 12)) + 1)]
+    images = ["out"] + regs
+    updates = {}
+    for a in "ab":
+        imgs = {r: [] for r in images}
+        for r in draw(st.permutations(regs)):
+            home = draw(st.sampled_from(images + [None]))
+            if home is not None:
+                imgs[home].append(Reg(r))
+            imgs[draw(st.sampled_from(images))].extend(
+                draw(st.sampled_from(["", "x", "y", "xy"])))
+        imgs["out"] = [Reg("out")] + imgs["out"] + [a]
+        updates[("p", a)] = Substitution({r: tuple(v) for r, v in imgs.items()})
+    return sst.StreamingTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("abxy"),
+        states=frozenset({"p"}),
+        initial="p",
+        registers=frozenset(images),
+        out="out",
+        delta={("p", "a"): "p", ("p", "b"): "p"},
+        updates=updates,
+    )

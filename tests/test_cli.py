@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from omegastream import convert as conv
 from omegastream import fixture_path, sst, twoway
 from omegastream.cli import main
 from omegastream.sst import check_bounded, check_copyless, eval_limit
@@ -169,6 +170,16 @@ def test_convert_commands(tmp_path):
         fixture_path("replace_sst.json"), str(tmp_path / "x.json"),
     )
     assert code == 2 and "error" in err
+
+
+def test_convert_state_budget(tmp_path, monkeypatch):
+    # replace_sst.json with K = 1 needs 31 forest states
+    monkeypatch.setattr(conv, "MAX_STATES", 4)
+    out = tmp_path / "copyless.json"
+    assert run_cli("convert", "--from", "ksst", "--to", "copyless", "--k", "1",
+                   fixture_path("replace_sst.json"), str(out)) == (
+        2, "", "error: state budget 4 exceeded\n")
+    assert not out.exists()
 
 
 def test_exit_codes():

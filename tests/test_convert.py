@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omegastream import convert as conv
@@ -22,7 +22,8 @@ from omegastream.sst import (
 from omegastream.twoway import ENDMARKER, RIGHT, TwoWayTransducer, eval_2dt
 from omegastream.words import parse_upword, up_equal
 
-from conftest import identity_sst, in_domain_corpus, two_bounded_machine
+from conftest import (identity_sst, in_domain_corpus, scattered_one_state_ssts,
+                      two_bounded_machine)
 
 CORPUS = [
     "(001)^w", "(012)^w", "002(02)^w", "(2)^w", "1(01)^w",
@@ -110,36 +111,6 @@ def test_round_trip_sst_2dt_sst(replace_sst_m, double_sst_m):
             assert y.first(100) == y2.first(100)
 
 
-@st.composite
-def scattered_one_state_ssts(draw):
-    """One state, 1-12 registers, letters a and b.  Each update moves every
-    register into at most one image, mixes in constants and appends the
-    letter to out."""
-    regs = [f"r{i}" for i in range(1, draw(st.integers(1, 12)) + 1)]
-    images = ["out"] + regs
-    updates = {}
-    for a in "ab":
-        imgs = {r: [] for r in images}
-        for r in draw(st.permutations(regs)):
-            home = draw(st.sampled_from(images + [None]))
-            if home is not None:
-                imgs[home].append(Reg(r))
-            imgs[draw(st.sampled_from(images))].extend(
-                draw(st.sampled_from(["", "x", "y", "xy"])))
-        imgs["out"] = [Reg("out")] + imgs["out"] + [a]
-        updates[("p", a)] = Substitution({r: tuple(v) for r, v in imgs.items()})
-    return sst.StreamingTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("abxy"),
-        states=frozenset({"p"}),
-        initial="p",
-        registers=frozenset(images),
-        out="out",
-        delta={("p", "a"): "p", ("p", "b"): "p"},
-        updates=updates,
-    )
-
-
 ab_words = st.builds(
     lambda u, v: parse_upword(f"{u}({v})^w"),
     st.text("ab", max_size=4), st.text("ab", min_size=1, max_size=4))
@@ -189,6 +160,56 @@ def test_kbounded_two_bounded_machine():
         assert y is not None and y2 is not None
         assert up_equal(y, y2)
     assert up_equal(eval_limit(C, _up("(aab)^w")), _up("(aaaab)^w"))
+
+
+@st.composite
+def one_register_ksst(draw):
+    """(S, K): 1-2 states, registers out and r, letters 1 and b, K <= 3.
+    Each update appends up to K copies of r and a b to out; r is kept or
+    appended to only when it is not copied, and may be doubled, so a
+    doubling on a loop makes S unbounded: only K-bounded draws are kept."""
+    K = draw(st.sampled_from([3, 2, 1]))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 2)))]
+    r = Reg("r")
+    delta, updates = {}, {}
+    for q in states:
+        for a in "1b":
+            copies = draw(st.sampled_from(range(K, -1, -1)))
+            tail = draw(st.permutations([r] * copies + ["b"]))
+            keeps = [] if copies else [(r, "1"), (r,)]
+            r_img = draw(st.sampled_from(keeps + [(), ("1",), (r, r)]))
+            delta[(q, a)] = draw(st.sampled_from(states))
+            updates[(q, a)] = Substitution(
+                {"out": (Reg("out"), *tail, a), "r": r_img})
+    S = sst.StreamingTransducer(
+        input_alphabet=frozenset("1b"),
+        output_alphabet=frozenset("1b"),
+        states=frozenset(states),
+        initial="q0",
+        registers=frozenset({"out", "r"}),
+        out="out",
+        delta=delta,
+        updates=updates,
+    )
+    assume(check_bounded(S, K))
+    return S, K
+
+
+one_b_words = st.builds(
+    lambda u, v: parse_upword(f"{u}({v})^w"),
+    st.text("1b", max_size=4), st.text("1b", min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(one_register_ksst(), st.lists(one_b_words, min_size=3, max_size=3))
+def test_kbounded_to_copyless_generated(machine, xs):
+    S, K = machine
+    C = conv.kbounded_to_copyless(S, K)
+    assert check_copyless(C)
+    for x in xs:
+        y, y2 = eval_limit(S, x), eval_limit(C, x)
+        assert (y is None) == (y2 is None)
+        assert y is None or up_equal(y, y2)
 
 
 # -- decomposition forests -----------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from omegastream import sst
 from omegastream.sst import (
+    EMPTY_PARTS,
     Reg,
     StreamingTransducer,
     Substitution,
@@ -26,6 +27,8 @@ from omegastream.sst import (
     parse_mixed,
 )
 from omegastream.words import parse_upword, up_equal, word
+
+from conftest import scattered_one_state_ssts
 
 
 # -- substitutions -------------------------------------------------------------
@@ -301,6 +304,45 @@ def test_check_copyless_split_copy_and_unreachable_copy():
     for q0_target, copyless in (("q0", True), ("q1", False)):
         S = machine(q0_target)
         assert check_copyless(S) == _copyless_by_windows(S) == copyless
+
+
+def _eval_by_tokens(S, prefix):
+    """Reference: (state, valuation) after prefix, every image substituted
+    token by token; stops where S blocks."""
+    q, val = S.initial, {r: () for r in S.registers}
+    for a in prefix:
+        if (q, a) not in S.delta:
+            break
+        new = {}
+        for r, img in S.updates[(q, a)].assignment.items():
+            w = []
+            for t in img:
+                if isinstance(t, Reg):
+                    w.extend(val[t])
+                else:
+                    w.append(t)
+            new[r] = tuple(w)
+        q, val = S.delta[(q, a)], new
+    return q, val
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(small_ssts(), scattered_one_state_ssts()),
+       st.text("ab", max_size=8))
+def test_parts_and_evaluator_match_token_reference(S, prefix):
+    for sub in S.updates.values():
+        for r, img in sub.assignment.items():
+            chunks, refs = sub.parts.get(r, EMPTY_PARTS)
+            assert (r in sub.parts) == bool(img)
+            assert len(chunks) == len(refs) + 1
+            assert all(isinstance(t, Reg) for t in refs)
+            rebuilt = list(chunks[0])
+            for t, c in zip(refs, chunks[1:]):
+                rebuilt += [t, *c]
+            assert tuple(rebuilt) == img
+    got = eval_prefix(S, prefix)
+    assert (got.state, got.valuation) == _eval_by_tokens(S, prefix)
+    assert got.out == got.valuation[S.out]
 
 
 # -- domain --------------------------------------------------------------------
