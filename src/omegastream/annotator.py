@@ -5,7 +5,10 @@ The emitted sets follow the Good/cover semantics: after each letter the
 frontier is the push-image of the previous set, and the committed set is the
 first compatible subset whose future push-images coincide with the
 frontier's — found by consuming lookahead letters, smallest subset order
-(lexicographic on sorted state names) breaking ties.
+(lexicographic on sorted state names) breaking ties.  On the domain the
+cover always stabilizes, so the lookahead has no cap unless one is asked
+for; on an ultimately periodic word, a scan configuration (frontier,
+candidate images) that repeats at a period start proves that it never does.
 
 The doubly-exponential automaton realizing the same sequence is never
 materialized; the lookahead buffer plays its role.
@@ -13,24 +16,23 @@ materialized; the lookahead buffer plays its role.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Union
 
 from .analysis import AnalysisContext
-from .nft import OneWayTransducer, push
+from .nft import push
+from .words import UPWord
 
 
 class DivergedError(Exception):
-    """Lookahead exhausted before a cover stabilized (input likely outside
-    the domain, or the budget too small)."""
+    """No compatible cover of the frontier stabilizes: the input is outside
+    the domain, or, with `cap`, the opt-in lookahead cap came first."""
 
-    def __init__(self, position, frontier, budget):
+    def __init__(self, position, frontier, cap: Optional[int] = None):
+        within = "" if cap is None else f" within {cap} lookahead letters"
         super().__init__(
-            f"no compatible cover of {sorted(frontier)} stabilized within "
-            f"{budget} lookahead letters at position {position}"
+            f"no compatible cover of {sorted(frontier)} stabilizes{within} "
+            f"at position {position}"
         )
-        self.position = position
-        self.frontier = frozenset(frontier)
-        self.budget = budget
 
 
 class UnknownLetterError(Exception):
@@ -42,22 +44,14 @@ class UnknownLetterError(Exception):
         )
 
 
-def default_max_lookahead(T: OneWayTransducer) -> int:
-    nq = max(1, len(T.states))
-    return min(10 * nq ** nq, 100_000)
-
-
-def set_order_key(C) -> Tuple:
-    """The fixed total order on state sets: lexicographic on sorted names."""
-    return tuple(sorted(C))
-
-
 class _Buffer:
-    """Letter stream with absolute-position random access; each letter is
-    checked against the alphabet as it is read."""
+    """Letter source with absolute-position random access; each letter is
+    checked against the alphabet as it is read.  `word` is the UPWord when
+    the source is one, else None."""
 
-    def __init__(self, stream: Iterable, alphabet):
-        self._it = iter(stream)
+    def __init__(self, source: Union[UPWord, Iterable], alphabet):
+        self.word = source if isinstance(source, UPWord) else None
+        self._it = iter(source) if self.word is None else source.letters()
         self._alphabet = alphabet
         self._buf: List = []
         self._base = 0  # absolute position of _buf[0]
@@ -74,6 +68,14 @@ class _Buffer:
             self._buf.append(a)
         return self._buf[pos - self._base]
 
+    def phase(self, pos: int) -> Optional[int]:
+        """Offset of position pos in the period of a UP source; None in its
+        prefix and on a stream."""
+        x = self.word
+        if x is None or pos < len(x.prefix):
+            return None
+        return (pos - len(x.prefix)) % len(x.period)
+
     def drop_before(self, pos: int):
         if pos > self._base:
             cut = pos - self._base
@@ -86,61 +88,65 @@ def cover(
     S,
     buffer: _Buffer,
     position: int,
-    max_lookahead: int,
+    max_lookahead: Optional[int],
 ):
     """Smallest-lookahead compatible cover of the frontier S at `position`.
 
     Returns (j, C): j is the absolute position where some compatible C
     subset of S satisfies push_w(C) = push_w(S) for w = letters
     (position..j]; C is the order-minimal such set.  Returns None when
-    the stream ends before a cover stabilizes.
+    the stream ends before a cover stabilizes.  Raises DivergedError when
+    no cover can stabilize, or when max_lookahead letters (None: no cap)
+    were read without one.
     """
     S = frozenset(S)
-    candidates = ctx.comp_subsets(S)
-    if not candidates:
-        raise DivergedError(position, S, 0)
     # evolving images (push_w(C), push_w(S))
-    pairs = [[c, c] for c in candidates]
+    pairs = [[c, c] for c in ctx.comp_subsets(S)]
     frontier = S
+    seen = None if buffer.word is None else set()
+    T = ctx.T
     j = position
-    while True:
+    while pairs:
         done = [c for img, c in pairs if img == frontier]
         if done:
-            return j, min(done, key=set_order_key)
-        if j - position >= max_lookahead:
+            return j, min(done, key=sorted)
+        if max_lookahead is not None and j - position >= max_lookahead:
             raise DivergedError(position, S, max_lookahead)
+        if seen is not None and buffer.phase(j) == 0:
+            # the same letters follow every period start: a repeat loops
+            key = (frontier, frozenset(img for img, _ in pairs))
+            if key in seen:
+                break
+            seen.add(key)
         a = buffer.get(j)
         if a is None:
             return None
-        T = ctx.T
         frontier = push(T, frontier, (a,))
-        if not frontier:
-            raise DivergedError(position, S, j - position)
         for entry in pairs:
             entry[0] = push(T, entry[0], (a,))
         pairs = [e for e in pairs if e[0]]
-        if not pairs:
-            raise DivergedError(position, S, j - position)
         j += 1
+    raise DivergedError(position, S)
 
 
 def annotate(
     ctx: AnalysisContext,
-    stream: Iterable,
+    source: Union[UPWord, Iterable],
     max_lookahead: Optional[int] = None,
 ) -> Iterator:
-    """Yield C0, then (letter, C) pairs, following the input stream.
+    """Yield C0, then (letter, C) pairs, following the input.
 
-    Emissions lag the input by the current cover lookahead; the lag is
-    finite on the domain of the machine's function.  A finite stream ends
-    the annotations at its last letter, or at the letter whose cover was
-    still looking ahead when the stream ended.  A letter outside the
-    machine's input alphabet raises UnknownLetterError when it is read.
+    `source` is a UPWord, on which a cover that never stabilizes raises
+    DivergedError, or any iterable of letters, read as a stream.  Emissions
+    lag the input by the current cover lookahead; the lag is finite on the
+    domain of the machine's function.  max_lookahead is an opt-in cap on
+    that lag (None: no cap).  A finite stream ends the annotations at its
+    last letter, or at the letter whose cover was still looking ahead when
+    the stream ended.  A letter outside the machine's input alphabet raises
+    UnknownLetterError when it is read.
     """
     T = ctx.T
-    if max_lookahead is None:
-        max_lookahead = default_max_lookahead(T)
-    buf = _Buffer(stream, T.input_alphabet)
+    buf = _Buffer(source, T.input_alphabet)
     pos = 0
     found = cover(ctx, T.initial, buf, 0, max_lookahead)
     if found is None:
@@ -153,7 +159,7 @@ def annotate(
             return
         frontier = push(T, good, (a,))
         if not frontier:
-            raise DivergedError(pos + 1, good, 0)
+            raise DivergedError(pos + 1, good)
         pos += 1
         found = cover(ctx, frontier, buf, pos, max_lookahead)
         if found is None:

@@ -5,7 +5,8 @@ oracle.  annotate, run and determinize run take exactly one of
 ``--input`` and ``--stdin``.  ``run --letters n`` reads exactly n input
 letters and ``annotate --letters n`` prints C0 and n annotated letters;
 n must be >= 0.  check, analyze and run run the continuity search, which
-has no options.  ``--max-lookahead`` must be >= 0.  Exit status:
+has no options.  ``--max-lookahead`` (>= 0) is an opt-in lookahead cap,
+with no default.  Exit status:
 
 - 0 on success;
 - 1 on negative verdicts (among them a machine given to analyze or run
@@ -74,10 +75,9 @@ def _check_counts(args):
 
 
 def _input_letters(args):
-    """Input letters: a UP word expression or stdin, one letter per line."""
+    """The UP word of --input, or the letters of stdin, one per line."""
     if args.input is not None:
-        x = parse_upword(args.input)
-        return x, x.letters()
+        return parse_upword(args.input)
 
     def from_stdin():
         for line in sys.stdin:
@@ -85,7 +85,7 @@ def _input_letters(args):
             if tok:
                 yield tok
 
-    return None, from_stdin()
+    return from_stdin()
 
 
 # -- check --------------------------------------------------------------------
@@ -181,8 +181,8 @@ def cmd_annotate(args) -> int:
     _check_counts(args)
     T = _load_unambiguous(args.machine)
     ctx = AnalysisContext(T)
-    _, stream = _input_letters(args)
-    ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
+    source = _input_letters(args)
+    ann = annotate(ctx, source, max_lookahead=args.max_lookahead)
     ann = islice(ann, None if args.letters is None else args.letters + 1)
     C0 = next(ann, None)
     if C0 is None:  # stdin ended before C0 was fixed
@@ -237,13 +237,14 @@ def cmd_determinize(args) -> int:
     ends normally (exit 0) with the output of the letters before them.
     A stream that goes on but has no compatible cover still exits 1."""
     T = nft.load(args.machine)
-    x, stream = _input_letters(args)
+    source = _input_letters(args)
+    x = source if args.input is not None else None
     if x is not None and args.letters is None:
         raise ContractError("--letters is required with --input")
     _check_counts(args)
     ctx = prepare(T)
     session = StreamSession(ctx, x, args.check_invariants)
-    ann = annotate(ctx, stream, max_lookahead=args.max_lookahead)
+    ann = annotate(ctx, source, max_lookahead=args.max_lookahead)
     for _, delta in session.run(ann, args.letters):
         if args.trace:
             print(_trace_line(session.det.trace[-1]))

@@ -368,7 +368,6 @@ def validate_forest(
     levels: Sequence[Sequence[Dict[str, int]]],
     sigmas: Sequence[Substitution],
     K: int,
-    out: str = "out",
 ) -> bool:
     """Check a decomposition forest given as per-depth label sets.
 

@@ -113,7 +113,6 @@ class StepRecord:
     nb: Dict[str, Dict[str, int]]
     emitted_delta: Word
     assign: Dict[str, Tuple]
-    pre_step: Dict[str, str]
 
 
 class Determinizer:
@@ -174,7 +173,7 @@ class Determinizer:
         self.out_regs: Dict[str, Word] = {}
         rec = _Recorder({"out": ()})
         self._settle(rec, {q: () for q in C0})
-        return self._commit(rec, letter=None, pre_step={q: q for q in C0})
+        return self._commit(rec, letter=None)
 
     # -- the step dispatcher ---------------------------------------------------
 
@@ -192,16 +191,14 @@ class Determinizer:
                 "is not a pre-step"
             )
         if self.mode == "nonsep":
-            pre_step = dict(sa.pre)
             self._step_nonsep(rec, sa)
         elif sa.is_step:
-            pre_step = dict(sa.pre)
             self._step_sep_aligned(rec, sa)
         else:
-            pre_step = self._preprocess(rec, sa, a)
-        return self._commit(rec, letter=a, pre_step=pre_step)
+            self._preprocess(rec, sa, a)
+        return self._commit(rec, letter=a)
 
-    def _commit(self, rec: _Recorder, letter, pre_step) -> Word:
+    def _commit(self, rec: _Recorder, letter) -> Word:
         assign, contents = rec.finish()
         delta = contents.pop("out")
         self.emitted.extend(delta)
@@ -220,7 +217,6 @@ class Determinizer:
                 },
                 emitted_delta=delta,
                 assign=assign,
-                pre_step=pre_step,
             )
         )
         self.steps += 1
@@ -373,7 +369,7 @@ class Determinizer:
 
     # -- separable mode, preprocessing -----------------------------------------
 
-    def _preprocess(self, rec: _Recorder, sa, a) -> Dict[str, str]:
+    def _preprocess(self, rec: _Recorder, sa, a):
         Cp = frozenset(sa.pre.values())
         if Cp == self.C:
             raise ContractError("preprocess requires a strict pre-image")
@@ -457,7 +453,6 @@ class Determinizer:
             self._step_nonsep(rec, sa2)
         else:
             self._step_sep_aligned(rec, sa2)
-        return dict(sa2.pre)
 
 
 # -- invariant checking ------------------------------------------------------------
@@ -522,7 +517,7 @@ class InvariantChecker:
                 raise InvariantError("soundness", f"out diverges from val({q})")
         return {q: w[k:] for q, w in vals.items()}
 
-    def after_step(self, a, pre_step: Dict[str, str]):
+    def after_step(self, a):
         det = self.det
         sa = self._step(self.history[-1]["C"], a, det.C)
         if sa is None:
@@ -793,7 +788,7 @@ class StreamSession:
         a, C = item
         delta = det.step(a, C)
         if self.checker is not None:
-            self.checker.after_step(a, det.trace[-1].pre_step)
+            self.checker.after_step(a)
         return delta
 
     def run(self, annotations, n: Optional[int] = None):
@@ -827,12 +822,11 @@ def run_pipeline(
     x: UPWord,
     n: int,
     check_invariants: bool = False,
-    max_lookahead: Optional[int] = None,
 ) -> PipelineResult:
     """Normalize, annotate and determinize T over the first n letters of x."""
     ctx = prepare(T)
     session = StreamSession(ctx, x, check_invariants, trace=[])
-    ann = annotate(ctx, x.letters(), max_lookahead=max_lookahead)
+    ann = annotate(ctx, x)
     annotations = [item for item, _ in session.run(ann, n)]
     return PipelineResult(
         emitted=session.emitted,

@@ -357,6 +357,22 @@ def test_max_lookahead_and_k_ranges():
                    "1", "--max-lookahead", "0")[:2] == (0, "C0 {q0}\n1\t{q0}\n")
 
 
+def test_the_lookahead_has_no_default_cap():
+    """A 0-run longer than 10 * |Q|^|Q| = 270 letters, on --input and on
+    --stdin; on --input a cover that never stabilizes is exit 1."""
+    replace = fixture_path("replace.json")
+    assert run_cli("run", replace, "--input", "0" * 300 + "1(1)^w",
+                   "--letters", "5") == (0, "11111\n", "")
+    code, out, err = run_cli("run", replace, "--input", "(0)^w",
+                             "--letters", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no compatible cover") and err.count("\n") == 1
+    code, out, err = run_cli("run", replace, "--stdin",
+                             stdin=_stdin_letters("0" * 400 + "1"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1" * 401
+
+
 @pytest.mark.parametrize("kind, fixture, field, command", [
     ("transducer", "replace.json", "transitions", ("check",)),
     ("SST", "replace_sst.json", "out", ("convert", "--from", "sst", "--to", "2dt")),

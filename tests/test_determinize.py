@@ -178,9 +178,10 @@ def test_pipeline_rejects_discontinuous(normalize_t):
 
 def test_pipeline_lookahead_beyond_ten_n(replace_t):
     # The first cover must read past the 1500 zeros: far more letters than
-    # 10 * n + 1000 for n = 1, yet well within max_lookahead.
+    # 10 * n + 1000 for n = 1, and more than 10 * |Q|^|Q| = 270; the
+    # lookahead has no cap.
     x = parse_upword("0" * 1500 + "1(01)^w")
-    r = run_pipeline(replace_t, x, 1, max_lookahead=5000)
+    r = run_pipeline(replace_t, x, 1)
     assert r.steps == 1
     assert up_starts_with(nft.oracle_eval(replace_t, x), r.emitted)
 
@@ -269,7 +270,7 @@ def test_invariant_checker_catches_corruption(double_t):
     ann_C = [frozenset({"q1", "q2"}), frozenset({"q1", "q2"}), frozenset({"q0"})]
     for a, C in zip("001", ann_C):
         det.step(a, C)
-        checker.after_step(a, det.trace[-1].pre_step)
+        checker.after_step(a)
     det.lag = {q: det.lag[q] + ("2",) for q in det.lag}
     with pytest.raises(InvariantError):
         checker.check()
@@ -421,7 +422,7 @@ def test_invariant_checker_catches_a_wrong_output_letter(double_t):
     # the right length with the wrong letter: every rest keeps its length
     det.emitted[-1] = "1"
     with pytest.raises(InvariantError):
-        session.checker.after_step(a, det.trace[-1].pre_step)
+        session.checker.after_step(a)
 
 def three_branch_machine():
     """double.json with a third branch: on an a, q0 guesses q1, q2 or q3,
