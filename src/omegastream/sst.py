@@ -5,6 +5,12 @@ over output letters and register references).  The distinguished `out`
 register is append-only: every update maps out to out followed by new
 material, and out appears nowhere else.
 
+eval_limit decides f(u v^w) exactly, with no budget: it returns the UP
+output, or None when the machine blocks or out stops growing.  It assumes
+bounded copying along the input's loop, which every copyless or K-bounded
+machine has, and raises ContractError when the registers feeding out never
+settle.
+
 Also here: saturated counting matrices for copyless/K-bounded checking, and
 deterministic Buchi automata for domains.
 """
@@ -15,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .nft import BudgetExceeded, closure
+from .nft import ContractError, closure
 from .words import UPWord, Word, canonicalize, json_object, word
 
 
@@ -246,56 +252,46 @@ class _Evaluator:
         return True
 
 
-MAX_LOOPS = 256  # period iterations eval_limit searches for a state lasso
-
-
 def eval_limit(S: StreamingTransducer, x: UPWord) -> Optional[UPWord]:
-    """f(x) for a UP input, or None when undefined.
+    """f(x) for a UP input u v^w, or None when undefined, decided exactly.
 
-    The machine state plus register-emptiness vector is eventually periodic
-    over x, giving a lasso of input positions; the out-increments per lasso
-    loop are then checked for stability and extrapolated.  None when the
-    machine blocks or out stops growing over a full validated loop;
-    BudgetExceeded when no lasso shows within MAX_LOOPS periods or the
-    increments do not settle within 4·MAX_LOOPS.
+    Past u, the state at a period end repeats within |Q| + 1 periods, and
+    from there every delta periods apply one fixed substitution.  Its
+    register dependencies give D, the registers whose values out's
+    increments read, directly or through other registers; D is closed
+    under the substitution.  Once one application leaves the values of D
+    unchanged, every later increment equals the one just appended, so f(x)
+    is out · inc^w.  None when S blocks or inc is empty.  With bounded
+    copying the dependencies have no cycle inside D, so that happens within
+    |D| + 1 applications; when it does not, a register cycle feeds out and
+    ContractError is raised.
     """
     u, v = x.prefix, x.period
     ev = _Evaluator(S)
     if not ev.feed(u):
         return None
-
-    def key():
-        return ev.q, bool(ev.out), frozenset(ev.val)
-
-    seen = {key(): 0}
-    ends = [len(ev.out)]  # length of out after each period
-    for k in range(1, MAX_LOOPS + 1):
+    seen: Dict[str, int] = {}
+    while ev.q not in seen:
+        seen[ev.q] = len(seen)
         if not ev.feed(v):
             return None
-        ends.append(len(ev.out))
-        sig = key()
-        if sig in seen:
-            k0, delta = seen[sig], k - seen[sig]
-            break
-        seen[sig] = k
-    else:
-        raise BudgetExceeded("eval_limit: no state lasso within budget")
-    # out-increments per lasso loop; require stability over a validation window
-    while True:
-        need = k0 + 7 * delta
-        while len(ends) - 1 < need:
-            if not ev.feed(v):
-                return None
-            ends.append(len(ev.out))
-        marks = [ends[k0 + m * delta] for m in range(7)]
-        incs = [ev.out[marks[m]:marks[m + 1]] for m in range(6)]
-        if all(i == incs[0] for i in incs):
-            if len(incs[0]) == 0:
-                return None
-            return canonicalize(ev.out[:marks[0]], incs[0])
-        k0 += delta
-        if k0 > MAX_LOOPS * 4:
-            raise BudgetExceeded("eval_limit: out growth did not stabilize")
+    loop = v * (len(seen) - seen[ev.q])
+    deps: Dict[str, set] = {r: {r} for r in S.registers}
+    q = ev.q
+    for a in loop:
+        deps = {r: set().union(*(deps.get(t, ()) for t in refs))
+                for r, (_, refs) in S.updates[(q, a)].parts.items()}
+        q = S.delta[(q, a)]
+    D = closure(deps[S.out] - {S.out}, lambda r: deps.get(r, ()))
+    for _ in range(len(D) + 1):
+        before, mark = [ev.val.get(r) for r in D], len(ev.out)
+        ev.feed(loop)
+        if [ev.val.get(r) for r in D] == before:
+            inc = ev.out[mark:]
+            return canonicalize(ev.out[:mark], inc) if inc else None
+    raise ContractError(
+        "eval_limit: the registers feeding out never settle on this input,"
+        " so the machine copies without bound")
 
 
 # -- copy bounds ------------------------------------------------------------------

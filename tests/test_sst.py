@@ -26,7 +26,8 @@ from omegastream.sst import (
     format_mixed,
     parse_mixed,
 )
-from omegastream.words import parse_upword, up_equal, word
+from omegastream.nft import ContractError
+from omegastream.words import canonicalize, parse_upword, up_equal, word
 
 from conftest import scattered_one_state_ssts
 
@@ -379,15 +380,68 @@ def test_json_roundtrip(tmp_path, replace_sst_m):
     ).out
 
 
-def test_eval_limit_out_of_loops_raises_budget_exceeded(replace_sst_m,
-                                                        monkeypatch):
+# -- exact limits ----------------------------------------------------------------
+
+
+def _one_state_sst(letters, registers, updates):
+    return StreamingTransducer(
+        input_alphabet=frozenset(letters),
+        output_alphabet=frozenset("abx"),
+        states=frozenset({"p"}),
+        initial="p",
+        registers=frozenset(registers),
+        out="out",
+        delta={("p", a): "p" for a in letters},
+        updates={("p", a): Substitution(img) for a, img in updates.items()},
+    )
+
+
+def _shift_sst(n):
+    """u loads r1..r(n-1) with b and rn with a; each v appends r1 to out,
+    shifts r_i := r_(i+1) and sets rn := b."""
+    regs = [f"r{i}" for i in range(1, n + 1)]
+    load = {r: ("b",) for r in regs[:-1]}
+    load[regs[-1]] = ("a",)
+    load["out"] = (Reg("out"),)
+    shift = {r: (Reg(s),) for r, s in zip(regs, regs[1:])}
+    shift[regs[-1]] = ("b",)
+    shift["out"] = (Reg("out"), Reg("r1"))
+    return _one_state_sst("uv", ["out"] + regs, {"u": load, "v": shift})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_eval_limit_register_chains(n):
+    got = eval_limit(_shift_sst(n), parse_upword("u(v)^w"))
+    assert got == canonicalize("b" * (n - 1) + "a", "b")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+           small_ssts().filter(lambda S: check_copyless(S) or check_bounded(S, 3)),
+           scattered_one_state_ssts()),
+       st.text("ab", max_size=4), st.text("ab", min_size=1, max_size=4))
+def test_eval_limit_agrees_with_prefix_and_domain(S, u, v):
+    x = canonicalize(u, v)
+    y = eval_limit(S, x)
+    assert (y is None) == (not domain_automaton(S).accepts(x))
+    if y is not None:
+        periods = 3 * len(S.registers) + 10
+        out = eval_prefix(S, x.first(len(x.prefix) + periods * len(x.period))).out
+        assert y.first(len(out)) == out
+
+
+def test_eval_limit_raises_contract_error_on_unsettled_registers():
     from omegastream.analysis import BudgetExceeded as reexported
     from omegastream.nft import BudgetExceeded
 
     assert reexported is BudgetExceeded
-    x = parse_upword("(001)^w")
-    assert eval_limit(replace_sst_m, x) is not None
-    # the state lasso on (001)^w closes after two periods, not one
-    monkeypatch.setattr(sst, "MAX_LOOPS", 1)
-    with pytest.raises(BudgetExceeded, match="no state lasso"):
-        eval_limit(replace_sst_m, x)
+    x = parse_upword("(v)^w")
+    # out reads r, which grows forever: out is x xx xxx ..., no UP word
+    growing = _one_state_sst("v", ["out", "r"], {"v": {
+        "out": (Reg("out"), Reg("r")), "r": (Reg("r"), "x")}})
+    with pytest.raises(ContractError, match="copies without bound"):
+        eval_limit(growing, x)
+    # copying without bound, yet the values settle at once
+    settled = _one_state_sst("v", ["out", "r"], {"v": {
+        "out": (Reg("out"), Reg("r"), "b"), "r": (Reg("r"),)}})
+    assert eval_limit(settled, x) == canonicalize("", "b")
