@@ -7,8 +7,11 @@ first compatible subset whose future push-images coincide with the
 frontier's — found by consuming lookahead letters, smallest subset order
 (lexicographic on sorted state names) breaking ties.  On the domain the
 cover always stabilizes, so the lookahead has no cap unless one is asked
-for; on an ultimately periodic word, a scan configuration (frontier,
-candidate images) that repeats at a period start proves that it never does.
+for.  On an ultimately periodic word the whole input is known: the exact
+oracle decides its membership in the domain before C0, and a scan
+configuration (frontier, candidate images) that repeats at a period start
+proves that a cover never stabilizes.  A stream cannot be decided up
+front, so a word outside the domain may stream without an error.
 
 The doubly-exponential automaton realizing the same sequence is never
 materialized; the lookahead buffer plays its role.
@@ -19,20 +22,22 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Union
 
 from .analysis import AnalysisContext
-from .nft import push
+from .nft import oracle_run, push
 from .words import UPWord
 
 
 class DivergedError(Exception):
-    """No compatible cover of the frontier stabilizes: the input is outside
-    the domain, or, with `cap`, the opt-in lookahead cap came first."""
+    """The input is outside the domain: a UP input has no accepting run
+    with infinite output, or no compatible cover of the frontier
+    stabilizes, or, with a lookahead cap, the cap came first."""
 
-    def __init__(self, position, frontier, cap: Optional[int] = None):
-        within = "" if cap is None else f" within {cap} lookahead letters"
-        super().__init__(
-            f"no compatible cover of {sorted(frontier)} stabilizes{within} "
-            f"at position {position}"
-        )
+
+def _no_cover(position, frontier, cap: Optional[int] = None) -> DivergedError:
+    within = "" if cap is None else f" within {cap} lookahead letters"
+    return DivergedError(
+        f"no compatible cover of {sorted(frontier)} stabilizes{within} "
+        f"at position {position}"
+    )
 
 
 class UnknownLetterError(Exception):
@@ -111,7 +116,7 @@ def cover(
         if done:
             return j, min(done, key=sorted)
         if max_lookahead is not None and j - position >= max_lookahead:
-            raise DivergedError(position, S, max_lookahead)
+            raise _no_cover(position, S, max_lookahead)
         if seen is not None and buffer.phase(j) == 0:
             # the same letters follow every period start: a repeat loops
             key = (frontier, frozenset(img for img, _ in pairs))
@@ -126,7 +131,7 @@ def cover(
             entry[0] = push(T, entry[0], (a,))
         pairs = [e for e in pairs if e[0]]
         j += 1
-    raise DivergedError(position, S)
+    raise _no_cover(position, S)
 
 
 def annotate(
@@ -136,8 +141,10 @@ def annotate(
 ) -> Iterator:
     """Yield C0, then (letter, C) pairs, following the input.
 
-    `source` is a UPWord, on which a cover that never stabilizes raises
-    DivergedError, or any iterable of letters, read as a stream.  Emissions
+    `source` is a UPWord, or any iterable of letters, read as a stream.
+    On a UPWord every letter is checked first, and a word outside the
+    domain (no accepting run with infinite output) raises DivergedError
+    before C0, as does a cover that never stabilizes.  Emissions
     lag the input by the current cover lookahead; the lag is finite on the
     domain of the machine's function.  max_lookahead is an opt-in cap on
     that lag (None: no cap).  A finite stream ends the annotations at its
@@ -147,6 +154,15 @@ def annotate(
     """
     T = ctx.T
     buf = _Buffer(source, T.input_alphabet)
+    x = buf.word
+    if x is not None:
+        buf.get(len(x.prefix) + len(x.period) - 1)  # check every letter
+        run = oracle_run(T, x)
+        if run is None or run.output is None:
+            raise DivergedError(
+                f"{x} is outside the domain: it has no accepting run with "
+                "infinite output"
+            )
     pos = 0
     found = cover(ctx, T.initial, buf, 0, max_lookahead)
     if found is None:
@@ -159,7 +175,7 @@ def annotate(
             return
         frontier = push(T, good, (a,))
         if not frontier:
-            raise DivergedError(pos + 1, good)
+            raise _no_cover(pos + 1, good)
         pos += 1
         found = cover(ctx, frontier, buf, pos, max_lookahead)
         if found is None:

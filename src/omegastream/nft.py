@@ -1,10 +1,12 @@
 """One-way nondeterministic Buchi transducers.
 
 Machines are loaded from JSON, kept immutable, and evaluated exactly on
-ultimately periodic inputs u v^w by a liveness pass over the (state,
-phase) graph of v followed by one forward walk: O(|Q|·deg·(|u| + |v|))
-time, deg the largest number of transitions from one state on one letter.
-Two accepting runs on the input, whatever their outputs, raise
+ultimately periodic inputs u v^w.  One backward pass over v builds the
+block graph of the period on Q, an SCC pass over its |Q| nodes finds the
+states where accepting runs start, and one forward walk follows the run:
+O((|u| + |v|)·deg·|Q|) integer operations on |Q|-bit masks, deg the
+largest number of transitions from one state on one letter.  Two
+accepting runs on the input, whatever their outputs, raise
 AmbiguityError.  Normalization passes (trim, clean, make_productive)
 preserve the computed function; each has a matching predicate so
 already-normal machines are returned unchanged.
@@ -111,6 +113,26 @@ class OneWayTransducer:
             for v in cache.values():
                 v.sort(key=lambda t: (t[0], t[1]))
             object.__setattr__(self, "_by_src_cache", cache)
+        return cache
+
+    def _numbered(self):
+        """(names, final, succ, masks) with the states numbered in sorted
+        order: final has the bits of the final states, succ[a][p] lists
+        p's (target number, output) pairs on a in succ order, and
+        masks[a][p] has the bits of those targets."""
+        cache = self.__dict__.get("_numbered_cache")
+        if cache is None:
+            names = sorted(self.states)
+            num = {q: p for p, q in enumerate(names)}
+            succ: Dict[object, List[tuple]] = {}
+            for (q, a), row in self._by_src().items():
+                succ.setdefault(a, [()] * len(names))[num[q]] = tuple(
+                    (num[q2], out) for q2, out in row)
+            masks = {a: [sum({1 << p for p, _ in row}) for row in rows]
+                     for a, rows in succ.items()}
+            final = sum(1 << num[q] for q in self.final)
+            cache = (names, final, succ, masks)
+            object.__setattr__(self, "_numbered_cache", cache)
         return cache
 
     def _by_letter(self):
@@ -457,39 +479,62 @@ class RunLasso:
     output: Optional[UPWord]  # None when the run output is finite
 
 
-def _phase_graph(T: OneWayTransducer, v: Word):
-    """Nodes (q, j) for j < |v|; edges consume v[j]."""
-    n = len(v)
-    return {
-        (q, j): [(q2, (j + 1) % n) for q2, _ in T.succ(q, v[j])]
-        for q in T.states
-        for j in range(n)
-    }
+def _pre(masks: Optional[List[int]], live: int) -> int:
+    """Bits of the states with a move on one letter into `live`, given
+    that letter's per-state target masks (None: no state reads it)."""
+    return sum(1 << p for p, m in enumerate(masks or ()) if m & live)
 
 
-def _live_nodes(T: OneWayTransducer, v: Word) -> set:
-    """Phase-graph nodes where an accepting run on v^w starts: those that
-    reach a cyclic component holding a final state."""
-    adj = _phase_graph(T, v)
-    live = set()
+def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
+    """For each phase j of v, the bits (over T._numbered()'s order) of the
+    states where an accepting run on v[j:] v^w starts.
+
+    One backward pass over v gives the block graph G on Q: p -> q when a
+    run reads v from p to q, an F-edge when such a run visits a final
+    state before its last letter.  Every cycle of the (state, phase) graph
+    passes phase 0, so the live states at phase 0 are those that reach a
+    cyclic component of G with an F-edge inside it.  A second backward
+    pass carries them to every phase."""
+    names, final, succ, masks = T._numbered()
+    n = len(names)
+    none = [()] * n
+    # runs from each p at phase j: reach[p] ends at the next period start,
+    # freach[p] holds the ends of those that meet a final state on the way
+    reach = [1 << p for p in range(n)]
+    freach = [0] * n
+    for a in reversed(v):
+        nr, nf = [], []
+        for p, row in enumerate(succ.get(a, none)):
+            r = f = 0
+            for q, _ in row:
+                r |= reach[q]
+                f |= freach[q]
+            nr.append(r)
+            nf.append(r if final >> p & 1 else f)
+        reach, freach = nr, nf
+    adj = {p: [q for q in range(n) if reach[p] >> q & 1] for p in range(n)}
+    live = 0
     for comp in _sccs(adj):  # successors' components come first
-        if (
-            _cyclic(comp, adj) and any(q in T.final for q, _ in comp)
-        ) or any(m in live for node in comp for m in adj[node]):
-            live.update(comp)
-    return live
+        bits = sum(1 << p for p in comp)
+        # an F-edge inside a component lies on a cycle, a self-loop included
+        if any(freach[p] & bits or reach[p] & live for p in comp):
+            live |= bits
+    out = [0] * len(v)
+    for j in reversed(range(len(v))):
+        live = out[j] = _pre(masks.get(v[j]), live)
+    return out
 
 
 def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     """The unique accepting run on x = u v^w as a lasso, or None.
 
-    Three linear passes, O(|Q|·deg·(|u| + |v|)) time with deg the largest
-    number of transitions from one state on one letter: one SCC pass over
-    the phase graph marks the live (state, phase) nodes, where an
-    accepting run on v^w starts; one backward pass over u gives the live
-    states before each prefix letter; one forward walk from the live
-    initial state follows the live successor until a (state, phase) node
-    repeats, which closes the loop.
+    O((|u| + |v|)·deg·|Q|) integer operations on |Q|-bit masks, deg the
+    largest number of transitions from one state on one letter, plus an
+    SCC pass over |Q| nodes: _live_masks gives the live states at each
+    phase of v, where an accepting run on the rest of x starts; one
+    backward pass over u gives them before each prefix letter; one
+    forward walk from the live initial state follows the live successor
+    until a (state, phase) node repeats, which closes the loop.
 
     Raises AmbiguityError when x has two accepting runs: two live initial
     states, or a step with two live successors.  Runs are compared, not
@@ -497,47 +542,44 @@ def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     an unambiguous machine nothing raises.
     """
     u, v = x.prefix, x.period
-    live = _live_nodes(T, v)
-    live_at = [{q for q in T.states if (q, 0) in live}]
+    names, _, succ, masks = T._numbered()
+    live = _live_masks(T, v)
+    live_at = [live[0]]
     for a in reversed(u):
-        nxt = live_at[-1]
-        live_at.append(
-            {q for q in T.states if any(q2 in nxt for q2, _ in T.succ(q, a))}
-        )
+        live_at.append(_pre(masks.get(a), live_at[-1]))
     live_at.reverse()
 
-    def is_live(q, i):
-        """Whether an accepting run on x starts in q after i letters."""
-        if i <= len(u):
-            return q in live_at[i]
-        return (q, (i - len(u)) % len(v)) in live
+    def live_after(i):
+        """Bits of the states where an accepting run on x starts after i
+        letters."""
+        return live_at[i] if i < len(u) else live[(i - len(u)) % len(v)]
 
-    states = sorted(T.initial & live_at[0])
+    states = [p for p, q in enumerate(names)
+              if q in T.initial and live_at[0] >> p & 1]
     if not states:
         return None
     if len(states) > 1:
         raise AmbiguityError(
-            f"accepting runs start in both {states[0]} and {states[1]}"
+            f"accepting runs start in both {names[states[0]]} and "
+            f"{names[states[1]]}"
         )
     outs: List[Word] = []
-    seen: Dict[Tuple[str, int], int] = {}  # phase node -> first position
+    seen: Dict[Tuple[int, int], int] = {}  # phase node -> first position
     i = 0
     while True:
-        q = states[-1]
+        p = states[-1]
         if i >= len(u):
-            node = (q, (i - len(u)) % len(v))
+            node = (p, (i - len(u)) % len(v))
             if node in seen:
                 break
             seen[node] = i
-        nexts = [
-            (q2, out)
-            for q2, out in T.succ(q, x.letter_at(i))
-            if is_live(q2, i + 1)
-        ]
+        nxt = live_after(i + 1)
+        nexts = [(q, out) for q, out in succ[x.letter_at(i)][p]
+                 if nxt >> q & 1]
         if len(nexts) > 1:
             raise AmbiguityError(
                 f"two accepting runs part after {i + 1} letters, in "
-                f"{nexts[0][0]} and {nexts[1][0]}"
+                f"{names[nexts[0][0]]} and {names[nexts[1][0]]}"
             )
         states.append(nexts[0][0])
         outs.append(nexts[0][1])
@@ -549,7 +591,8 @@ def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
         if loop_out
         else None
     )
-    return RunLasso(states[: j + 1], states[j:], output)
+    path = [names[p] for p in states]
+    return RunLasso(path[: j + 1], path[j:], output)
 
 
 def oracle_eval(T: OneWayTransducer, x: UPWord) -> Optional[UPWord]:

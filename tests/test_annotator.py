@@ -6,7 +6,7 @@ import pytest
 
 from omegastream import nft
 from omegastream.analysis import AnalysisContext
-from omegastream.annotator import DivergedError, annotate
+from omegastream.annotator import DivergedError, _Buffer, annotate, cover
 from omegastream.determinize import run_pipeline
 from omegastream.words import canonicalize, parse_upword, up_starts_with
 
@@ -64,12 +64,16 @@ def test_divergence(replace_t):
 
 def test_divergence_on_a_up_word_needs_no_cap(replace_t):
     """On the UPWord (0)^w the cover of the first 0 repeats its scan
-    configuration at once, so DivergedError comes with no cap."""
+    configuration at once, so DivergedError comes with no cap; annotate
+    itself rejects the word before C0, as it is outside the domain."""
     ctx = AnalysisContext(nft.normalize(replace_t))
-    ann = annotate(ctx, parse_upword("(0)^w"))
-    assert next(ann) == frozenset({"q0"})
+    x = parse_upword("(0)^w")
+    buf = _Buffer(x, ctx.T.input_alphabet)
+    assert cover(ctx, {"q0"}, buf, 0, None) == (0, frozenset({"q0"}))
     with pytest.raises(DivergedError, match="no compatible cover of"):
-        next(ann)
+        cover(ctx, {"q1", "q2"}, buf, 1, None)
+    with pytest.raises(DivergedError, match="outside the domain"):
+        next(annotate(ctx, x))
 
 
 def _long_run_words(rng, alphabet, count):
@@ -84,27 +88,75 @@ def _long_run_words(rng, alphabet, count):
             yield canonicalize(x.prefix, run + x.period)
 
 
+def _pipeline_contract(T, x, n):
+    """DivergedError exactly when x is outside the domain; otherwise the
+    output of n letters is a prefix of the oracle's.  Returns whether x is
+    in the domain."""
+    ref = nft.oracle_eval(T, x)
+    try:
+        r = run_pipeline(T, x, n)
+    except DivergedError:
+        assert ref is None, str(x)
+        return False
+    assert ref is not None, str(x)
+    assert up_starts_with(ref, r.emitted), str(x)
+    return True
+
+
 def test_pipeline_contract_on_long_runs(replace_t):
-    """With no lookahead cap: on a word in the domain the pipeline raises
-    nothing and its output is a prefix of the oracle's; DivergedError only
-    ever comes on a word outside the domain.  (Only this direction holds:
-    a machine may stream a word outside its domain without raising.)"""
+    """With no lookahead cap: the pipeline raises DivergedError if and only
+    if the word is outside the domain, and otherwise its output is a
+    prefix of the oracle's."""
     rng = random.Random(19)
-    seen = {"in": 0, "diverged": 0}
+    seen = {True: 0, False: 0}
     for T, alphabet in ((replace_t, "012"), (replace_k(3), "0123")):
         for x in _long_run_words(rng, alphabet, 20):
-            ref = nft.oracle_eval(T, x)
             n = len(x.prefix) + len(x.period) + 5
-            try:
-                r = run_pipeline(T, x, n)
-            except DivergedError:
-                assert ref is None, str(x)
-                seen["diverged"] += 1
-                continue
-            if ref is not None:
-                assert up_starts_with(ref, r.emitted), str(x)
-                seen["in"] += 1
-    assert seen["in"] >= 20 and seen["diverged"] >= 2, seen
+            seen[_pipeline_contract(T, x, n)] += 1
+    assert seen[True] >= 20 and seen[False] >= 2, seen
+
+
+def _random_machine(rng, deterministic):
+    """2-5 states over {a, b}.  A deterministic machine computes a
+    sequential, hence continuous, function; a nondeterministic one only
+    outputs x, so its function is the constant x^w on its domain, which
+    is continuous too."""
+    states = [f"s{i}" for i in range(rng.randint(2, 5))]
+    outs = ["", "x", "y", "xy"] if deterministic else ["", "x"]
+    fanout = [0, 1, 1, 1] if deterministic else [0, 1, 1, 2]
+    transitions = {
+        (q, a, q2): tuple(rng.choice(outs))
+        for q in states
+        for a in "ab"
+        for q2 in rng.sample(states, rng.choice(fanout))
+    }
+    return nft.OneWayTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("xy"),
+        states=frozenset(states),
+        initial=frozenset(rng.sample(states, 1 if deterministic else 2)),
+        final=frozenset(rng.sample(states, rng.randint(1, len(states)))),
+        transitions=transitions,
+    )
+
+
+def test_pipeline_diverges_exactly_outside_the_domain():
+    """The same equivalence on 100 generated unambiguous machines with a
+    nonempty domain, 4 UP words each, on all of which the pipeline reads
+    three periods past the prefix."""
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    machines = 0
+    while machines < 100:
+        T = _random_machine(rng, deterministic=machines % 2 == 0)
+        if not nft.is_unambiguous(T) or not nft.normalize(T).initial:
+            continue
+        machines += 1
+        for _ in range(4):
+            x = random_upword(rng, "ab", max_prefix=4, max_period=4)
+            n = len(x.prefix) + 3 * len(x.period) + 5
+            seen[_pipeline_contract(T, x, n)] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 def test_prestep_chain_and_run_containment(replace_t, double_t):

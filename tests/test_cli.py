@@ -359,18 +359,43 @@ def test_max_lookahead_and_k_ranges():
 
 def test_the_lookahead_has_no_default_cap():
     """A 0-run longer than 10 * |Q|^|Q| = 270 letters, on --input and on
-    --stdin; on --input a cover that never stabilizes is exit 1."""
+    --stdin; on --input a word outside the domain is exit 1."""
     replace = fixture_path("replace.json")
     assert run_cli("run", replace, "--input", "0" * 300 + "1(1)^w",
                    "--letters", "5") == (0, "11111\n", "")
     code, out, err = run_cli("run", replace, "--input", "(0)^w",
                              "--letters", "5")
     assert (code, out) == (1, "")
-    assert err.startswith("error: no compatible cover") and err.count("\n") == 1
+    assert err.startswith("error: (0)^w is outside the domain")
+    assert err.count("\n") == 1
     code, out, err = run_cli("run", replace, "--stdin",
                              stdin=_stdin_letters("0" * 400 + "1"))
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "1" * 401
+
+
+def test_input_outside_the_domain_with_a_stable_cover(tmp_path):
+    """r -a/o-> r, r -b/o-> p, p -b/o-> p, F = {p}: the cover {r} stays
+    compatible through the run that leaves on b, so on (a)^w, where no b
+    ever comes, only the up-front domain check sees that the word is
+    outside the domain."""
+    machine = tmp_path / "late_exit.json"
+    machine.write_text(json.dumps({
+        "input_alphabet": ["a", "b"], "output_alphabet": ["o"],
+        "states": ["r", "p"], "initial": ["r"], "final": ["p"],
+        "transitions": [{"from": "r", "letter": "a", "to": "r", "out": "o"},
+                        {"from": "r", "letter": "b", "to": "p", "out": "o"},
+                        {"from": "p", "letter": "b", "to": "p", "out": "o"}],
+    }))
+    assert run_cli("oracle", str(machine), "(a)^w") == (1, "undefined\n", "")
+    for command in (("run",), ("annotate",)):
+        code, out, err = run_cli(*command, str(machine), "--input", "(a)^w",
+                                 "--letters", "5")
+        assert (code, out) == (1, "")
+        assert err == ("error: (a)^w is outside the domain: it has no "
+                       "accepting run with infinite output\n")
+    assert run_cli("run", str(machine), "--input", "a(b)^w",
+                   "--letters", "3") == (0, "ooo\n", "")
 
 
 @pytest.mark.parametrize("kind, fixture, field, command", [

@@ -155,6 +155,162 @@ def test_oracle_run_is_an_accepting_run(T, x):
         assert_accepting_run(T, x, run)
 
 
+# -- the phase-graph reference --------------------------------------------
+
+
+def _phase_graph(T, v):
+    """Nodes (q, j) for j < |v|; edges consume v[j]."""
+    n = len(v)
+    return {
+        (q, j): [(q2, (j + 1) % n) for q2, _ in T.succ(q, v[j])]
+        for q in T.states
+        for j in range(n)
+    }
+
+
+def reference_live_nodes(T, v):
+    """Phase-graph nodes where an accepting run on v^w starts: those that
+    reach a cyclic component holding a final state."""
+    adj = _phase_graph(T, v)
+    live = set()
+    for comp in nft._sccs(adj):  # successors' components come first
+        if (
+            nft._cyclic(comp, adj) and any(q in T.final for q, _ in comp)
+        ) or any(m in live for node in comp for m in adj[node]):
+            live.update(comp)
+    return live
+
+
+def reference_oracle_run(T, x):
+    """oracle_run over the |Q|·|v| phase graph: live nodes by Tarjan, a
+    backward pass over the prefix, and the forward walk."""
+    u, v = x.prefix, x.period
+    live = reference_live_nodes(T, v)
+    live_at = [{q for q in T.states if (q, 0) in live}]
+    for a in reversed(u):
+        nxt = live_at[-1]
+        live_at.append(
+            {q for q in T.states if any(q2 in nxt for q2, _ in T.succ(q, a))}
+        )
+    live_at.reverse()
+
+    def is_live(q, i):
+        if i <= len(u):
+            return q in live_at[i]
+        return (q, (i - len(u)) % len(v)) in live
+
+    states = sorted(T.initial & live_at[0])
+    if not states:
+        return None
+    if len(states) > 1:
+        raise AmbiguityError(
+            f"accepting runs start in both {states[0]} and {states[1]}"
+        )
+    outs, seen, i = [], {}, 0
+    while True:
+        q = states[-1]
+        if i >= len(u):
+            node = (q, (i - len(u)) % len(v))
+            if node in seen:
+                break
+            seen[node] = i
+        nexts = [(q2, out) for q2, out in T.succ(q, x.letter_at(i))
+                 if is_live(q2, i + 1)]
+        if len(nexts) > 1:
+            raise AmbiguityError(
+                f"two accepting runs part after {i + 1} letters, in "
+                f"{nexts[0][0]} and {nexts[1][0]}"
+            )
+        states.append(nexts[0][0])
+        outs.append(nexts[0][1])
+        i += 1
+    j = seen[node]
+    loop_out = _concat(outs[j:])
+    output = canonicalize(_concat(outs[:j]), loop_out) if loop_out else None
+    return nft.RunLasso(states[: j + 1], states[j:], output)
+
+
+@st.composite
+def nondeterministic_machines(draw):
+    """Zero to two targets per state and letter, one or two initial states
+    and any final set: ambiguous machines and states with no move on a
+    letter are common."""
+    n = draw(st.integers(1, 6))
+    states = [f"s{i}" for i in range(n)]
+    transitions = {}
+    for q in states:
+        for a in "ab":
+            for q2 in draw(st.sets(st.sampled_from(states), max_size=2)):
+                transitions[(q, a, q2)] = tuple(
+                    draw(st.sampled_from(["", "x", "y", "xy"])))
+    return OneWayTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("xy"),
+        states=frozenset(states),
+        initial=frozenset(draw(st.sets(st.sampled_from(states), min_size=1,
+                                       max_size=2))),
+        final=frozenset(draw(st.sets(st.sampled_from(states), min_size=1))),
+        transitions=transitions,
+    )
+
+
+def outcome(run, T, x):
+    """run(T, x), or the message of the AmbiguityError it raised."""
+    try:
+        return run(T, x)
+    except AmbiguityError as e:
+        return f"AmbiguityError: {e}"
+
+
+def assert_matches_reference(T, x):
+    names = sorted(T.states)
+    live = {
+        (q, j)
+        for j, mask in enumerate(nft._live_masks(T, x.period))
+        for p, q in enumerate(names)
+        if mask >> p & 1
+    }
+    assert live == reference_live_nodes(T, x.period)
+    assert outcome(nft.oracle_run, T, x) == outcome(reference_oracle_run, T, x)
+
+
+@SETTINGS
+@given(nondeterministic_machines(), up_words)
+def test_block_graph_liveness_matches_the_phase_graph(T, x):
+    assert_matches_reference(T, x)
+
+
+def test_block_graph_liveness_on_a_2000_letter_period(replace_t, double_t):
+    """The fixtures on blocks 0^n c, and seeded machines with one or two
+    targets per state and letter on a random word over {a, b}."""
+    rng = random.Random(11)
+    blocks = "".join("0" * rng.randint(0, 6) + rng.choice("12")
+                     for _ in range(500))
+    cases = [(T, parse_upword(f"01({blocks[:2000]})^w"))
+             for T in (replace_t, double_t)]
+    for _ in range(6):
+        states = [f"s{i}" for i in range(rng.randint(2, 6))]
+        T = OneWayTransducer(
+            input_alphabet=frozenset("ab"),
+            output_alphabet=frozenset("xy"),
+            states=frozenset(states),
+            initial=frozenset(rng.sample(states, rng.randint(1, 2))),
+            final=frozenset(rng.sample(states, 1)),
+            transitions={(q, a, q2): word(rng.choice(["", "x", "y"]))
+                         for q in states for a in "ab"
+                         for q2 in rng.sample(states, rng.randint(1, 2))},
+        )
+        period = "".join(rng.choice("ab") for _ in range(2000))
+        cases.append((T, parse_upword(f"ab({period})^w")))
+    kinds = set()
+    for T, x in cases:
+        assert len(x.period) >= 2000
+        assert_matches_reference(T, x)
+        result = outcome(nft.oracle_run, T, x)
+        kinds.add(type(result).__name__)
+    assert kinds == {"RunLasso", "str", "NoneType"}, kinds
+
+
 # -- long periods -----------------------------------------------------------
 
 
