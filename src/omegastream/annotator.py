@@ -5,13 +5,15 @@ The emitted sets follow the Good/cover semantics: after each letter the
 frontier is the push-image of the previous set, and the committed set is the
 first compatible subset whose future push-images coincide with the
 frontier's — found by consuming lookahead letters, smallest subset order
-(lexicographic on sorted state names) breaking ties.  On the domain the
-cover always stabilizes, so the lookahead has no cap unless one is asked
-for.  On an ultimately periodic word the whole input is known: the exact
-oracle decides its membership in the domain before C0, and a scan
-configuration (frontier, candidate images) that repeats at a period start
-proves that a cover never stabilizes.  A stream cannot be decided up
-front, so a word outside the domain may stream without an error.
+(lexicographic on sorted state names) breaking ties.  On a word with an
+accepting run the cover always stabilizes: each frontier holds a state of
+that run, the frontier states whose runs go on for ever along the rest of
+the word form a compatible set, and the others die after finitely many
+letters.  So the lookahead has no cap unless one is asked for.  On an
+ultimately periodic word the whole input is known, and the exact oracle
+decides its membership in the domain before C0; the machine must be
+unambiguous for that.  A stream cannot be decided up front, so a word
+outside the domain may stream without an error.
 
 The doubly-exponential automaton realizing the same sequence is never
 materialized; the lookahead buffer plays its role.
@@ -28,8 +30,8 @@ from .words import UPWord
 
 class DivergedError(Exception):
     """The input is outside the domain: a UP input has no accepting run
-    with infinite output, or no compatible cover of the frontier
-    stabilizes, or, with a lookahead cap, the cap came first."""
+    with infinite output, or a stream left every compatible cover of the
+    frontier, or, with a lookahead cap, the cap came first."""
 
 
 def _no_cover(position, frontier, cap: Optional[int] = None) -> DivergedError:
@@ -73,14 +75,6 @@ class _Buffer:
             self._buf.append(a)
         return self._buf[pos - self._base]
 
-    def phase(self, pos: int) -> Optional[int]:
-        """Offset of position pos in the period of a UP source; None in its
-        prefix and on a stream."""
-        x = self.word
-        if x is None or pos < len(x.prefix):
-            return None
-        return (pos - len(x.prefix)) % len(x.period)
-
     def drop_before(self, pos: int):
         if pos > self._base:
             cut = pos - self._base
@@ -101,14 +95,13 @@ def cover(
     subset of S satisfies push_w(C) = push_w(S) for w = letters
     (position..j]; C is the order-minimal such set.  Returns None when
     the stream ends before a cover stabilizes.  Raises DivergedError when
-    no cover can stabilize, or when max_lookahead letters (None: no cap)
-    were read without one.
+    no candidate is left, or when max_lookahead letters (None: no cap)
+    were read without a cover.
     """
     S = frozenset(S)
     # evolving images (push_w(C), push_w(S))
     pairs = [[c, c] for c in ctx.comp_subsets(S)]
     frontier = S
-    seen = None if buffer.word is None else set()
     T = ctx.T
     j = position
     while pairs:
@@ -117,12 +110,6 @@ def cover(
             return j, min(done, key=sorted)
         if max_lookahead is not None and j - position >= max_lookahead:
             raise _no_cover(position, S, max_lookahead)
-        if seen is not None and buffer.phase(j) == 0:
-            # the same letters follow every period start: a repeat loops
-            key = (frontier, frozenset(img for img, _ in pairs))
-            if key in seen:
-                break
-            seen.add(key)
         a = buffer.get(j)
         if a is None:
             return None
@@ -144,7 +131,9 @@ def annotate(
     `source` is a UPWord, or any iterable of letters, read as a stream.
     On a UPWord every letter is checked first, and a word outside the
     domain (no accepting run with infinite output) raises DivergedError
-    before C0, as does a cover that never stabilizes.  Emissions
+    before C0.  That check runs the exact oracle, which needs an
+    unambiguous machine: on an ambiguous one it raises AmbiguityError
+    before C0.  Emissions
     lag the input by the current cover lookahead; the lag is finite on the
     domain of the machine's function.  max_lookahead is an opt-in cap on
     that lag (None: no cap).  A finite stream ends the annotations at its

@@ -823,7 +823,12 @@ def run_pipeline(
     n: int,
     check_invariants: bool = False,
 ) -> PipelineResult:
-    """Normalize, annotate and determinize T over the first n letters of x."""
+    """Normalize, annotate and determinize T over the first n letters of x.
+
+    T must be continuous (ContinuityViolation otherwise) and unambiguous:
+    annotate decides x's membership in the domain with the exact oracle
+    before C0, and raises AmbiguityError on an ambiguous machine and
+    DivergedError on a word outside the domain."""
     ctx = prepare(T)
     session = StreamSession(ctx, x, check_invariants, trace=[])
     ann = annotate(ctx, x)

@@ -6,7 +6,7 @@ import pytest
 
 from omegastream import nft
 from omegastream.analysis import AnalysisContext
-from omegastream.annotator import DivergedError, _Buffer, annotate, cover
+from omegastream.annotator import DivergedError, annotate
 from omegastream.determinize import run_pipeline
 from omegastream.words import canonicalize, parse_upword, up_starts_with
 
@@ -63,17 +63,11 @@ def test_divergence(replace_t):
 
 
 def test_divergence_on_a_up_word_needs_no_cap(replace_t):
-    """On the UPWord (0)^w the cover of the first 0 repeats its scan
-    configuration at once, so DivergedError comes with no cap; annotate
-    itself rejects the word before C0, as it is outside the domain."""
+    """The UPWord (0)^w is outside the domain, so annotate rejects it
+    before C0, with no cap."""
     ctx = AnalysisContext(nft.normalize(replace_t))
-    x = parse_upword("(0)^w")
-    buf = _Buffer(x, ctx.T.input_alphabet)
-    assert cover(ctx, {"q0"}, buf, 0, None) == (0, frozenset({"q0"}))
-    with pytest.raises(DivergedError, match="no compatible cover of"):
-        cover(ctx, {"q1", "q2"}, buf, 1, None)
     with pytest.raises(DivergedError, match="outside the domain"):
-        next(annotate(ctx, x))
+        next(annotate(ctx, parse_upword("(0)^w")))
 
 
 def _long_run_words(rng, alphabet, count):
