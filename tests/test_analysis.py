@@ -29,8 +29,8 @@ from omegastream.words import (
 )
 
 from conftest import random_upword
-from test_determinize import period_branch_machines
-from test_lattice import lasso_branch_machines, small_machines
+from machines import (cycle_branch_machines, lasso_branch_machines,
+                      period_branch_machines, small_machines)
 
 
 @pytest.fixture(scope="module")
@@ -223,33 +223,6 @@ def reference_unequal_pair(T, C):
                         seen.add((nxt, d2))
                         queue.append((nxt, d2))
     return None
-
-
-@st.composite
-def cycle_branch_machines(draw):
-    """On an a, q0 guesses one of two or three branches.  Branch i runs an
-    a-cycle through one or two states with drawn outputs and returns to q0
-    on its own letter; any branch state may be final.  Their separable
-    sets can need loops of several edges."""
-    letters = "bcd"[:draw(st.integers(2, 3))]
-    states, transitions = ["q0"], {}
-    outs = st.sampled_from(["x", "y", "yy", "xyx"])
-    for i, c in enumerate(letters, start=1):
-        cycle = [f"q{i}", f"r{i}"][:draw(st.integers(1, 2))]
-        states += cycle
-        transitions[("q0", c, "q0")] = (c,)
-        transitions[("q0", "a", cycle[0])] = tuple(draw(st.sampled_from(["", "x"])))
-        for p, p2 in zip(cycle, cycle[1:] + cycle[:1]):
-            transitions[(p, "a", p2)] = tuple(draw(outs))
-        transitions[(cycle[-1], c, "q0")] = (c,)
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("a" + letters),
-        output_alphabet=frozenset("xy" + letters),
-        states=frozenset(states),
-        initial=frozenset({"q0"}),
-        final=frozenset({"q0"} | draw(st.sets(st.sampled_from(states[1:])))),
-        transitions=transitions,
-    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,

@@ -1,17 +1,21 @@
 """The online annotator producing the compatible-set stream."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from omegastream import nft
-from omegastream.analysis import AnalysisContext
+from omegastream.analysis import AnalysisContext, is_continuous
 from omegastream.annotator import DivergedError, annotate
 from omegastream.determinize import run_pipeline
-from omegastream.words import canonicalize, parse_upword, up_starts_with
+from omegastream.words import (UPWord, canonicalize, parse_upword, up_equal,
+                                up_starts_with)
 
 from conftest import in_domain_corpus, random_upword
-from test_lattice import replace_k
+from machines import replace_k, tagged_machines
 
 
 def _annotations(ctx, x, n):
@@ -88,7 +92,7 @@ def _pipeline_contract(T, x, n):
     in the domain."""
     ref = nft.oracle_eval(T, x)
     try:
-        r = run_pipeline(T, x, n)
+        r = run_pipeline(T, x, n, check_invariants=True)
     except DivergedError:
         assert ref is None, str(x)
         return False
@@ -110,47 +114,45 @@ def test_pipeline_contract_on_long_runs(replace_t):
     assert seen[True] >= 20 and seen[False] >= 2, seen
 
 
-def _random_machine(rng, deterministic):
-    """2-5 states over {a, b}.  A deterministic machine computes a
-    sequential, hence continuous, function; a nondeterministic one only
-    outputs x, so its function is the constant x^w on its domain, which
-    is continuous too."""
-    states = [f"s{i}" for i in range(rng.randint(2, 5))]
-    outs = ["", "x", "y", "xy"] if deterministic else ["", "x"]
-    fanout = [0, 1, 1, 1] if deterministic else [0, 1, 1, 2]
-    transitions = {
-        (q, a, q2): tuple(rng.choice(outs))
-        for q in states
-        for a in "ab"
-        for q2 in rng.sample(states, rng.choice(fanout))
-    }
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset(states),
-        initial=frozenset(rng.sample(states, 1 if deterministic else 2)),
-        final=frozenset(rng.sample(states, rng.randint(1, len(states)))),
-        transitions=transitions,
-    )
+def test_tagged_machines_agree_with_the_oracle():
+    """On generated machines whose construction fixes whether they are
+    continuous, is_continuous returns the tag.  On a continuous machine,
+    on four random UP words, the checked pipeline reads three periods past
+    the prefix and raises DivergedError exactly when the word is outside
+    the domain.  On one that is not, the oracle gives u u'^w the first
+    witness word, and the second one differs."""
+    seen = collections.Counter()
 
-
-def test_pipeline_diverges_exactly_outside_the_domain():
-    """The same equivalence on 100 generated unambiguous machines with a
-    nonempty domain, 4 UP words each, on all of which the pipeline reads
-    three periods past the prefix."""
-    rng = random.Random(17)
-    seen = {True: 0, False: 0}
-    machines = 0
-    while machines < 100:
-        T = _random_machine(rng, deterministic=machines % 2 == 0)
-        if not nft.is_unambiguous(T) or not nft.normalize(T).initial:
-            continue
-        machines += 1
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    @given(tagged_machines(), st.randoms(use_true_random=False))
+    def check(tagged, rng):
+        T, continuous = tagged
+        assume(nft.is_unambiguous(T))
+        Tn = nft.normalize(T)
+        assume(Tn.initial)
+        ok, w = is_continuous(T)
+        assert ok == continuous
+        seen["machines"] += 1
+        if not ok:
+            x = UPWord(w.u, w.u_loop)
+            assert nft.oracle_eval(nft.clean(nft.trim(T)), x) == w.words[0]
+            assert not up_equal(*w.words)
+            return
+        ctx = AnalysisContext(Tn)
+        seen["separable"] += sum(ctx.is_separable(C) is not None
+                                 for C in ctx.comp_subsets(Tn.states))
         for _ in range(4):
-            x = random_upword(rng, "ab", max_prefix=4, max_period=4)
+            x = random_upword(rng, sorted(T.input_alphabet), max_prefix=4,
+                              max_period=4)
             n = len(x.prefix) + 3 * len(x.period) + 5
             seen[_pipeline_contract(T, x, n)] += 1
+
+    check()
+    assert seen["machines"] >= 300 and seen["separable"] >= 50, seen
     assert seen[True] >= 100 and seen[False] >= 100, seen
+    assert seen[True] + seen[False] >= 400, seen
 
 
 def test_prestep_chain_and_run_containment(replace_t, double_t):

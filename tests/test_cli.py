@@ -9,10 +9,12 @@ import sys
 import pytest
 
 from omegastream import convert as conv
-from omegastream import fixture_path, sst, twoway
+from omegastream import fixture_path, nft, sst, twoway
 from omegastream.cli import main
 from omegastream.sst import check_bounded, check_copyless, eval_limit
 from omegastream.words import parse_upword, up_equal
+
+from machines import HASH_ORDER_MACHINE, replace_k, ring
 
 
 def run_cli(*argv, stdin=None):
@@ -206,8 +208,6 @@ def test_budget_exceeded_exit_code(monkeypatch):
 
 
 def test_analyze_and_annotate_reject_an_ambiguous_machine(tmp_path):
-    from test_product_index import HASH_ORDER_MACHINE
-
     path = tmp_path / "ambiguous.json"
     path.write_text(json.dumps(HASH_ORDER_MACHINE))
     for argv in (("analyze", str(path)),
@@ -534,22 +534,9 @@ def test_input_and_stdin_are_exclusive_and_required():
             assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
-def _ring(tmp_path, n):
-    """s_i --a/a--> s_(i+1 mod n), with s0 initial and final."""
-    path = tmp_path / f"ring{n}.json"
-    path.write_text(json.dumps({
-        "input_alphabet": ["a"], "output_alphabet": ["a"],
-        "states": [f"s{i}" for i in range(n)],
-        "initial": ["s0"], "final": ["s0"],
-        "transitions": [{"from": f"s{i}", "letter": "a",
-                         "to": f"s{(i + 1) % n}", "out": "a"}
-                        for i in range(n)],
-    }))
-    return str(path)
-
-
 def test_long_simple_paths_get_a_verdict(tmp_path):
-    path = _ring(tmp_path, 1500)
+    path = str(tmp_path / "ring1500.json")
+    nft.save(ring(1500), path)
     code, out, err = run_cli("check", path)
     assert (code, out.splitlines()[-1], err) == (0, "continuous: true", "")
     assert run_cli("run", path, "--input", "(a)^w", "--letters", "5") == (
@@ -557,9 +544,6 @@ def test_long_simple_paths_get_a_verdict(tmp_path):
 
 
 def test_tuple_product_budget(monkeypatch, tmp_path):
-    from test_lattice import replace_k
-
-    from omegastream import nft
     from omegastream.analysis import AnalysisContext, BudgetExceeded
 
     T = replace_k(3)

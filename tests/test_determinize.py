@@ -33,7 +33,8 @@ from omegastream.nft import ContractError
 from omegastream.words import UPWord, parse_upword, up_starts_with
 
 from conftest import flushy_corpus
-from test_lattice import lasso_branch_machines, small_machines
+from machines import (branch, lasso_branch_machines, period_branch_machines,
+                      small_machines)
 
 
 @pytest.fixture()
@@ -206,32 +207,10 @@ def test_one_bounded_traces(replace_t, double_t):
 
 
 @st.composite
-def period_branch_machines(draw):
-    """double.json with drawn loops: on an a, q0 guesses q1 or q2, which
-    output r^m per a until b or c closes the run, for r = x or xy; q1 and
-    q2 may be final.  Where {q1, q2} is compatible, an a-run puts the
-    determinizer in its separable mode, with Theta up to 12."""
-    root = draw(st.sampled_from(["x", "xy"]))
-    transitions = {("q0", "b", "q0"): ("b",), ("q0", "c", "q0"): ("c",)}
-    for q, c in (("q1", "b"), ("q2", "c")):
-        loop = tuple(root * draw(st.integers(1, 3)))
-        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = loop
-        transitions[(q, c, "q0")] = tuple(draw(st.sampled_from(["", c, "x" + c])))
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("abc"),
-        output_alphabet=frozenset("xybc"),
-        states=frozenset({"q0", "q1", "q2"}),
-        initial=frozenset({"q0"}),
-        final=frozenset({"q0"} | draw(st.sets(st.sampled_from(["q1", "q2"])))),
-        transitions=transitions,
-    )
-
-
-@st.composite
 def continuous_runs(draw, machines=None):
-    """An unambiguous continuous machine (from `machines`, by default the
-    three families above), an input in its domain and the oracle's output
-    on it."""
+    """An unambiguous continuous machine (from `machines`, by default small,
+    lasso-branch and period-branch machines), an input in its domain and
+    the oracle's output on it."""
     if machines is None:
         machines = st.one_of(small_machines(), lasso_branch_machines(),
                              period_branch_machines())
@@ -424,28 +403,8 @@ def test_invariant_checker_catches_a_wrong_output_letter(double_t):
     with pytest.raises(InvariantError):
         session.checker.after_step(a)
 
-def three_branch_machine():
-    """double.json with a third branch: on an a, q0 guesses q1, q2 or q3,
-    which output y, yy or yyy per a until b, c or d closes the run; q0 and
-    q1 are final.  Its compatible sets nest three deep, so on a long a-run
-    theta counters overflow below {q1, q3}, a path that is then not close."""
-    transitions = {}
-    for q, c, loop in (("q1", "b", "y"), ("q2", "c", "yy"), ("q3", "d", "yyy")):
-        transitions[("q0", c, "q0")] = (c,)
-        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = tuple(loop)
-        transitions[(q, c, "q0")] = (c,)
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("abcd"),
-        output_alphabet=frozenset("ybcd"),
-        states=frozenset({"q0", "q1", "q2", "q3"}),
-        initial=frozenset({"q0"}),
-        final=frozenset({"q0", "q1"}),
-        transitions=transitions,
-    )
-
-
 def test_three_branch_separability():
-    T = three_branch_machine()
+    T = branch(3)
     ctx = AnalysisContext(T)
     unequal = {
         frozenset({"q1", "q2"}): ("q1", "q2"),
@@ -457,33 +416,13 @@ def test_three_branch_separability():
         for C in itertools.combinations(sorted(T.states), r):
             sep = ctx.is_separable(C)
             assert (sep and sep.unequal_pair) == unequal.get(frozenset(C)), C
-    assert ctx.theta_length() == 6
-
-
-def with_branches(T, branches):
-    """T with more branches guessed by q0 on an a: (state, closing letter,
-    loop output) each."""
-    transitions = dict(T.transitions)
-    for q, c, loop in branches:
-        transitions[("q0", c, "q0")] = (c,)
-        transitions[("q0", "a", q)] = transitions[(q, "a", q)] = tuple(loop)
-        transitions[(q, c, "q0")] = (c,)
-    return nft.OneWayTransducer(
-        input_alphabet=T.input_alphabet | {c for _, c, _ in branches},
-        output_alphabet=T.output_alphabet | {c for _, c, _ in branches},
-        states=T.states | {q for q, _, _ in branches},
-        initial=T.initial,
-        final=T.final,
-        transitions=transitions,
-    )
 
 
 def test_four_branch_machine_streams():
     """A fourth branch, yyyy closed by e: every compatible set is decided
     and the machine streams under the invariant checker."""
-    T = with_branches(three_branch_machine(), [("q4", "e", "yyyy")])
+    T = branch(4)
     ctx = AnalysisContext(T)
-    assert ctx.theta_length() == 12
     # the separable sets are those holding the final q1 and another branch
     for r in range(1, len(T.states) + 1):
         for C in itertools.combinations(sorted(T.states), r):
@@ -499,14 +438,14 @@ def test_four_branch_machine_streams():
     assert one_bounded_trace(r.trace)
 
 
-def test_five_branch_theta():
-    T = with_branches(three_branch_machine(),
-                      [("q4", "e", "yyyy"), ("q5", "f", "yyyyy")])
-    assert AnalysisContext(T).theta_length() == 60
+@pytest.mark.parametrize("k, theta", [(3, 6), (4, 12), (5, 60)])
+def test_branch_theta(k, theta):
+    """Theta is the lcm of the loop lengths 1..k."""
+    assert AnalysisContext(branch(k)).theta_length() == theta
 
 
 def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):
-    T, x = three_branch_machine(), parse_upword("(a)^w")
+    T, x = branch(3), parse_upword("(a)^w")
     found = []
     find = InvariantChecker._find_decomposition
 

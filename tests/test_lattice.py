@@ -7,7 +7,6 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from omegastream import nft
 from omegastream.analysis import AnalysisContext
@@ -15,29 +14,7 @@ from omegastream.annotator import annotate
 from omegastream.determinize import Determinizer
 from omegastream.words import parse_upword
 
-
-def replace_k(k: int) -> nft.OneWayTransducer:
-    """k guess branches: on a 0, q0 guesses the letter that will close the
-    0-run and outputs it; branch qi accepts only that closing letter."""
-    letters = "123456789abcdef"[:k]
-    transitions = []
-    for i, a in enumerate(letters, start=1):
-        qi = f"q{i}"
-        transitions += [
-            {"from": "q0", "letter": "0", "to": qi, "out": a},
-            {"from": "q0", "letter": a, "to": "q0", "out": a},
-            {"from": qi, "letter": "0", "to": qi, "out": a},
-            {"from": qi, "letter": a, "to": "q0", "out": a},
-        ]
-    alphabet = ["0"] + list(letters)
-    return nft.from_dict({
-        "input_alphabet": alphabet,
-        "output_alphabet": alphabet,
-        "states": ["q0"] + [f"q{i}" for i in range(1, k + 1)],
-        "initial": ["q0"],
-        "final": ["q0"],
-        "transitions": transitions,
-    })
+from machines import lasso_branch_machines, replace_k, small_machines
 
 
 def brute_force(ctx, S):
@@ -104,31 +81,6 @@ def test_lattice_keeps_sets_with_an_incompatible_subset():
         assert (a, C) == ("a", frozenset({"p", "q", "r"}))
 
 
-@st.composite
-def small_machines(draw):
-    """A partial, possibly nondeterministic machine: each state gets zero
-    to two targets per letter.  Sets whose subsets are incompatible are
-    rare among these; lasso_branch_machines below is built to have them."""
-    n = draw(st.integers(2, 5))
-    states = [f"s{i}" for i in range(n)]
-    outs = st.sampled_from(["", "x", "y", "xy"])
-    transitions = {}
-    for q in states:
-        for a in "ab":
-            for q2 in draw(st.sets(st.sampled_from(states), max_size=2)):
-                transitions[(q, a, q2)] = tuple(draw(outs))
-    initial = draw(st.sets(st.sampled_from(states), min_size=1, max_size=2))
-    final = draw(st.sets(st.sampled_from(states), min_size=1, max_size=n))
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset(states),
-        initial=frozenset(initial),
-        final=frozenset(final),
-        transitions=transitions,
-    )
-
-
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
@@ -138,38 +90,6 @@ def test_lattice_matches_brute_force_on_generated_machines(T):
     Tn = nft.normalize(T)
     assume(Tn.states)
     check_every_subset(Tn)
-
-
-@st.composite
-def lasso_branch_machines(draw):
-    """i guesses one of 2-4 branches on an a.  A branch is a final state
-    looping on one letter, or a non-final stem looping on one letter that
-    leaves on another into a final state looping on a third.  Stems loop
-    together while their finals cannot, which is where compatibility fails
-    to be downward closed; random machines almost never show it."""
-    shape = st.tuples(st.booleans(), *[st.sampled_from("ab")] * 3)
-    shapes = draw(st.sets(shape, min_size=2, max_size=4))
-    states, final, transitions = ["i"], [], {}
-    for j, (stem_final, loop, exit_, fin_loop) in enumerate(sorted(shapes)):
-        stem, acc = f"q{j}", f"f{j}"
-        states.append(stem)
-        transitions[("i", "a", stem)] = ("x",)
-        transitions[(stem, loop, stem)] = ("x",)
-        if stem_final:
-            final.append(stem)
-        else:
-            states.append(acc)
-            final.append(acc)
-            transitions[(stem, exit_, acc)] = ("x",)
-            transitions[(acc, fin_loop, acc)] = ("x",)
-    return nft.OneWayTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("x"),
-        states=frozenset(states),
-        initial=frozenset({"i"}),
-        final=frozenset(final),
-        transitions=transitions,
-    )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,

@@ -13,6 +13,7 @@ from omegastream.nft import AmbiguityError, OneWayTransducer
 from omegastream.words import UPWord, parse_upword, up_equal, word
 
 from conftest import random_upword
+from machines import ambiguous_machine
 
 
 # -- structure ---------------------------------------------------------------
@@ -65,23 +66,8 @@ def test_trim_removes_dead_states(replace_t):
     assert set(nft.trim(bigger).states) == set(T.states)
 
 
-def _ambiguous_machine():
-    # two accepting runs over (a)^w
-    return OneWayTransducer(
-        input_alphabet=frozenset("a"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset({"p", "q"}),
-        initial=frozenset({"p", "q"}),
-        final=frozenset({"p", "q"}),
-        transitions={
-            ("p", "a", "p"): word("x"),
-            ("q", "a", "q"): word("y"),
-        },
-    )
-
-
 def test_ambiguity_detected():
-    M = _ambiguous_machine()
+    M = ambiguous_machine()
     assert not nft.is_unambiguous(M)
     with pytest.raises(AmbiguityError):
         nft.oracle_eval(M, parse_upword("(a)^w"))

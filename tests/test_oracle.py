@@ -12,8 +12,9 @@ from omegastream import nft
 from omegastream.nft import AmbiguityError, OneWayTransducer
 from omegastream.words import UPWord, canonicalize, parse_upword, word
 
-from test_lattice import lasso_branch_machines
-from test_nft import _ambiguous_machine
+from machines import (ambiguous_machine, deterministic_machines,
+                      lasso_branch_machines, nondeterministic_machines,
+                      random_machine)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.filter_too_much,
@@ -31,28 +32,6 @@ def _concat(outs):
 
 
 # -- deterministic machines -------------------------------------------------
-
-
-@st.composite
-def deterministic_machines(draw):
-    """One initial state and at most one transition per state and letter."""
-    n = draw(st.integers(1, 5))
-    states = [f"s{i}" for i in range(n)]
-    transitions = {}
-    for q in states:
-        for a in "ab":
-            q2 = draw(st.sampled_from(states + [None]))
-            if q2 is not None:
-                transitions[(q, a, q2)] = tuple(
-                    draw(st.sampled_from(["", "x", "y", "xy"])))
-    return OneWayTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset(states),
-        initial=frozenset({draw(st.sampled_from(states))}),
-        final=frozenset(draw(st.sets(st.sampled_from(states), min_size=1))),
-        transitions=transitions,
-    )
 
 
 def simulate(T, x):
@@ -230,28 +209,6 @@ def reference_oracle_run(T, x):
     return nft.RunLasso(states[: j + 1], states[j:], output)
 
 
-def random_machine(rng, max_states=6):
-    """1 to max_states states over {a, b}, zero to two targets per state
-    and letter, one or two initial states and any nonempty final set:
-    ambiguous machines and states with no move on a letter are common."""
-    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
-    fanout = min(2, len(states))
-    return OneWayTransducer(
-        input_alphabet=frozenset("ab"),
-        output_alphabet=frozenset("xy"),
-        states=frozenset(states),
-        initial=frozenset(rng.sample(states, rng.randint(1, fanout))),
-        final=frozenset(rng.sample(states, rng.randint(1, len(states)))),
-        transitions={(q, a, q2): word(rng.choice(["", "x", "y", "xy"]))
-                     for q in states for a in "ab"
-                     for q2 in rng.sample(states, rng.randint(0, fanout))},
-    )
-
-
-nondeterministic_machines = st.randoms(use_true_random=False).map(
-    random_machine)
-
-
 def outcome(run, T, x):
     """run(T, x), or the message of the AmbiguityError it raised."""
     try:
@@ -350,7 +307,7 @@ def _machine(initial, final, edges):
 
 def test_parallel_runs_raise():
     with pytest.raises(AmbiguityError):
-        nft.oracle_run(_ambiguous_machine(), parse_upword("(a)^w"))
+        nft.oracle_run(ambiguous_machine(), parse_upword("(a)^w"))
 
 
 def test_merging_runs_raise():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from omegastream import nft
 from omegastream.analysis import is_continuous
 
-from test_lattice import lasso_branch_machines, replace_k, small_machines
-from test_oracle import deterministic_machines
+from machines import (HASH_ORDER_MACHINE, deterministic_machines,
+                      lasso_branch_machines, replace_k, small_machines)
 
 
 def reference_succ(T, t):
@@ -90,27 +90,6 @@ def test_replace_k_is_continuous_and_already_normal():
         T = replace_k(k)
         assert is_continuous(T) == (True, None)
         assert nft.to_dict(nft.normalize(T)) == nft.to_dict(T)
-
-
-# Ambiguous and not continuous: on a b^w the runs from s0 and s1 output
-# x y^w and y^w.  Which constant-state witness the pair search found first
-# used to depend on the iteration order of the alphabet and initial-state
-# frozensets, so the normal form changed with the hash seed.
-HASH_ORDER_MACHINE = {
-    "input_alphabet": ["a", "b"],
-    "output_alphabet": ["x", "y"],
-    "states": ["s0", "s1"],
-    "initial": ["s0", "s1"],
-    "final": ["s0", "s1"],
-    "transitions": [
-        {"from": "s0", "letter": "a", "to": "s0", "out": ""},
-        {"from": "s0", "letter": "a", "to": "s1", "out": "x"},
-        {"from": "s0", "letter": "b", "to": "s0", "out": ""},
-        {"from": "s0", "letter": "b", "to": "s1", "out": "x"},
-        {"from": "s1", "letter": "a", "to": "s1", "out": ""},
-        {"from": "s1", "letter": "b", "to": "s1", "out": "y"},
-    ],
-}
 
 
 def test_normalize_independent_of_hash_seed(tmp_path):
