@@ -16,6 +16,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .sst import (
@@ -428,25 +429,41 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
     all_labels: List[Label] = sorted(
         itertools.product(range(K + 1), repeat=n_regs)
     )
-    # The forests of different states share most labels and chunk
-    # registers; these memos live for this call only.
-    parents: Dict[Tuple, Label] = {}
-    chunk_names: Dict[Tuple, str] = {}
+    # The forests of different states share most nodes, renames and merges;
+    # these memos live for this call only.
+    chunk = cache(_chunk_name)
 
+    @cache
     def parent(shapes, h: Label) -> Label:
-        key = (shapes, h)
-        if key not in parents:
-            parents[key] = _apply_parent(shapes, regs, h)
-        return parents[key]
+        return _apply_parent(shapes, regs, h)
 
-    def chunk(*key) -> str:
-        if key not in chunk_names:
-            chunk_names[key] = _chunk_name(*key)
-        return chunk_names[key]
+    @cache
+    def node(d: int, g: Label, shapes) -> Tuple[str, ...]:
+        """Chunk registers of the node labelled g at depth d."""
+        return tuple(chunk(d, g, *k) for k in _copies(g, shapes, regs))
+
+    @cache
+    def renames(d: int, g_old: Label, g_new: Label, shapes):
+        """(new, image) pairs moving the surviving copies of a node that
+        the step relabels from g_old to g_new."""
+        return tuple((chunk(d, g_new, *k), (Reg(chunk(d, g_old, *k)),))
+                     for k in _copies(g_new, shapes, regs))
+
+    @cache
+    def fresh(d: int, h: Label, shapes) -> Tuple[Tuple[str, int, int], ...]:
+        """(name, register index, chunk index) of every chunk register of
+        a new leaf: each stores that chunk of its register's image."""
+        return tuple((chunk(d, h, r, c, j), reg_idx[r], j)
+                     for r, c, j in _copies(h, shapes, regs))
+
+    @cache
+    def fused(l: int, h: Label, sh_low, sh_high):
+        return _fused_pieces(l, h, parent(sh_high, h), sh_low, sh_high,
+                             regs, reg_idx, chunk)
 
     def node_registers(state: _ForestState) -> List[str]:
-        return [chunk(d, g, *k) for d, level in enumerate(state.levels, start=1)
-                for g in level.labels for k in _copies(g, level.shapes, regs)]
+        return [name for d, level in enumerate(state.levels, start=1)
+                for g in level.labels for name in node(d, g, level.shapes)]
 
     def transition(state: _ForestState, a):
         if (state.q, a) not in S.delta:
@@ -552,11 +569,10 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
         for d in range(1, m + 1):
             for g_old, g_new in tilde[d].items():
                 if g_new in keep[d]:
-                    assign.update((chunk(d, g_new, *k), (Reg(chunk(d, g_old, *k)),))
-                                  for k in _copies(g_new, shapes_at[d], regs))
+                    assign.update(renames(d, g_old, g_new, shapes_at[d]))
         for h in new_level_labels[m + 1]:
-            for r, c, j in _copies(h, new_shapes, regs):
-                assign[chunk(m + 1, h, r, c, j)] = new_parts[reg_idx[r]][0][j]
+            assign.update((name, new_parts[i][0][j])
+                          for name, i, j in fresh(m + 1, h, new_shapes))
 
         levels2: List[_Level] = [
             _Level(shapes_at[d], tuple(new_level_labels[d]))
@@ -566,10 +582,7 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
 
         # Merge adjacent segments while the forest is too deep.
         while len(levels2) > L:
-            merged = _merge_levels(levels2, roots2, regs, assign, parent, chunk)
-            if merged is None:
-                raise ConversionError("no mergeable level in an overdeep forest")
-            levels2, assign = merged
+            levels2 = _merge_levels(levels2, assign, reg_idx, parent, node, fused)
 
         return _ForestState(S.delta[(state.q, a)], roots2, tuple(levels2)), assign
 
@@ -594,19 +607,14 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
             delta[(names[st], a)] = names[st2]
             raw_updates[(names[st], a)] = assign
 
+    # Every update writes the registers of its target's nodes and reads
+    # those of its source's; Substitution and StreamingTransducer check it.
     registers = {"out"}
     for st in names:
         registers.update(node_registers(st))
-    for assign in raw_updates.values():
-        registers.update(assign)
-        for mw in assign.values():
-            registers.update(str(t) for t in mw if isinstance(t, Reg))
-    updates = {
-        key: Substitution(
-            {r: assign.get(r, ()) for r in registers}
-        )
-        for key, assign in raw_updates.items()
-    }
+    empty = dict.fromkeys(registers, ())
+    updates = {key: Substitution({**empty, **assign})
+               for key, assign in raw_updates.items()}
     return StreamingTransducer(
         input_alphabet=frozenset(S.input_alphabet),
         output_alphabet=frozenset(S.output_alphabet),
@@ -619,16 +627,48 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
     )
 
 
-def _merge_levels(levels, roots, regs, assign, parent, chunk):
+def _fused_pieces(l, h, g, sh_low, sh_high, regs, reg_idx, chunk):
+    """(name, pieces) of every chunk register of the node h that fuses
+    depths l and l+1 into depth l below its single parent g: the register
+    receives the concatenation of the pieces' images."""
+    # Copy pools of the parent node feeding this (single) child.
+    pool = dict.fromkeys(regs, 0)
+
+    def take(t):
+        c = pool[t]
+        pool[t] += 1
+        if c >= g[reg_idx[t]]:
+            raise ConversionError("merge consumes more copies than stored")
+        return c
+
+    out = []
+    for i, r in enumerate(regs):
+        for c in range(h[i]):
+            # Interleave sigma_{l+1}(r)'s chunks (depth l+1 registers)
+            # with full expansions of sigma_l over its ref tokens.
+            pieces: List[List[Reg]] = [[Reg(chunk(l + 1, h, r, c, 0))]]
+            for k, t in enumerate(sh_high[i]):
+                ct = take(t)
+                pieces[-1].append(Reg(chunk(l, g, t, ct, 0)))
+                for jj in range(len(sh_low[reg_idx[t]])):
+                    pieces.append([Reg(chunk(l, g, t, ct, jj + 1))])
+                pieces[-1].append(Reg(chunk(l + 1, h, r, c, k + 1)))
+            if len(pieces) != sum(len(sh_low[reg_idx[t]]) for t in sh_high[i]) + 1:
+                raise ConversionError("fused pieces do not match the composed shape")
+            out += [(chunk(l, h, r, c, j), tuple(piece))
+                    for j, piece in enumerate(pieces)]
+    return tuple(out)
+
+
+def _merge_levels(levels, assign, reg_idx, parent, node, fused) -> List[_Level]:
     """Fuse two adjacent segments at the smallest all-single-children depth.
 
-    Rewrites `assign` so that the fused nodes' chunk registers receive the
-    concatenations realising the composed substitution; returns the new
-    level list and assignment, or None when no depth qualifies.  `parent`
-    and `chunk` are the caller's memoized `_apply_parent` and
-    `_chunk_name`."""
-    n_regs = len(regs)
-    labels_at = [roots] + [lv.labels for lv in levels]
+    Rewrites `assign` in place so that the fused nodes' chunk registers
+    receive the concatenations realising the composed substitution, and
+    returns the new level list.  `parent`, `node` and `fused` are the
+    caller's memoized `_apply_parent`, node registers and
+    `_fused_pieces`."""
+    labels_at = [None] + [lv.labels for lv in levels]
     shapes_at = [None] + [lv.shapes for lv in levels]
     depth = len(levels)
     for l in range(1, depth):
@@ -636,68 +676,36 @@ def _merge_levels(levels, roots, regs, assign, parent, chunk):
         if all(kids[g] == 1 for g in labels_at[l]):
             break
     else:
-        return None
+        raise ConversionError("no mergeable level in an overdeep forest")
     sh_low = shapes_at[l]  # sigma_l, between depth l-1 and l
     sh_high = shapes_at[l + 1]  # sigma_{l+1}, between depth l and l+1
     composed = tuple(
-        tuple(
-            s
-            for t in sh_high[i]
-            for s in sh_low[regs.index(t)]
-        )
-        for i in range(n_regs)
+        tuple(s for t in sh_high[i] for s in sh_low[reg_idx[t]])
+        for i in range(len(sh_high))
     )
 
-    new_assign = dict(assign)
     # Pull out the chunk registers of the two fused levels; their images are
     # inlined into the composed node's registers below.
     inner: Dict[str, MixedWord] = {}
     for d in (l, l + 1):
         for g in labels_at[d]:
-            for k in _copies(g, shapes_at[d], regs):
-                name = chunk(d, g, *k)
-                if name in new_assign:
-                    inner[name] = new_assign.pop(name)
-
+            for name in node(d, g, shapes_at[d]):
+                if name in assign:
+                    inner[name] = assign.pop(name)
     for h in labels_at[l + 1]:
-        g = parent(shapes_at[l + 1], h)
-        # Copy pools of the parent node feeding this (single) child.
-        pool = {t: 0 for t in regs}
-
-        def take(t):
-            c = pool[t]
-            pool[t] += 1
-            if c >= g[regs.index(t)]:
-                raise ConversionError("merge consumes more copies than stored")
-            return c
-
-        for i, r in enumerate(regs):
-            for c in range(h[i]):
-                # Interleave sigma_{l+1}(r)'s chunks (depth l+1 registers)
-                # with full expansions of sigma_l over its ref tokens.
-                pieces: List[List[Reg]] = [[Reg(chunk(l + 1, h, r, c, 0))]]
-                for k, t in enumerate(sh_high[i]):
-                    ct = take(t)
-                    pieces[-1].append(Reg(chunk(l, g, t, ct, 0)))
-                    for jj in range(len(sh_low[regs.index(t)])):
-                        pieces.append([Reg(chunk(l, g, t, ct, jj + 1))])
-                    pieces[-1].append(Reg(chunk(l + 1, h, r, c, k + 1)))
-                assert len(pieces) == len(composed[i]) + 1
-                for j, piece in enumerate(pieces):
-                    new_assign[chunk(l, h, r, c, j)] = substitute(piece, inner)
+        for name, piece in fused(l, h, sh_low, sh_high):
+            assign[name] = substitute(piece, inner)
 
     # Levels above the fused pair move down one depth; rekey their registers.
     for d in range(l + 2, depth + 1):
         for g in labels_at[d]:
-            for k in _copies(g, shapes_at[d], regs):
-                old = chunk(d, g, *k)
-                if old in new_assign:
-                    new_assign[chunk(d - 1, g, *k)] = new_assign.pop(old)
+            for old, new in zip(node(d, g, shapes_at[d]),
+                                node(d - 1, g, shapes_at[d])):
+                if old in assign:
+                    assign[new] = assign.pop(old)
 
-    new_levels = (
+    return (
         list(levels[: l - 1])
         + [_Level(composed, labels_at[l + 1])]
         + list(levels[l + 1 :])
     )
-    return new_levels, new_assign
-

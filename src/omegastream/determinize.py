@@ -849,14 +849,17 @@ def one_bounded_trace(trace: List[StepRecord]) -> bool:
 
     cap = 2
     window_products: set = set()
+    # A stream repeats few (window product, step matrix) pairs.
+    composed: Dict[Tuple, Tuple] = {}
     for rec in trace:
         m = counting_matrix(rec.assign, cap)
         frozen = tuple(sorted(m.items()))
         new_products = {frozen}
         for p in window_products:
-            new_products.add(
-                tuple(sorted(compose_counting(dict(p), m, cap).items()))
-            )
+            key = (p, frozen)
+            if key not in composed:
+                composed[key] = tuple(sorted(compose_counting(dict(p), m, cap).items()))
+            new_products.add(composed[key])
         window_products = new_products
         for p in window_products:
             if any(c > 1 for _, c in p):

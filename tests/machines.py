@@ -8,7 +8,7 @@ CI builds its machines from here too, e.g.
 
 from hypothesis import strategies as st
 
-from omegastream import nft
+from omegastream import nft, sst
 from omegastream.nft import OneWayTransducer
 from omegastream.words import word
 
@@ -77,6 +77,32 @@ def branch(k: int, loops=None) -> OneWayTransducer:
     )
 
 
+def kflush_sst(registers: int, K: int) -> sst.StreamingTransducer:
+    """One state p.  Letter i (1 <= i <= registers) appends i to register
+    r_i; letter b appends every register K times to out, then b, and
+    empties the registers.  With K >= 2 the machine copies, so it is
+    K-bounded but not copyless.  The benchmark builds the same machine."""
+    regs = [f"r{i}" for i in range(1, registers + 1)]
+    letters = [str(i) for i in range(1, registers + 1)]
+    updates = [{"state": "p", "letter": a,
+                "assign": {r: f"${r} {a}" for r, b in zip(regs, letters) if b == a}}
+               for a in letters]
+    flush = "$out" + "".join(f"${r}" * K for r in regs) + " b"
+    updates.append({"state": "p", "letter": "b",
+                    "assign": {"out": flush, **{r: "" for r in regs}}})
+    alphabet = letters + ["b"]
+    return sst.from_dict({
+        "input_alphabet": alphabet,
+        "output_alphabet": alphabet,
+        "states": ["p"],
+        "initial": "p",
+        "registers": ["out"] + regs,
+        "out": "out",
+        "delta": [{"state": "p", "letter": a, "to": "p"} for a in alphabet],
+        "updates": updates,
+    })
+
+
 def ambiguous_machine() -> OneWayTransducer:
     # two accepting runs over (a)^w
     return OneWayTransducer(
@@ -127,7 +153,7 @@ def small_machines(draw):
     transitions = {}
     for q in states:
         for a in "ab":
-            for q2 in draw(st.sets(st.sampled_from(states), max_size=2)):
+            for q2 in sorted(draw(st.sets(st.sampled_from(states), max_size=2))):
                 transitions[(q, a, q2)] = tuple(draw(outs))
     initial = draw(st.sets(st.sampled_from(states), min_size=1, max_size=2))
     final = draw(st.sets(st.sampled_from(states), min_size=1, max_size=n))

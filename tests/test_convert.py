@@ -1,5 +1,7 @@
 """Model conversions between two-way and streaming transducers."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -24,6 +26,7 @@ from omegastream.words import parse_upword, up_equal
 
 from conftest import (identity_sst, in_domain_corpus, scattered_one_state_ssts,
                       two_bounded_machine)
+from machines import kflush_sst
 
 CORPUS = [
     "(001)^w", "(012)^w", "002(02)^w", "(2)^w", "1(01)^w",
@@ -160,6 +163,31 @@ def test_kbounded_two_bounded_machine():
         assert y is not None and y2 is not None
         assert up_equal(y, y2)
     assert up_equal(eval_limit(C, _up("(aab)^w")), _up("(aaaab)^w"))
+
+
+# sha256 of the sorted JSON of the copyless machine: a change in any state,
+# register name or image shows.  Speed-ups of the construction keep them.
+PINNED_COPYLESS = [
+    (lambda: kflush_sst(1, 2), 2,
+     "707b8c0276bec60725bf0733d33651c2f59bc513744836c87a81c97f5a8f7d0c"),
+    (lambda: kflush_sst(1, 3), 3,
+     "185ec7c5c28ab3ad06547a3351bc4e1e180909f5c0edb8cc187854ac05e17160"),
+    (lambda: kflush_sst(1, 4), 4,
+     "05a1f261117e0693d34e97bbccf99dcbc29a04f41340a7aaf9b15f1c6980ea48"),
+    (lambda: kflush_sst(2, 1), 1,
+     "599bc4a60d059e570bd2aac7c38e700e3bdbc31fe49ef90dc00db5653fd89bfd"),
+    (two_bounded_machine, 2,
+     "019e14b8af89d734bd019915489a051b243eef682643f9e531cc0927a677db0c"),
+]
+
+
+@pytest.mark.parametrize("build, K, digest", PINNED_COPYLESS,
+                         ids=["kflush1-K2", "kflush1-K3", "kflush1-K4",
+                              "kflush2-K1", "two_bounded-K2"])
+def test_kbounded_to_copyless_pinned(build, K, digest):
+    C = conv.kbounded_to_copyless(build(), K)
+    text = json.dumps(sst.to_dict(C), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @st.composite

@@ -30,6 +30,7 @@ from omegastream.determinize import (
     run_pipeline,
 )
 from omegastream.nft import ContractError
+from omegastream.sst import Reg, compose_counting, counting_matrix
 from omegastream.words import UPWord, parse_upword, up_starts_with
 
 from conftest import flushy_corpus
@@ -204,6 +205,44 @@ def test_one_bounded_traces(replace_t, double_t):
         for x in flushy_corpus(4):
             r = run_pipeline(T, x, 60)
             assert one_bounded_trace(r.trace)
+
+
+def _one_bounded_unmemoized(trace):
+    """one_bounded_trace without its memo of composed window products."""
+    cap = 2
+    window_products = set()
+    for rec in trace:
+        m = counting_matrix(rec.assign, cap)
+        frozen = tuple(sorted(m.items()))
+        new_products = {frozen}
+        for p in window_products:
+            new_products.add(
+                tuple(sorted(compose_counting(dict(p), m, cap).items())))
+        window_products = new_products
+        if any(c > 1 for p in window_products for _, c in p):
+            return False
+    return True
+
+
+def test_one_bounded_trace_matches_unmemoized(replace_t, double_t):
+    # records that copy r into s1 and s2, keep them and join them back into
+    # r: no record copies on its own, their window does.  The window ending
+    # at keep equals split, so a memo keyed by the window alone misses it.
+    split = {"s1": (Reg("r"),), "s2": (Reg("r"),)}
+    keep = {"s1": (Reg("s1"),), "s2": (Reg("s2"),)}
+    join = {"r": (Reg("s1"), Reg("s2"))}
+    traces = [run_pipeline(T, x, 60).trace
+              for T in (replace_t, double_t)
+              for x in flushy_corpus(4) + [parse_upword("(0010001)^w")]]
+    for trace in traces:
+        assert one_bounded_trace(trace) == _one_bounded_unmemoized(trace)
+        mid = len(trace) // 2
+        copying = (trace[:mid]
+                   + [dataclasses.replace(trace[mid], assign=a)
+                      for a in (split, keep, join)]
+                   + trace[mid:])
+        assert one_bounded_trace(copying) is False
+        assert _one_bounded_unmemoized(copying) is False
 
 
 @st.composite
