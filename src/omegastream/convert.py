@@ -195,11 +195,14 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
 # through a lookbehind DFA tracking (previous state, current state) of the
 # streaming machine.
 #
-# Cost: the rows (state, move, letters) that one update gives every walk and
-# return state are built once, from the parts of its images, in
-# O(|R| + Σ|image|); each cell (lookbehind pair, letter) then writes its
-# update's rows under its own lookbehind key, at most 2|R| of them.  So the
-# build is O(|updates| · (|R| + Σ|image|) + |lookbehind pairs| · |Σ| · |R|).
+# Cost: the rows (state, move, letters) that one update gives the walk states
+# of the registers it writes and the return states of the registers its
+# images read are built once, from the parts of its images, in O(Σ|image|);
+# each cell (lookbehind pair, letter) then writes its update's rows under its
+# own lookbehind key.  The walk of a register that an update leaves empty
+# returns at once; that row is stored once per letter, without a lookbehind
+# key, and `lookup` falls back to it.  So the build is
+# O(Σ|image| over updates + cells · (written + returns) + |R|·|Σ|).
 
 
 def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
@@ -248,13 +251,17 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
     delta: Dict[Tuple, Tuple[str, str]] = {}
     out: Dict[Tuple, Word] = {}
 
-    walk_names = [wname[c] for c in regs]
-    idle = {r: ((rname[r], RIGHT), ()) for r in others}  # walk of an empty image
+    # The walk of an empty image returns at once, whatever the cell.
+    for r in others:
+        for a in alphabet:
+            delta[(wname[r], a)] = (rname[r], RIGHT)
+            out[(wname[r], a)] = ()
 
     def rows(sub: Substitution):
-        """(states, moves, letters) at a cell updated by sub: the walk state
-        of every register starts its image, and the return state of every
-        register in an image resumes after its unique occurrence there."""
+        """(states, walks, moves, letters) at a cell updated by sub: the walk
+        state of every register sub writes starts its image, and the return
+        state of every register in an image resumes after its unique
+        occurrence there; the first `walks` rows are the walks."""
 
         def row(c, i):
             """Chunk i of c's image, then a left move to expand token i, or
@@ -267,16 +274,18 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
             return (rname[c], RIGHT), chunks[i]
 
         # the walk of out skips its leading out token
-        found = [row(c, int(c == S.out)) if c in sub.parts else idle[c]
-                 for c in regs]
+        written = sorted(sub.parts)
+        found = [row(c, int(c == S.out)) for c in written]
         back = {r: row(c, i + 1) for c, (_, refs) in sub.parts.items()
                 for i, r in enumerate(refs) if r != S.out}
         returns = sorted(back)
         found += [back[r] for r in returns]
-        return (walk_names + [rname[r] for r in returns],
-                [move for move, _ in found], [letters for _, letters in found])
+        return ([wname[c] for c in written] + [rname[r] for r in returns],
+                len(written), [move for move, _ in found],
+                [letters for _, letters in found])
 
     rows_of = {key: rows(sub) for key, sub in S.updates.items()}
+    walks_at: Dict[Tuple, List[Tuple]] = {}  # cell -> its walk rows' keys
     for (p, q) in lb_states:
         if p == _SINK:
             continue
@@ -287,8 +296,13 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
             if lbst == (_SINK, _SINK):
                 continue
             lbst = lbname(lbst)
-            names, moves, letters = rows_of[(p, a)]
+            names, walks, moves, letters = rows_of[(p, a)]
             keys = [(state, a, lbst) for state in names]
+            # the last update written to a cell owns all its walk rows: a
+            # walk it leaves empty falls back to the row without lookbehind
+            for key in walks_at.get((a, lbst), ()):
+                del delta[key], out[key]
+            walks_at[(a, lbst)] = keys[:walks]
             delta.update(zip(keys, moves))
             out.update(zip(keys, letters))
 

@@ -848,20 +848,22 @@ def one_bounded_trace(trace: List[StepRecord]) -> bool:
     from .sst import compose_counting, counting_matrix
 
     cap = 2
-    window_products: set = set()
-    # A stream repeats few (window product, step matrix) pairs.
-    composed: Dict[Tuple, Tuple] = {}
+    window_products: frozenset = frozenset()
+    # A stream repeats few (window products, step matrix) pairs, and a pair
+    # seen before leads to products already checked.
+    steps: Dict[Tuple, frozenset] = {}
     for rec in trace:
         m = counting_matrix(rec.assign, cap)
         frozen = tuple(sorted(m.items()))
-        new_products = {frozen}
-        for p in window_products:
-            key = (p, frozen)
-            if key not in composed:
-                composed[key] = tuple(sorted(compose_counting(dict(p), m, cap).items()))
-            new_products.add(composed[key])
-        window_products = new_products
-        for p in window_products:
-            if any(c > 1 for _, c in p):
+        key = (window_products, frozen)
+        new_products = steps.get(key)
+        if new_products is None:
+            new_products = {frozen}
+            for p in window_products:
+                new_products.add(
+                    tuple(sorted(compose_counting(dict(p), m, cap).items())))
+            if any(c > 1 for p in new_products for _, c in p):
                 return False
+            new_products = steps[key] = frozenset(new_products)
+        window_products = new_products
     return True

@@ -94,13 +94,21 @@ class OneWayTransducer:
             rows = self._by_letter()
             first, *rest = (rows.get(q, {}) for q in t)
             hit = []
-            for a, succ in first.items():
-                per = [succ] + [row.get(a) for row in rest]
-                if all(per):
-                    hit.extend(
-                        (a, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-                        for combo in itertools.product(*per)
-                    )
+            if len(rest) == 1:  # pairs, which every set-up search reads
+                (second,) = rest
+                for a, succ in first.items():
+                    succ2 = second.get(a)
+                    if succ2:
+                        hit += [(a, (q1, q2), (o1, o2))
+                                for q1, o1 in succ for q2, o2 in succ2]
+            else:
+                for a, succ in first.items():
+                    per = [succ] + [row.get(a) for row in rest]
+                    if all(per):
+                        hit.extend(
+                            (a, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
+                            for combo in itertools.product(*per)
+                        )
             cache[t] = hit
         return hit
 

@@ -6,6 +6,7 @@ CI builds its machines from here too, e.g.
     PYTHONPATH=tests python -c "import sys, machines; from omegastream import nft; nft.save(machines.ring(1500), sys.argv[1])" ring.json
 """
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from omegastream import nft, sst
@@ -267,6 +268,50 @@ def deterministic_machines(draw):
         initial=frozenset({draw(st.sampled_from(states))}),
         final=frozenset(draw(st.sets(st.sampled_from(states), min_size=1))),
         transitions=transitions,
+    )
+
+
+@st.composite
+def copyless_ssts(draw):
+    """A copyless SST over a and b: 2-3 states, a total delta, out and 1-3
+    registers.  Some state is entered from two different reachable states,
+    so lookbehind pairs (p, q) with different p share q.  Each update moves
+    every register into at most one image, mixes in constants and appends
+    the letter to out."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 3)))]
+    regs = [f"r{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    images = ["out"] + regs
+    delta, updates = {}, {}
+    for q in states:
+        for a in "ab":
+            delta[(q, a)] = draw(st.sampled_from(states))
+            imgs = {r: [] for r in images}
+            for r in draw(st.permutations(regs)):
+                home = draw(st.sampled_from(images + [None]))
+                if home is not None:
+                    imgs[home].append(sst.Reg(r))
+                imgs[draw(st.sampled_from(images))].extend(
+                    draw(st.sampled_from(["", "x", "y", "xy"])))
+            imgs["out"] = [sst.Reg("out")] + imgs["out"] + [a]
+            updates[(q, a)] = sst.Substitution(
+                {r: tuple(v) for r, v in imgs.items()})
+    reached = ["q0"]
+    for q in reached:
+        reached += sorted({delta[(q, a)] for a in "ab"} - set(reached))
+    preds = {}
+    for (p, _), q in delta.items():
+        if p in reached:
+            preds.setdefault(q, set()).add(p)
+    assume(any(len(ps) > 1 for ps in preds.values()))
+    return sst.StreamingTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("abxy"),
+        states=frozenset(states),
+        initial="q0",
+        registers=frozenset(images),
+        out="out",
+        delta=delta,
+        updates=updates,
     )
 
 

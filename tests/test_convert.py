@@ -21,12 +21,13 @@ from omegastream.sst import (
     eval_limit,
     eval_prefix,
 )
-from omegastream.twoway import ENDMARKER, RIGHT, TwoWayTransducer, eval_2dt
+from omegastream.twoway import (ENDMARKER, LEFT, RIGHT, LookbehindDFA,
+                                TwoWayTransducer, eval_2dt)
 from omegastream.words import parse_upword, up_equal
 
-from conftest import (identity_sst, in_domain_corpus, scattered_one_state_ssts,
-                      two_bounded_machine)
-from machines import kflush_sst
+from conftest import (identity_sst, in_domain_corpus, random_upword,
+                      scattered_one_state_ssts, two_bounded_machine)
+from machines import copyless_ssts, kflush_sst
 
 CORPUS = [
     "(001)^w", "(012)^w", "002(02)^w", "(2)^w", "1(01)^w",
@@ -129,6 +130,115 @@ def test_sst_to_twoway_many_registers_one_state(S, xs):
         r = eval_2dt(T2, x, 20, step_budget=20_000)
         assert r.status == "ok"
         assert r.output == eval_limit(S, x).first(20)
+
+
+def _full_row_twoway(S):
+    """The reference: sst_to_twoway with a walk row for every register in
+    every cell, an empty image's walk returning at once, so the last update
+    written to a cell replaces all its walk rows.  It builds the lookbehind
+    pairs as sst_to_twoway does, so it writes the cells in the same order."""
+    sink = conv._SINK
+    lb_init = (sink, S.initial)
+    lb_states = {lb_init, (sink, sink)}
+    lb_delta = {}
+    frontier = [lb_init]
+    alphabet = sorted(S.input_alphabet, key=str)
+    while frontier:
+        (p, q) = frontier.pop()
+        for a in alphabet:
+            if q != sink and (q, a) in S.delta:
+                tgt = (q, S.delta[(q, a)])
+            else:
+                tgt = (sink, sink)
+            lb_delta[((p, q), a)] = tgt
+            if tgt not in lb_states:
+                lb_states.add(tgt)
+                frontier.append(tgt)
+    for a in alphabet:
+        lb_delta[((sink, sink), a)] = (sink, sink)
+    regs = sorted(S.registers)
+    others = [r for r in regs if r != S.out]
+    delta, out = {}, {}
+
+    def row(sub, c, i):
+        chunks, refs = sub.parts[c]
+        if i < len(refs):
+            return (f"w:{refs[i]}", LEFT), chunks[i]
+        if c == S.out:
+            return (f"w:{S.out}", RIGHT), chunks[i]
+        return (f"ret:{c}", RIGHT), chunks[i]
+
+    for (p, q) in lb_states:
+        for a in alphabet:
+            if p == sink or (p, a) not in S.updates:
+                continue
+            lbst = lb_delta[((p, q), a)]
+            if lbst == (sink, sink):
+                continue
+            sub = S.updates[(p, a)]
+            cell = (a, f"{lbst[0]}>{lbst[1]}")
+            for c in regs:
+                delta[(f"w:{c}", *cell)], out[(f"w:{c}", *cell)] = (
+                    row(sub, c, int(c == S.out)) if c in sub.parts
+                    else ((f"ret:{c}", RIGHT), ()))
+            for c, (_, refs) in sub.parts.items():
+                for i, r in enumerate(refs):
+                    if r != S.out:
+                        delta[(f"ret:{r}", *cell)], out[(f"ret:{r}", *cell)] = (
+                            row(sub, c, i + 1))
+    for r in others:
+        delta[(f"w:{r}", ENDMARKER)], out[(f"w:{r}", ENDMARKER)] = (
+            (f"ret:{r}", RIGHT), ())
+    delta[(f"w:{S.out}", ENDMARKER)], out[(f"w:{S.out}", ENDMARKER)] = (
+        (f"w:{S.out}", RIGHT), ())
+    lb = LookbehindDFA(
+        states=frozenset(f"{p}>{q}" for p, q in lb_states),
+        initial=f"{sink}>{S.initial}",
+        delta={(f"{p}>{q}", a): f"{t[0]}>{t[1]}"
+               for ((p, q), a), t in lb_delta.items()},
+    )
+    return TwoWayTransducer(
+        input_alphabet=frozenset(S.input_alphabet),
+        output_alphabet=frozenset(S.output_alphabet),
+        states=frozenset([f"w:{c}" for c in regs] + [f"ret:{r}" for r in others]),
+        initial=f"w:{S.out}",
+        delta=delta,
+        out=out,
+        lookbehind=lb,
+    )
+
+
+def _assert_same_as_full_rows(S, xs):
+    """sst_to_twoway(S) answers every lookup at every cell the full-row
+    construction writes as that construction does, runs every word in xs
+    step for step as it does, and writes no walk row that returns at once."""
+    T2, ref = conv.sst_to_twoway(S), _full_row_twoway(S)
+    cells = {key[1:] for key in ref.delta if len(key) == 3}
+    for a, lb in cells:
+        for q in T2.states:
+            assert T2.lookup(q, a, lb) == ref.lookup(q, a, lb), (q, a, lb)
+    for key, (q2, move) in T2.delta.items():
+        if len(key) == 3 and key[0].startswith("w:"):
+            assert (q2, move, T2.out[key]) != (f"ret:{key[0][2:]}", RIGHT, ()), key
+    for x in xs:
+        r, r_ref = eval_2dt(T2, x, 30), eval_2dt(ref, x, 30)
+        assert (r.status, r.steps, r.output) == (r_ref.status, r_ref.steps, r_ref.output)
+
+
+def test_sst_to_twoway_matches_full_rows(replace_sst_m, double_sst_m):
+    rng = random.Random(7)
+    for S in (replace_sst_m, double_sst_m):
+        _assert_same_as_full_rows(S, [_up(s) for s in CORPUS]
+                                  + [random_upword(rng, "012") for _ in range(10)])
+    for K in (2, 3, 4):
+        C = conv.kbounded_to_copyless(kflush_sst(1, K), K)
+        _assert_same_as_full_rows(C, [random_upword(rng, "1b") for _ in range(10)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(copyless_ssts(), st.lists(ab_words, min_size=3, max_size=3))
+def test_sst_to_twoway_matches_full_rows_generated(S, xs):
+    _assert_same_as_full_rows(S, xs)
 
 
 # -- kbounded_to_copyless ------------------------------------------------------
