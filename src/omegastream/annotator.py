@@ -51,6 +51,14 @@ class UnknownLetterError(Exception):
         )
 
 
+def check_letters(x: UPWord, alphabet) -> None:
+    """Raise UnknownLetterError at the first letter of x's prefix and
+    period that is outside alphabet."""
+    for i, a in enumerate(x.prefix + x.period):
+        if a not in alphabet:
+            raise UnknownLetterError(a, i)
+
+
 class _Buffer:
     """Letter source with absolute-position random access; each letter is
     checked against the alphabet as it is read.  `word` is the UPWord when
@@ -145,7 +153,7 @@ def annotate(
     buf = _Buffer(source, T.input_alphabet)
     x = buf.word
     if x is not None:
-        buf.get(len(x.prefix) + len(x.period) - 1)  # check every letter
+        check_letters(x, T.input_alphabet)
         run = oracle_run(T, x)
         if run is None or run.output is None:
             raise DivergedError(

@@ -38,7 +38,8 @@ from .analysis import (
     ContinuityViolation,
     is_continuous,
 )
-from .annotator import DivergedError, UnknownLetterError, annotate
+from .annotator import (DivergedError, UnknownLetterError, annotate,
+                        check_letters)
 from .determinize import InvariantError, StreamSession, prepare
 from .nft import AmbiguityError, ContractError
 from .words import format_upword, parse_upword
@@ -267,6 +268,7 @@ def cmd_determinize(args) -> int:
 def cmd_oracle(args) -> int:
     T = nft.load(args.machine)
     x = parse_upword(args.input)
+    check_letters(x, T.input_alphabet)
     y = nft.oracle_eval(T, x)
     if y is None:
         print("undefined")

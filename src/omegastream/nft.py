@@ -4,8 +4,9 @@ Machines are loaded from JSON, kept immutable, and evaluated exactly on
 ultimately periodic inputs u v^w.  One backward pass over v builds the
 block graph of the period on Q, an SCC pass over its |Q| nodes finds the
 states where accepting runs start, and one forward walk follows the run:
-O((|u| + |v|)·deg·|Q|) integer operations on |Q|-bit masks, deg the
-largest number of transitions from one state on one letter.  Two
+at most O((|u| + |v|)·deg·|Q|) integer operations on |Q|-bit masks, deg
+the largest number of transitions from one state on one letter, and one
+dictionary hit per letter where the backward passes meet a key again.  Two
 accepting runs on the input, whatever their outputs, raise
 AmbiguityError.  Normalization passes (trim, clean, make_productive)
 preserve the computed function; each has a matching predicate so
@@ -124,22 +125,26 @@ class OneWayTransducer:
         return cache
 
     def _numbered(self):
-        """(names, final, succ, masks) with the states numbered in sorted
-        order: final has the bits of the final states, succ[a][p] lists
-        p's (target number, output) pairs on a in succ order, and
-        masks[a][p] has the bits of those targets."""
+        """(names, initial, final, targets, masks, outs), the oracle's
+        tables, with the states numbered in sorted order: initial and
+        final have the bits of the initial and final states, targets[a][p]
+        is the tuple of p's target numbers on a, masks[a][p] has their
+        bits, and outs[a, p, q] is the output of p -a-> q.  Built once
+        per machine; nothing in them depends on a word."""
         cache = self.__dict__.get("_numbered_cache")
         if cache is None:
             names = sorted(self.states)
             num = {q: p for p, q in enumerate(names)}
-            succ: Dict[object, List[tuple]] = {}
+            targets: Dict[object, List[tuple]] = {}
             for (q, a), row in self._by_src().items():
-                succ.setdefault(a, [()] * len(names))[num[q]] = tuple(
-                    (num[q2], out) for q2, out in row)
-            masks = {a: [sum({1 << p for p, _ in row}) for row in rows]
-                     for a, rows in succ.items()}
-            final = sum(1 << num[q] for q in self.final)
-            cache = (names, final, succ, masks)
+                targets.setdefault(a, [()] * len(names))[num[q]] = tuple(
+                    num[q2] for q2, _ in row)
+            masks = {a: [sum(1 << p for p in row) for row in rows]
+                     for a, rows in targets.items()}
+            outs = {(a, num[q], num[q2]): out
+                    for (q, a, q2), out in self.transitions.items()}
+            cache = (names, sum(1 << num[q] for q in self.initial),
+                     sum(1 << num[q] for q in self.final), targets, masks, outs)
             object.__setattr__(self, "_numbered_cache", cache)
         return cache
 
@@ -493,6 +498,36 @@ def _pre(masks: Optional[List[int]], live: int) -> int:
     return sum(1 << p for p, m in enumerate(masks or ()) if m & live)
 
 
+def _backward(masks, w: Word, live: int) -> List[int]:
+    """The live masks before each letter of w, given `live` after its
+    last letter: one _pre per letter, memoized by (letter, live mask)
+    for this call, so a repeated key costs one dictionary hit."""
+    memo: Dict[tuple, int] = {}
+    out = [0] * len(w)
+    for j in range(len(w) - 1, -1, -1):
+        key = (w[j], live)
+        pre = memo.get(key)
+        if pre is None:
+            pre = memo[key] = _pre(masks.get(w[j]), live)
+        out[j] = live = pre
+    return out
+
+
+def _transfer(rows, is_final, reach, freach) -> Tuple[tuple, tuple]:
+    """(reach, freach) one letter earlier, rows[p] being p's targets on
+    that letter: a run from p goes on from one of them, and from a final
+    p it has met a final state."""
+    nr, nf = [], []
+    for qs, fin in zip(rows, is_final):
+        r = f = 0
+        for q in qs:
+            r |= reach[q]
+            f |= freach[q]
+        nr.append(r)
+        nf.append(r if fin else f)
+    return tuple(nr), tuple(nf)
+
+
 def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
     """For each phase j of v, the bits (over T._numbered()'s order) of the
     states where an accepting run on v[j:] v^w starts.
@@ -502,24 +537,33 @@ def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
     state before its last letter.  Every cycle of the (state, phase) graph
     passes phase 0, so the live states at phase 0 are those that reach a
     cyclic component of G with an F-edge inside it.  A second backward
-    pass carries them to every phase."""
-    names, final, succ, masks = T._numbered()
+    pass carries them to every phase.
+
+    The first pass carries, for each p, the mask reach[p] of the states a
+    run from p is in at the next period start and the mask freach[p] of
+    those it reaches through a final state.  Each distinct (reach,
+    freach) pair gets a number, and the one-letter transfer is memoized
+    by (letter, number) for this call: a repeated key costs one
+    dictionary hit, a new one deg·|Q| integer operations and one hash of
+    the 2|Q| masks.  The second pass memoizes _pre (see _backward)."""
+    names, _, final, targets, masks, _ = T._numbered()
     n = len(names)
-    none = [()] * n
-    # runs from each p at phase j: reach[p] ends at the next period start,
-    # freach[p] holds the ends of those that meet a final state on the way
-    reach = [1 << p for p in range(n)]
-    freach = [0] * n
+    none = ((),) * n
+    is_final = [final >> p & 1 for p in range(n)]
+    vecs = [(tuple(1 << p for p in range(n)), (0,) * n)]
+    number = {vecs[0]: 0}
+    step: Dict[tuple, int] = {}
+    k = 0  # the number of the pair after the letters read so far
     for a in reversed(v):
-        nr, nf = [], []
-        for p, row in enumerate(succ.get(a, none)):
-            r = f = 0
-            for q, _ in row:
-                r |= reach[q]
-                f |= freach[q]
-            nr.append(r)
-            nf.append(r if final >> p & 1 else f)
-        reach, freach = nr, nf
+        key = (a, k)
+        nk = step.get(key)
+        if nk is None:
+            vec = _transfer(targets.get(a, none), is_final, *vecs[k])
+            nk = step[key] = number.setdefault(vec, len(vecs))
+            if nk == len(vecs):
+                vecs.append(vec)
+        k = nk
+    reach, freach = vecs[k]
     adj = {p: [q for q in range(n) if reach[p] >> q & 1] for p in range(n)}
     live = 0
     for comp in _sccs(adj):  # successors' components come first
@@ -527,22 +571,43 @@ def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
         # an F-edge inside a component lies on a cycle, a self-loop included
         if any(freach[p] & bits or reach[p] & live for p in comp):
             live |= bits
-    out = [0] * len(v)
-    for j in reversed(range(len(v))):
-        live = out[j] = _pre(masks.get(v[j]), live)
-    return out
+    return _backward(masks, v, live)
+
+
+def _low_two(m: int) -> Tuple[int, int]:
+    """The two lowest bit positions of m, which has at least two bits."""
+    rest = m & (m - 1)
+    return (m & -m).bit_length() - 1, (rest & -rest).bit_length() - 1
+
+
+def _parted(names, m: int, i: int) -> AmbiguityError:
+    """Two live successors, the bits of m, after i letters."""
+    q, q2 = _low_two(m)
+    return AmbiguityError(f"two accepting runs part after {i} letters, in "
+                          f"{names[q]} and {names[q2]}")
 
 
 def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     """The unique accepting run on x = u v^w as a lasso, or None.
 
-    O((|u| + |v|)·deg·|Q|) integer operations on |Q|-bit masks, deg the
-    largest number of transitions from one state on one letter, plus an
-    SCC pass over |Q| nodes: _live_masks gives the live states at each
-    phase of v, where an accepting run on the rest of x starts; one
-    backward pass over u gives them before each prefix letter; one
-    forward walk from the live initial state follows the live successor
-    until a (state, phase) node repeats, which closes the loop.
+    _live_masks gives the live states at each phase of v, where an
+    accepting run on the rest of x starts, and one more backward pass
+    gives them before each prefix letter.  The forward walk steps through
+    u, then through v phase by phase: from p on letter a it takes
+    m = masks[a][p] & (live states after a), whose one bit is the
+    successor, and reads the output from the per-machine table outs.  It
+    walks whole periods until a state repeats at phase 0.  The walk from
+    a (state, phase) node is fixed, so it repeats from the first node it
+    met twice, and that node opens the loop: the lasso a check at every
+    phase would close, after at most |v| - 1 more letters.
+
+    Cost: the backward passes do one dictionary hit per letter whose
+    memo key repeats, and deg·|Q| integer operations on |Q|-bit masks
+    per new key, deg the largest number of transitions from one state on
+    one letter; the SCC pass is over |Q| nodes; the walk does a few bit
+    operations and one table read per letter.  The per-letter tables are
+    built once per machine by T._numbered(); every memo and mask list is
+    built per call and dropped when it returns.
 
     Raises AmbiguityError when x has two accepting runs: two live initial
     states, or a step with two live successors.  Runs are compared, not
@@ -550,57 +615,58 @@ def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     an unambiguous machine nothing raises.
     """
     u, v = x.prefix, x.period
-    names, _, succ, masks = T._numbered()
+    names, initial, _, _, masks, outs = T._numbered()
     live = _live_masks(T, v)
-    live_at = [live[0]]
-    for a in reversed(u):
-        live_at.append(_pre(masks.get(a), live_at[-1]))
-    live_at.reverse()
-
-    def live_after(i):
-        """Bits of the states where an accepting run on x starts after i
-        letters."""
-        return live_at[i] if i < len(u) else live[(i - len(u)) % len(v)]
-
-    states = [p for p, q in enumerate(names)
-              if q in T.initial and live_at[0] >> p & 1]
-    if not states:
+    live_u = _backward(masks, u, live[0]) + [live[0]]
+    starts = initial & live_u[0]
+    if not starts:
         return None
-    if len(states) > 1:
+    if starts & (starts - 1):
+        p, q = _low_two(starts)
         raise AmbiguityError(
-            f"accepting runs start in both {names[states[0]]} and "
-            f"{names[states[1]]}"
-        )
-    outs: List[Word] = []
-    seen: Dict[Tuple[int, int], int] = {}  # phase node -> first position
-    i = 0
-    while True:
-        p = states[-1]
-        if i >= len(u):
-            node = (p, (i - len(u)) % len(v))
-            if node in seen:
-                break
-            seen[node] = i
-        nxt = live_after(i + 1)
-        nexts = [(q, out) for q, out in succ[x.letter_at(i)][p]
-                 if nxt >> q & 1]
-        if len(nexts) > 1:
-            raise AmbiguityError(
-                f"two accepting runs part after {i + 1} letters, in "
-                f"{names[nexts[0][0]]} and {names[nexts[1][0]]}"
-            )
-        states.append(nexts[0][0])
-        outs.append(nexts[0][1])
-        i += 1
-    j = seen[node]
-    loop_out = tuple(b for out in outs[j:] for b in out)
+            f"accepting runs start in both {names[p]} and {names[q]}")
+    path = [starts.bit_length() - 1]
+    words: List[Word] = []
+
+    def walk(letters, nexts) -> int:
+        """Follow the run over letters, nexts[i] being the live states
+        after letters[i]; return the last state."""
+        p = path[-1]
+        for a, nxt in zip(letters, nexts):
+            m = masks[a][p] & nxt
+            if m & (m - 1):
+                raise _parted(names, m, len(path))
+            q = m.bit_length() - 1
+            words.append(outs[a, p, q])
+            path.append(q)
+            p = q
+        return p
+
+    p = walk(u, live_u[1:])
+    after = live[1:] + live[:1]  # live states after each phase's letter
+    seen = 0  # states the walk met at phase 0
+    while not seen >> p & 1:
+        seen |= 1 << p
+        p = walk(v, after)
+    # the walk repeats with period `size` from its last phase-0 node back
+    # to the first node it met twice, at `start`
+    end = len(path) - 1
+    size = len(v)
+    while path[end - size] != p:
+        size += len(v)
+    start = end - size
+    while start > len(u) and path[start - 1] == path[start - 1 + size]:
+        start -= 1
+    loop_out = tuple(itertools.chain.from_iterable(words[start:start + size]))
     output = (
-        canonicalize(tuple(b for out in outs[:j] for b in out), loop_out)
+        canonicalize(tuple(itertools.chain.from_iterable(words[:start])),
+                     loop_out)
         if loop_out
         else None
     )
-    path = [names[p] for p in states]
-    return RunLasso(path[: j + 1], path[j:], output)
+    states = [names[p] for p in path]
+    return RunLasso(states[: start + 1], states[start:start + size + 1],
+                    output)
 
 
 def oracle_eval(T: OneWayTransducer, x: UPWord) -> Optional[UPWord]:

@@ -53,6 +53,29 @@ def ring(n: int) -> OneWayTransducer:
     })
 
 
+def coprime_rings(lengths=(31, 37, 41)) -> OneWayTransducer:
+    """Disjoint rings r<k>_<i> of the given lengths over {a, b}: a moves
+    one step round the ring, b two, and each move outputs the letter it
+    reads.  Every state is final and r0_0 is initial, so the image of a
+    word is the word itself.  A run from r<k>_<i> on a suffix ends at
+    i + (its number of a's) + 2·(its number of b's), so along a period
+    shorter than the product of the lengths, which are coprime, the
+    state-to-state relation of the suffix never repeats."""
+    transitions = {}
+    for k, n in enumerate(lengths):
+        for i in range(n):
+            for a, d in (("a", 1), ("b", 2)):
+                transitions[(f"r{k}_{i}", a, f"r{k}_{(i + d) % n}")] = (a,)
+    return OneWayTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("ab"),
+        states=frozenset(q for q, _, _ in transitions),
+        initial=frozenset({"r0_0"}),
+        final=frozenset(q for q, _, _ in transitions),
+        transitions=transitions,
+    )
+
+
 def branch(k: int, loops=None) -> OneWayTransducer:
     """double.json with k branches: on an a, q0 guesses q1..qk, and qi
     outputs loops[i - 1] (by default y^i) per a until the i-th of b, c,

@@ -479,6 +479,11 @@ def test_letter_outside_the_input_alphabet():
     assert (code, out.splitlines()) == (1, ["C0 {q0}", "0\t{q1}", "0\t{q1}",
                                             "1\t{q0}"])
     assert err == "error: letter '3' at index 3 is not in the input alphabet\n"
+    # oracle rejects the word as run --input does, not as undefined
+    assert run_cli("oracle", path, "(x)^w") == (
+        1, "", "error: letter 'x' at index 0 is not in the input alphabet\n")
+    assert run_cli("oracle", path, "0(3)^w") == (
+        1, "", "error: letter '3' at index 1 is not in the input alphabet\n")
 
 
 def _subcommand_parsers(parser):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from omegastream import nft
+from omegastream import fixture_path, nft
 from omegastream.nft import AmbiguityError, OneWayTransducer
 from omegastream.words import UPWord, canonicalize, parse_upword, word
 
-from machines import (ambiguous_machine, deterministic_machines,
+from machines import (ambiguous_machine, coprime_rings, deterministic_machines,
                       lasso_branch_machines, nondeterministic_machines,
                       random_machine)
 
@@ -254,6 +254,111 @@ def test_block_graph_liveness_on_a_2000_letter_period(replace_t, double_t):
         result = outcome(nft.oracle_run, T, x)
         kinds.add(type(result).__name__)
     assert kinds == {"RunLasso", "str", "NoneType"}, kinds
+
+
+# -- the per-call memos ------------------------------------------------------
+
+
+def _misses(monkeypatch, name):
+    """The argument tuples of every call of nft.<name>; the oracle calls
+    _transfer and _pre only when a memo misses."""
+    calls = []
+    real = getattr(nft, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nft, name, spy)
+    return calls
+
+
+def test_memo_keys_repeat_in_the_stem_and_the_loop(monkeypatch, replace_t,
+                                                   double_t):
+    """A prefix and a period each made of one short block repeated: the
+    backward passes meet most (letter, mask) keys again, in the prefix and
+    in the period, and the runs are the reference's."""
+    rng = random.Random(12)
+    cases = [(T, UPWord(word("001" * 40), word("0102" * 75)))
+             for T in (replace_t, double_t)]
+    cases += [(random_machine(rng), UPWord(word("ab" * 40), word("aab" * 100)))
+              for _ in range(12)]
+    transfer = _misses(monkeypatch, "_transfer")
+    pre = _misses(monkeypatch, "_pre")
+    kinds = set()
+    for T, x in cases:
+        del transfer[:], pre[:]
+        kinds.add(type(outcome(nft.oracle_run, T, x)).__name__)
+        # fewer misses than letters in either pass: both had hits
+        assert len(transfer) < len(x.period)
+        assert len(pre) < min(len(x.prefix), len(x.period))
+        assert_matches_reference(T, x)
+    assert kinds == {"RunLasso", "str", "NoneType"}, kinds
+
+
+def _forked_machine():
+    """i reads a back to i and forks on b into p and q, which both read a
+    back to i: every b parts two accepting runs."""
+    edges = [("i", "a", "i", "x"), ("i", "b", "p", "x"), ("i", "b", "q", "y"),
+             ("p", "a", "i", "x"), ("q", "a", "i", "y")]
+    return OneWayTransducer(
+        input_alphabet=frozenset("ab"),
+        output_alphabet=frozenset("xy"),
+        states=frozenset("ipq"),
+        initial=frozenset("i"),
+        final=frozenset("ipq"),
+        transitions={(p, a, q): word(out) for p, a, q, out in edges},
+    )
+
+
+def test_two_live_successors_at_a_repeated_key(monkeypatch):
+    """The runs part at the first b, whose (letter, live mask) key the
+    backward pass met at a later b: in the prefix, and at a loop phase."""
+    M = _forked_machine()
+    pre = _misses(monkeypatch, "_pre")
+    for x, after in ((UPWord(word("abab"), word("a")), 2),
+                     (UPWord(word("aa"), word("abab")), 4)):
+        del pre[:]
+        message = f"two accepting runs part after {after} letters, in p and q"
+        with pytest.raises(AmbiguityError, match=f"^{message}$"):
+            nft.oracle_run(M, x)
+        assert len(pre) < len(x.prefix) + len(x.period)
+        assert_matches_reference(M, x)
+
+
+def test_memo_keys_that_never_repeat(monkeypatch):
+    """On coprime_rings a suffix of the period moves each ring on by its
+    number of a's plus twice its number of b's, a different amount for
+    every suffix, so every transfer key is new; the image is the word."""
+    T = coprime_rings()
+    rng = random.Random(13)
+    x = UPWord(word("ba"), word("".join(rng.choice("ab") for _ in range(400))))
+    transfer = _misses(monkeypatch, "_transfer")
+    assert nft.oracle_eval(T, x) == canonicalize(x.prefix, x.period)
+    assert len(transfer) == len(x.period)
+    assert_matches_reference(T, x)
+
+
+def _footprint(obj) -> int:
+    """The number of entries reachable through the containers in obj."""
+    if isinstance(obj, dict):
+        return len(obj) + sum(_footprint(k) + _footprint(v)
+                              for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return len(obj) + sum(_footprint(e) for e in obj)
+    return 0
+
+
+def test_no_per_word_state_is_kept_after_a_call():
+    """A second word leaves the machine's cached attributes as the first
+    left them: every memo lives for one call."""
+    T = nft.load(fixture_path("replace.json"))
+    sizes = []
+    for w in ("0102(001)^w", "1(0000201)^w"):
+        nft.oracle_eval(T, parse_upword(w))
+        sizes.append({k: _footprint(v) for k, v in vars(T).items()})
+    assert sizes[0] == sizes[1]
+    assert "_numbered_cache" in sizes[0]
 
 
 # -- long periods -----------------------------------------------------------
