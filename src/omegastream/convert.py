@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .sst import (
     EMPTY_PARTS,
     MixedWord,
+    Parts,
     Reg,
     StreamingTransducer,
     Substitution,
     check_bounded,
     check_copyless,
-    count_ref,
-    substitute,
 )
 from .twoway import ENDMARKER, LEFT, RIGHT, LookbehindDFA, TwoWayTransducer
 from .words import Word
@@ -153,12 +150,11 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
             new_next = {}
             for q in Q:
                 res = walk(q)
-                if res is None:
-                    assign[reg_of[q]] = ()
-                else:
+                if res is not None:
                     toks, q2 = res
                     new_next[q] = q2
-                    assign[reg_of[q]] = tuple(toks)
+                    if toks:
+                        assign[reg_of[q]] = tuple(toks)
             key2 = (new_first, tuple(sorted(new_next.items())), d2, False)
             if key2 not in names:
                 names[key2] = state_name(new_first, new_next, d2, False)
@@ -197,11 +193,13 @@ def twoway_to_sst(T2: TwoWayTransducer) -> StreamingTransducer:
 #
 # Cost: the rows (state, move, letters) that one update gives the walk states
 # of the registers it writes and the return states of the registers its
-# images read are built once, from the parts of its images, in O(Σ|image|);
-# each cell (lookbehind pair, letter) then writes its update's rows under its
-# own lookbehind key.  The walk of a register that an update leaves empty
-# returns at once; that row is stored once per letter, without a lookbehind
-# key, and `lookup` falls back to it.  So the build is
+# images read are built once, in one pass over the parts of its images, in
+# O(Σ|image|), and the rows of a (register, image) pair that several updates
+# share are built once per call; each cell (lookbehind pair, letter) then
+# writes its update's rows under its own lookbehind key.  The walk of a
+# register that an update leaves empty returns at once; that row is stored
+# once per letter, without a lookbehind key, and `lookup` falls back to it.
+# So the build is
 # O(Σ|image| over updates + cells · (written + returns) + |R|·|Σ|).
 
 
@@ -257,32 +255,43 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
             delta[(wname[r], a)] = (rname[r], RIGHT)
             out[(wname[r], a)] = ()
 
+    # where the walk of c goes after its last chunk
+    end = {c: (rname[c], RIGHT) for c in others}
+    end[S.out] = (wname[S.out], RIGHT)
+    left = {c: (wname[c], LEFT) for c in regs}
+
+    @cache
+    def image_rows(c, image: Parts):
+        """The walk row of c, which starts c's image, and the return rows
+        (register, move, letters) of the registers the image reads."""
+        chunks, refs = image
+        # after chunk i, expand token i or end the walk of c
+        nxt = [left[r] for r in refs]
+        nxt.append(end[c])
+        # the walk of out skips its leading out token
+        i0 = int(c == S.out)
+        return (wname[c], nxt[i0], chunks[i0],
+                tuple(zip(refs[i0:], nxt[i0 + 1:], chunks[i0 + 1:])))
+
     def rows(sub: Substitution):
         """(states, walks, moves, letters) at a cell updated by sub: the walk
         state of every register sub writes starts its image, and the return
         state of every register in an image resumes after its unique
-        occurrence there; the first `walks` rows are the walks."""
-
-        def row(c, i):
-            """Chunk i of c's image, then a left move to expand token i, or
-            the end of the walk of c."""
-            chunks, refs = sub.parts[c]
-            if i < len(refs):
-                return (wname[refs[i]], LEFT), chunks[i]
-            if c == S.out:
-                return (wname[S.out], RIGHT), chunks[i]
-            return (rname[c], RIGHT), chunks[i]
-
-        # the walk of out skips its leading out token
-        written = sorted(sub.parts)
-        found = [row(c, int(c == S.out)) for c in written]
-        back = {r: row(c, i + 1) for c, (_, refs) in sub.parts.items()
-                for i, r in enumerate(refs) if r != S.out}
-        returns = sorted(back)
-        found += [back[r] for r in returns]
-        return ([wname[c] for c in written] + [rname[r] for r in returns],
-                len(written), [move for move, _ in found],
-                [letters for _, letters in found])
+        occurrence there; the first `walks` rows are the walks, in register
+        order, then the returns, in register order."""
+        names, moves, letters, back = [], [], [], []
+        for c, image in sorted(sub.parts.items()):
+            name, move, chunk, returns = image_rows(c, image)
+            names.append(name)
+            moves.append(move)
+            letters.append(chunk)
+            back += returns
+        back.sort()
+        for r, move, chunk in back:
+            names.append(rname[r])
+            moves.append(move)
+            letters.append(chunk)
+        return names, len(sub.parts), moves, letters
 
     rows_of = {key: rows(sub) for key, sub in S.updates.items()}
     walks_at: Dict[Tuple, List[Tuple]] = {}  # cell -> its walk rows' keys
@@ -344,8 +353,7 @@ def sst_to_twoway(S: StreamingTransducer) -> TwoWayTransducer:
 Label = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """One stored segment: register skeletons of its substitution plus the
     surviving labels at its (lower) depth."""
 
@@ -353,8 +361,7 @@ class _Level:
     labels: Tuple[Label, ...]  # sorted
 
 
-@dataclass(frozen=True)
-class _ForestState:
+class _ForestState(NamedTuple):
     q: str
     roots: Tuple[Label, ...]
     levels: Tuple[_Level, ...]
@@ -411,7 +418,7 @@ def validate_forest(
         for h in levels[d]:
             par = tuple(
                 sum(
-                    count_ref(sigma.assignment[s], r) * h[s]
+                    sigma.parts.get(s, EMPTY_PARTS)[1].count(r) * h[s]
                     for s in regs
                 )
                 for r in regs
@@ -457,18 +464,28 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
         return tuple(chunk(d, g, *k) for k in _copies(g, shapes, regs))
 
     @cache
-    def renames(d: int, g_old: Label, g_new: Label, shapes):
-        """(new, image) pairs moving the surviving copies of a node that
-        the step relabels from g_old to g_new."""
-        return tuple((chunk(d, g_new, *k), (Reg(chunk(d, g_old, *k)),))
-                     for k in _copies(g_new, shapes, regs))
+    def consume(shapes, labels: Tuple[Label, ...], used: Label):
+        """(old, new, parent of new) for every label of a level with these
+        shapes that stores the consumed copies: new is old less them.  The
+        parent is None at the roots, which have no shapes."""
+        if any(used):
+            pairs = [(g, tuple(map(operator.sub, g, used))) for g in labels
+                     if all(map(operator.ge, g, used))]
+        else:
+            pairs = zip(labels, labels)
+        return tuple((g, g2, None if shapes is None else parent(shapes, g2))
+                     for g, g2 in pairs)
 
     @cache
-    def fresh(d: int, h: Label, shapes) -> Tuple[Tuple[str, int, int], ...]:
-        """(name, register index, chunk index) of every chunk register of
-        a new leaf: each stores that chunk of its register's image."""
-        return tuple((chunk(d, h, r, c, j), reg_idx[r], j)
-                     for r, c, j in _copies(h, shapes, regs))
+    def relabel(d: int, to: int, shapes, labels, used: Label,
+                kept: Tuple[Label, ...]):
+        """(new, image) pairs moving to depth `to` the surviving copies of
+        every node at depth d whose label, less the consumed copies, is
+        kept."""
+        kept = set(kept)
+        return tuple((chunk(to, g2, *k), (Reg(chunk(d, g, *k)),))
+                     for g, g2, _ in consume(shapes, labels, used) if g2 in kept
+                     for k in _copies(g2, shapes, regs))
 
     @cache
     def fused(l: int, h: Label, sh_low, sh_high):
@@ -479,132 +496,145 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
         return [name for d, level in enumerate(state.levels, start=1)
                 for g in level.labels for name in node(d, g, level.shapes)]
 
-    def transition(state: _ForestState, a):
-        if (state.q, a) not in S.delta:
-            return None
-        parts = S.updates[(state.q, a)].parts
-        new_parts = [parts.get(r, EMPTY_PARTS) for r in regs]
+    @cache
+    def step(key):
+        """What the update at key gives every forest state: its target, the
+        parts and shape of each register's image, out's image, the copies
+        of each register out consumes, and the parent of every label."""
+        parts = S.updates[key].parts
+        new_parts = tuple(parts.get(r, EMPTY_PARTS) for r in regs)
         new_shapes = tuple(tuple(map(str, refs)) for _, refs in new_parts)
-        alpha_chunks, alpha_refs = parts[S.out]
+        out_chunks, out_refs = parts[S.out]
+        used = tuple(out_refs[1:].count(r) for r in regs)
+        leaves = tuple((h, parent(new_shapes, h)) for h in all_labels)
+        return (S.delta[key], new_parts, new_shapes, out_chunks, out_refs,
+                used, leaves)
 
-        m = len(state.levels)
-        old_labels: List[Tuple[Label, ...]] = [state.roots] + [
-            lv.labels for lv in state.levels
-        ]
-        shapes_at = [None] + [lv.shapes for lv in state.levels]  # depth index
+    @cache
+    def fresh(d: int, h: Label, key) -> Tuple[Tuple[str, MixedWord], ...]:
+        """(name, image) of every non-empty chunk register of a new leaf
+        labelled h at depth d below the update at key: copy c of register
+        r stores chunk j of r's image in register (r, c, j)."""
+        new_parts = step(key)[1]
+        return tuple((chunk(d, h, r, c, j), w)
+                     for i, r in enumerate(regs) for c in range(h[i])
+                     for j, w in enumerate(new_parts[i][0]) if w)
+
+    def transition(state: _ForestState, a):
+        key = (state.q, a)
+        if key not in S.delta:
+            return None
+        q2, _, new_shapes, out_chunks, out_refs, used_m, leaves = step(key)
+        levels = state.levels
+        m = len(levels)
+        shapes_at = (None,) + tuple(lv.shapes for lv in levels)  # depth index
 
         # Copies of each register consumed at each depth by this step's
         # out-production, bottom-up through the stored segments.
         used: List[Label] = [None] * (m + 1)
-        used[m] = tuple(alpha_refs[1:].count(r) for r in regs)
-        for d in range(m - 1, -1, -1):
-            used[d] = parent(shapes_at[d + 1], used[d + 1])
+        used[m] = used_m
+        for d in range(m, 0, -1):
+            used[d - 1] = parent(shapes_at[d], used[d])
 
         # Step 1: consume -- subtract used from every label, drop negatives.
-        tilde: List[Dict[Label, Label]] = []
-        for d in range(m + 1):
-            ren = {}
-            for g in old_labels[d]:
-                g2 = tuple(map(operator.sub, g, used[d]))
-                if min(g2, default=0) >= 0:
-                    ren[g] = g2
-            tilde.append(ren)
-        inv_tilde = [{v: k for k, v in ren.items()} for ren in tilde]
+        # A node survives when its whole ancestor chain does; the parent
+        # equation commutes with the subtraction, so that is decided once
+        # per level, top-down.
+        tilde = [consume(None, state.roots, used[0])]
+        alive = {g2 for _, g2, _ in tilde[0]}
+        for d in range(1, m + 1):
+            tilde.append(consume(*levels[d - 1], used[d]))
+            alive = {g2 for _, g2, par in tilde[d] if par in alive}
 
-        # Step 2: add depth m+1 below every surviving leaf.
-        children: Dict[Label, Label] = {}  # child -> parent (tilde label)
-        for h in all_labels:
-            g2 = parent(new_shapes, h)
-            if g2 in inv_tilde[m]:
-                children[h] = g2
-
-        # Step 3: keep only ancestors of surviving new leaves.  The parent
-        # equation commutes with the subtraction, so a leaf's ancestor chain
-        # is exactly the tilde chain of its old ancestors.
-        keep: List[set] = [set() for _ in range(m + 2)]
-        for h, par in children.items():
-            chain = [par]
-            for d in range(m - 1, -1, -1):
-                chain.append(parent(shapes_at[d + 1], chain[-1]))
-            chain.reverse()  # depth 0..m
-            if all(chain[d] in inv_tilde[d] for d in range(m + 1)):
-                keep[m + 1].add(h)
-                for d in range(m + 1):
-                    keep[d].add(chain[d])
+        # Step 2: add depth m+1 below every surviving leaf.  Step 3: keep
+        # only the ancestors of the new leaves, bottom-up.
+        keep: List = [None] * (m + 2)
+        keep[m + 1] = [h for h, g2 in leaves if g2 in alive]
         if not keep[m + 1]:
             return None  # every candidate decomposition died: blocked
+        keep[m] = {g2 for _, g2 in leaves if g2 in alive}
+        for d in range(m, 0, -1):
+            kept = keep[d]
+            keep[d - 1] = {par for _, g2, par in tilde[d] if g2 in kept}
 
         # Branch providing the physical copies consumed by out: the smallest
-        # old leaf whose whole ancestor chain survived the subtraction, that
-        # is, whose tilde label is in keep (keep holds whole chains).
-        branch = [min(g for g in old_labels[m] if tilde[m].get(g) in keep[m])]
-        cur = tilde[m][branch[0]]
+        # old leaf that keeps a child, and its ancestors; `cur` holds the
+        # labels less the consumed copies.
+        old_leaf, cur_leaf, _ = next(t for t in tilde[m] if t[1] in keep[m])
+        branch, cur = [old_leaf], [cur_leaf]
         for d in range(m - 1, -1, -1):
-            cur = parent(shapes_at[d + 1], cur)
-            branch.append(inv_tilde[d][cur])
+            cur.append(parent(shapes_at[d + 1], cur[-1]))
+            branch.append(tuple(map(operator.add, cur[-1], used[d])))
         branch.reverse()  # old labels, depth 0..m
+        cur.reverse()
 
         # Out expansion along the branch, consuming the highest copy indices.
         counters = {}  # (depth, reg index) -> next copy index to consume
-
-        def next_copy(d, i):
-            key = (d, i)
-            if key not in counters:
-                counters[key] = tilde[d][branch[d]][i]
-            c = counters[key]
-            counters[key] += 1
-            if c >= branch[d][i]:
-                raise ConversionError("copy consumption exceeds the label")
-            return c
 
         def expand(r: str, d: int) -> List:
             if d == 0:
                 return []
             i = reg_idx[r]
             g = branch[d]
-            c = next_copy(d, i)
-            shape = shapes_at[d][i]
+            c = counters.get((d, i), cur[d][i])
+            if c >= g[i]:
+                raise ConversionError("copy consumption exceeds the label")
+            counters[(d, i)] = c + 1
             toks: List = [Reg(chunk(d, g, r, c, 0))]
-            for k, s in enumerate(shape):
-                toks.extend(expand(s, d - 1))
+            for k, t in enumerate(shapes_at[d][i]):
+                toks += expand(t, d - 1)
                 toks.append(Reg(chunk(d, g, r, c, k + 1)))
             return toks
 
-        emission: List = list(alpha_chunks[1])
-        for t, letters in zip(alpha_refs[1:], alpha_chunks[2:]):
+        emission: List = list(out_chunks[1])
+        for t, letters in zip(out_refs[1:], out_chunks[2:]):
             emission += expand(str(t), m)
             emission += letters
 
-        # Assemble the renaming of surviving copies plus the new level.
+        # Assemble the renaming of surviving copies plus the new level; an
+        # empty image is left unlisted.
         assign: Dict[str, MixedWord] = {"out": (Reg("out"),) + tuple(emission)}
-        new_level_labels: List[List[Label]] = [
-            sorted(keep[d]) for d in range(m + 2)
-        ]
-        for d in range(1, m + 1):
-            for g_old, g_new in tilde[d].items():
-                if g_new in keep[d]:
-                    assign.update(renames(d, g_old, g_new, shapes_at[d]))
-        for h in new_level_labels[m + 1]:
-            assign.update((name, new_parts[i][0][j])
-                          for name, i, j in fresh(m + 1, h, new_shapes))
+        inner: Dict[str, MixedWord] = {}
 
-        levels2: List[_Level] = [
-            _Level(shapes_at[d], tuple(new_level_labels[d]))
-            for d in range(1, m + 1)
-        ] + [_Level(new_shapes, tuple(new_level_labels[m + 1]))]
-        roots2 = tuple(new_level_labels[0])
+        # A forest one level too deep fuses the first two adjacent levels,
+        # l and l+1, whose nodes each have one child: the nodes of a level
+        # are exactly the parents of the level below, so those two levels
+        # are equally wide.  Their registers go to `inner`, to be inlined
+        # into the fused level's; the levels above move down one depth.
+        fuse = None
+        if m + 1 > L:
+            fuse = next((d for d in range(1, m + 1)
+                         if len(keep[d]) == len(keep[d + 1])), None)
+            if fuse is None:
+                raise ConversionError("no mergeable level in an overdeep forest")
 
-        # Merge adjacent segments while the forest is too deep.
-        while len(levels2) > L:
-            levels2 = _merge_levels(levels2, assign, reg_idx, parent, node, fused)
+        def target(d):
+            """(where the registers of depth d go, their depth there)"""
+            if fuse is None or d < fuse:
+                return assign, d
+            return (inner, d) if d <= fuse + 1 else (assign, d - 1)
 
-        return _ForestState(S.delta[(state.q, a)], roots2, tuple(levels2)), assign
+        levels2: List[_Level] = []
+        for d, lv in enumerate(levels, start=1):
+            kept = tuple(sorted(keep[d]))
+            images, to = target(d)
+            images.update(relabel(d, to, *lv, used[d], kept))
+            levels2.append(lv if kept == lv.labels else _Level(lv.shapes, kept))
+        images, to = target(m + 1)
+        for h in keep[m + 1]:
+            images.update(fresh(to, h, key))
+        levels2.append(_Level(new_shapes, tuple(keep[m + 1])))
+        roots2 = tuple(sorted(keep[0]))
+        if fuse is not None:
+            levels2 = _fuse_levels(levels2, fuse, assign, inner, reg_idx, fused)
+
+        return _ForestState(q2, roots2, tuple(levels2)), assign
 
     init = _ForestState(S.initial, tuple(all_labels), ())
     names: Dict[_ForestState, str] = {init: "f0"}
     queue = [init]
     delta: Dict[Tuple[str, object], str] = {}
-    raw_updates: Dict[Tuple[str, object], Dict[str, MixedWord]] = {}
+    updates: Dict[Tuple[str, object], Substitution] = {}
     alphabet = sorted(S.input_alphabet, key=str)
     while queue:
         st = queue.pop()
@@ -619,16 +649,13 @@ def kbounded_to_copyless(S: StreamingTransducer, K: int) -> StreamingTransducer:
                 names[st2] = f"f{len(names)}"
                 queue.append(st2)
             delta[(names[st], a)] = names[st2]
-            raw_updates[(names[st], a)] = assign
+            updates[(names[st], a)] = Substitution(assign)
 
     # Every update writes the registers of its target's nodes and reads
-    # those of its source's; Substitution and StreamingTransducer check it.
+    # those of its source's; StreamingTransducer checks it.
     registers = {"out"}
     for st in names:
         registers.update(node_registers(st))
-    empty = dict.fromkeys(registers, ())
-    updates = {key: Substitution({**empty, **assign})
-               for key, assign in raw_updates.items()}
     return StreamingTransducer(
         input_alphabet=frozenset(S.input_alphabet),
         output_alphabet=frozenset(S.output_alphabet),
@@ -674,52 +701,24 @@ def _fused_pieces(l, h, g, sh_low, sh_high, regs, reg_idx, chunk):
     return tuple(out)
 
 
-def _merge_levels(levels, assign, reg_idx, parent, node, fused) -> List[_Level]:
-    """Fuse two adjacent segments at the smallest all-single-children depth.
+def _fuse_levels(levels, l, assign, inner, reg_idx, fused) -> List[_Level]:
+    """Fuse the segments at depths l and l+1, whose nodes have one child
+    each, into one at depth l.
 
-    Rewrites `assign` in place so that the fused nodes' chunk registers
-    receive the concatenations realising the composed substitution, and
-    returns the new level list.  `parent`, `node` and `fused` are the
-    caller's memoized `_apply_parent`, node registers and
-    `_fused_pieces`."""
-    labels_at = [None] + [lv.labels for lv in levels]
-    shapes_at = [None] + [lv.shapes for lv in levels]
-    depth = len(levels)
-    for l in range(1, depth):
-        kids = Counter(parent(shapes_at[l + 1], h) for h in labels_at[l + 1])
-        if all(kids[g] == 1 for g in labels_at[l]):
-            break
-    else:
-        raise ConversionError("no mergeable level in an overdeep forest")
-    sh_low = shapes_at[l]  # sigma_l, between depth l-1 and l
-    sh_high = shapes_at[l + 1]  # sigma_{l+1}, between depth l and l+1
+    `inner` holds the images of the two levels' chunk registers; `assign`
+    receives those of the fused nodes' chunk registers, the concatenations
+    realising the composed substitution.  Returns the new level list.
+    `fused` is the caller's memoized `_fused_pieces`."""
+    sh_low = levels[l - 1].shapes  # sigma_l, between depth l-1 and l
+    sh_high = levels[l].shapes  # sigma_{l+1}, between depth l and l+1
     composed = tuple(
         tuple(s for t in sh_high[i] for s in sh_low[reg_idx[t]])
         for i in range(len(sh_high))
     )
-
-    # Pull out the chunk registers of the two fused levels; their images are
-    # inlined into the composed node's registers below.
-    inner: Dict[str, MixedWord] = {}
-    for d in (l, l + 1):
-        for g in labels_at[d]:
-            for name in node(d, g, shapes_at[d]):
-                if name in assign:
-                    inner[name] = assign.pop(name)
-    for h in labels_at[l + 1]:
+    labels = levels[l].labels
+    for h in labels:
         for name, piece in fused(l, h, sh_low, sh_high):
-            assign[name] = substitute(piece, inner)
-
-    # Levels above the fused pair move down one depth; rekey their registers.
-    for d in range(l + 2, depth + 1):
-        for g in labels_at[d]:
-            for old, new in zip(node(d, g, shapes_at[d]),
-                                node(d - 1, g, shapes_at[d])):
-                if old in assign:
-                    assign[new] = assign.pop(old)
-
-    return (
-        list(levels[: l - 1])
-        + [_Level(composed, labels_at[l + 1])]
-        + list(levels[l + 1 :])
-    )
+            image = tuple(t for r in piece for t in inner.get(r, ()))
+            if image:
+                assign[name] = image
+    return levels[: l - 1] + [_Level(composed, labels)] + levels[l + 1:]

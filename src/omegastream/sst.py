@@ -3,7 +3,9 @@
 Registers hold output words and are rewritten by substitutions (mixed words
 over output letters and register references).  The distinguished `out`
 register is append-only: every update maps out to out followed by new
-material, and out appears nowhere else.
+material, and out appears nowhere else.  A register an update does not
+list gets the empty image; only the JSON form reads an unlisted register
+as unchanged.
 
 eval_limit decides f(u v^w) exactly, with no budget: it returns the UP
 output, or None when the machine blocks or out stops growing.  It assumes
@@ -52,31 +54,33 @@ def count_ref(mw: MixedWord, r: str) -> int:
 
 Parts = Tuple[Tuple[Word, ...], Tuple[Reg, ...]]
 EMPTY_PARTS: Parts = ((),), ()  # the parts of an empty image
+_RENAME = ((), ())  # the chunks of an image that is one register
 
 
 @dataclass(frozen=True)
 class Substitution:
-    """Register images.  `parts[r]` is the non-empty image of r parsed once
-    into its register tokens and the len(tokens) + 1 letter chunks around
-    them, so consumers never rescan an image."""
+    """Register images.  A register the assignment does not list has the
+    empty image, so an update need list only the registers it writes
+    non-empty; the register set belongs to the machine, which checks it.
+    `parts[r]` is the non-empty image of r parsed once into its register
+    tokens and the len(tokens) + 1 letter chunks around them, so consumers
+    never rescan an image."""
 
     assignment: Dict[str, MixedWord] = field(hash=False)
     parts: Dict[str, Parts] = field(init=False, repr=False, compare=False)
 
-    @property
-    def registers(self) -> FrozenSet[str]:
-        return frozenset(self.assignment)
-
     def __post_init__(self):
         parts = {}
         for r, mw in self.assignment.items():
+            if len(mw) == 1:
+                # most images are one register (a rename) or one letter
+                parts[r] = (_RENAME, mw) if isinstance(mw[0], Reg) else ((mw,), ())
+                continue
             if not mw:
                 continue
             chunks, refs, cur = [], [], []
             for t in mw:
                 if isinstance(t, Reg):
-                    if t not in self.assignment:
-                        raise ValueError(f"unknown register {t!r} in image of {r}")
                     chunks.append(tuple(cur))
                     refs.append(t)
                     cur = []
@@ -86,16 +90,13 @@ class Substitution:
             parts[r] = tuple(chunks), tuple(refs)
         object.__setattr__(self, "parts", parts)
 
-    def apply_mixed(self, mw: MixedWord) -> MixedWord:
-        return substitute(mw, self.assignment)
-
     def compose(self, other: "Substitution") -> "Substitution":
-        """self . other applied as a function: (self o other)(r) = self(other(r))."""
-        if self.registers != other.registers:
-            raise ValueError("register sets differ")
-        return Substitution(
-            {r: self.apply_mixed(mw) for r, mw in other.assignment.items()}
-        )
+        """self . other applied as a function: (self o other)(r) = self(other(r)),
+        over the registers other lists."""
+        val = self.assignment
+        return Substitution({
+            r: tuple(_resolve([], *other.parts.get(r, EMPTY_PARTS), val))
+            for r in other.assignment})
 
     @staticmethod
     def identity(registers) -> "Substitution":
@@ -109,14 +110,16 @@ def compose_substitutions(s1: Substitution, s2: Substitution) -> Substitution:
 # -- mixed-word text form ------------------------------------------------------
 
 
+_NAMECHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_@{},|~")
+
+
 def parse_mixed(s: str) -> MixedWord:
     """Parse "ab$r1 c" style mixed words: $name is a register reference
-    (name = [A-Za-z0-9_@{},|]+), spaces separate tokens, other chars are letters."""
+    (name = [A-Za-z0-9_@{},|~]+), spaces separate tokens, other chars are letters."""
     out: List = []
     i = 0
-    namechars = set(
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_@{},|~"
-    )
+    namechars = _NAMECHARS
     while i < len(s):
         c = s[i]
         if c == " ":
@@ -152,6 +155,10 @@ def format_mixed(mw: MixedWord) -> str:
 
 @dataclass(frozen=True)
 class StreamingTransducer:
+    """A deterministic SST.  Each update lists a subset of `registers`; a
+    register it leaves out gets the empty image.  Every register an update
+    writes or reads must be in `registers`."""
+
     input_alphabet: FrozenSet[object]
     output_alphabet: FrozenSet[object]
     states: FrozenSet[str]
@@ -166,14 +173,18 @@ class StreamingTransducer:
             raise ValueError("delta and updates must share their domain")
         if self.out not in self.registers:
             raise ValueError("out not among registers")
+        registers = self.registers
         for (q, a), sub in self.updates.items():
-            if sub.assignment.keys() != self.registers:
-                raise ValueError(f"update at ({q},{a}) has wrong register set")
+            reads = [t for _, refs in sub.parts.values() for t in refs]
+            for verb, used in (("writes", sub.assignment), ("reads", reads)):
+                if not registers.issuperset(used):
+                    unknown = str(min(set(used) - registers))
+                    raise ValueError(
+                        f"update at ({q},{a}) {verb} unknown register {unknown!r}")
             chunks, refs = sub.parts.get(self.out, EMPTY_PARTS)
             if chunks[0] or not refs or refs[0] != self.out:
                 raise ValueError(f"out update at ({q},{a}) must start with out")
-            occurrences = sum(refs.count(self.out) for _, refs in sub.parts.values())
-            if occurrences != 1:
+            if reads.count(self.out) != 1:
                 raise ValueError(f"out must occur exactly once at ({q},{a})")
 
 
@@ -505,28 +516,30 @@ def from_dict(doc: dict) -> StreamingTransducer:
 
 
 def to_dict(S: StreamingTransducer) -> dict:
+    """The JSON form.  Every update writes every register, an unlisted one
+    as "": in a file an unlisted register keeps its value."""
+    registers = sorted(S.registers)
+    updates = []
+    for q, a in sorted(S.updates, key=lambda k: (k[0], str(k[1]))):
+        assign = S.updates[(q, a)].assignment
+        updates.append({
+            "state": q,
+            "letter": a,
+            "assign": {r: format_mixed(assign[r]) if r in assign else ""
+                       for r in registers},
+        })
     return {
         "input_alphabet": sorted(map(str, S.input_alphabet)),
         "output_alphabet": sorted(map(str, S.output_alphabet)),
         "states": sorted(S.states),
         "initial": S.initial,
-        "registers": sorted(S.registers),
+        "registers": registers,
         "out": S.out,
         "delta": [
             {"state": q, "letter": a, "to": S.delta[(q, a)]}
             for q, a in sorted(S.delta, key=lambda k: (k[0], str(k[1])))
         ],
-        "updates": [
-            {
-                "state": q,
-                "letter": a,
-                "assign": {
-                    r: format_mixed(mw)
-                    for r, mw in sorted(S.updates[(q, a)].assignment.items())
-                },
-            }
-            for q, a in sorted(S.updates, key=lambda k: (k[0], str(k[1])))
-        ],
+        "updates": updates,
     }
 
 

@@ -461,6 +461,19 @@ def test_machine_file_entry_errors(tmp_path):
         2, "", "error: lookbehind delta entry has no field 'to'\n")
 
 
+def test_an_sst_update_that_reads_an_unknown_register(tmp_path):
+    """An update may leave registers unlisted, but every register it reads
+    must be one of the machine's."""
+    with open(fixture_path("replace_sst.json")) as fh:
+        doc = json.load(fh)
+    doc["updates"][1]["assign"]["r1"] = "$z"
+    path = tmp_path / "reads_z.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("convert", "--from", "sst", "--to", "2dt", str(path),
+                   str(tmp_path / "out.json")) == (
+        2, "", "error: update at (p,1) reads unknown register 'z'\n")
+
+
 def test_letter_outside_the_input_alphabet():
     path = fixture_path("replace.json")
     code, out, err = run_cli("run", path, "--input", "0(3)^w", "--letters", "5")

@@ -300,6 +300,33 @@ def test_kbounded_to_copyless_pinned(build, K, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _lists_only_non_empty_images(S):
+    return all(mw for sub in S.updates.values() for mw in sub.assignment.values())
+
+
+@pytest.mark.parametrize("registers, K", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2)],
+                         ids=["kflush1-K2", "kflush1-K3", "kflush1-K4",
+                              "kflush1-K5", "kflush2-K2"])
+def test_copyless_output_lists_only_non_empty_images(registers, K):
+    """Each update of the output lists only the registers it writes
+    non-empty; to_dict writes the others as "", and from_dict reads the
+    JSON back to the same JSON."""
+    C = conv.kbounded_to_copyless(kflush_sst(registers, K), K)
+    assert _lists_only_non_empty_images(C)
+    doc = sst.to_dict(C)
+    assert all(doc_update["assign"].keys() == C.registers
+               for doc_update in doc["updates"])
+    assert sst.to_dict(sst.from_dict(doc)) == doc
+
+
+def test_twoway_to_sst_lists_only_non_empty_images(replace_2dt_m, double_2dt_m):
+    for T2 in (replace_2dt_m, double_2dt_m):
+        S = conv.twoway_to_sst(T2)
+        assert _lists_only_non_empty_images(S)
+        doc = sst.to_dict(S)
+        assert sst.to_dict(sst.from_dict(doc)) == doc
+
+
 @st.composite
 def one_register_ksst(draw):
     """(S, K): 1-2 states, registers out and r, letters 1 and b, K <= 3.
@@ -366,6 +393,17 @@ FIG_SIGMAS = [
 
 def test_validate_forest_accepts_reference():
     assert conv.validate_forest(FIG_LEVELS, FIG_SIGMAS, K=5)
+
+
+def test_validate_forest_reads_an_unlisted_register_as_empty():
+    # sigma: r := r, and s, unlisted, is empty; so a label's parent has
+    # the label's r and no s
+    levels = [[{"r": 2, "s": 0}], [{"r": 2, "s": 1}, {"r": 2, "s": 0}]]
+    for sigma in (Substitution({"r": (Reg("r"),)}),
+                  Substitution({"r": (Reg("r"),), "s": ()})):
+        assert conv.validate_forest(levels, [sigma], K=2)
+        with pytest.raises(conv.ConversionError):
+            conv.validate_forest([[{"r": 2, "s": 1}], levels[1]], [sigma], K=2)
 
 
 def test_validate_forest_rejects_broken():

@@ -1,14 +1,16 @@
 """Streaming register machines: substitutions, evaluation, boundedness,
 and the domain automaton."""
 
+import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegastream import sst
+from omegastream import fixture_path, sst
 from omegastream.sst import (
     EMPTY_PARTS,
     Reg,
@@ -445,3 +447,97 @@ def test_eval_limit_raises_contract_error_on_unsettled_registers():
     settled = _one_state_sst("v", ["out", "r"], {"v": {
         "out": (Reg("out"), Reg("r"), "b"), "r": (Reg("r"),)}})
     assert eval_limit(settled, x) == canonicalize("", "b")
+
+
+# -- sparse updates ----------------------------------------------------------------
+
+
+def _sparse(S):
+    """S with every empty image left out of its updates."""
+    return dataclasses.replace(S, updates={
+        key: Substitution({r: mw for r, mw in sub.assignment.items() if mw})
+        for key, sub in S.updates.items()})
+
+
+def _listed(S):
+    """S with every register listed in every update, the unlisted ones empty."""
+    empty = dict.fromkeys(S.registers, ())
+    return dataclasses.replace(S, updates={
+        key: Substitution({**empty, **sub.assignment})
+        for key, sub in S.updates.items()})
+
+
+def test_compose_reads_an_unlisted_register_as_empty():
+    s1 = Substitution({"r": ("b",)})
+    s2 = Substitution({"r": (Reg("s"), "a", Reg("r")), "s": (Reg("s"),)})
+    listed = Substitution({"r": ("b",), "s": ()})
+    assert s1.compose(s2).assignment == {"r": ("a", "b"), "s": ()}
+    assert listed.compose(s2).assignment == s1.compose(s2).assignment
+    # r is the only register s1 lists, so it is the only one the
+    # composition lists
+    assert s2.compose(s1).assignment == {"r": ("b",)}
+
+
+def test_unknown_registers_are_rejected_by_the_machine():
+    def machine(image):
+        return StreamingTransducer(
+            input_alphabet=frozenset("a"), output_alphabet=frozenset("a"),
+            states=frozenset({"p"}), initial="p",
+            registers=frozenset({"out", "r"}), out="out",
+            delta={("p", "a"): "p"},
+            updates={("p", "a"): Substitution({"out": (Reg("out"), "a"), **image})})
+
+    # a substitution on its own may read a register it does not list
+    assert Substitution({"r": (Reg("z"),)}).parts["r"] == (((), ()), ("z",))
+    assert machine({"r": (Reg("r"), "a")}).registers == {"out", "r"}
+    with pytest.raises(ValueError, match="reads unknown register 'z'"):
+        machine({"r": (Reg("z"),)})
+    with pytest.raises(ValueError, match="writes unknown register 'z'"):
+        machine({"z": ("a",)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+           small_ssts().filter(lambda S: check_copyless(S) or check_bounded(S, 3)),
+           scattered_one_state_ssts()),
+       st.text("ab", max_size=6), st.text("ab", max_size=3),
+       st.text("ab", min_size=1, max_size=3))
+def test_unlisted_registers_are_empty(S, prefix, u, v):
+    """Leaving the empty images out of every update changes no answer."""
+    sparse, listed = _sparse(S), _listed(_sparse(S))
+    assert all(mw for sub in sparse.updates.values()
+               for mw in sub.assignment.values())
+    x = canonicalize(u, v)
+    for T in (sparse, listed):
+        assert eval_prefix(T, prefix) == eval_prefix(S, prefix)
+        assert eval_limit(T, x) == eval_limit(S, x)
+        assert check_copyless(T) == check_copyless(S)
+        # the window matrices of a dozen scattered registers are too many
+        if len(S.registers) <= 4:
+            for K in (1, 2):
+                assert check_bounded(T, K) == check_bounded(S, K)
+        assert domain_automaton(T) == domain_automaton(S)
+
+
+def test_unlisted_registers_are_empty_on_the_fixtures(replace_sst_m, double_sst_m):
+    for S in (replace_sst_m, double_sst_m, two_bounded_machine()):
+        sparse = _sparse(S)
+        for p in ("", "0", "0012", "00201", "1210"):
+            assert eval_prefix(sparse, tuple(p)) == eval_prefix(S, tuple(p))
+        for w in ("(001)^w", "2(012)^w", "(0)^w", "(ab)^w", "a(aab)^w"):
+            x = parse_upword(w)
+            if set(x.prefix + x.period) <= S.input_alphabet:
+                assert eval_limit(sparse, x) == eval_limit(S, x)
+        assert check_copyless(sparse) == check_copyless(S)
+        assert check_bounded(sparse, 2) == check_bounded(S, 2)
+        assert domain_automaton(sparse) == domain_automaton(S)
+
+
+@pytest.mark.parametrize("name", ["replace_sst.json", "double_sst.json"])
+def test_to_dict_round_trip_on_the_fixtures(name):
+    """to_dict writes an unlisted register as "", and from_dict reads the
+    result back to the same JSON, sparse or not."""
+    S = sst.load(fixture_path(name))
+    doc = sst.to_dict(S)
+    assert sst.to_dict(_sparse(S)) == doc
+    assert json.dumps(sst.to_dict(sst.from_dict(doc))) == json.dumps(doc)
