@@ -7,7 +7,10 @@ productions, end-words, separability and looping futures (tau, theta).
 The continuity decision takes any machine and normalizes it itself.
 
 An AnalysisContext memoizes the expensive searches (tuple-product lassos,
-compatible subsets, theta) for one machine.
+compatible subsets, theta) for one machine.  The continuity and
+separability searches run over nft.product_between's rows, the tuples
+between their start tuples and the tuples they look for, and meet the
+tuples that matter in the same order as over the whole product.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .nft import (  # BudgetExceeded is re-exported for existing imports
     accepting_future,
     clean,
     closure,
+    product_between,
     product_bfs,
     product_path,
     product_walk,
@@ -102,7 +106,16 @@ class ContinuityWitness:
 # -- tuple-product searches ---------------------------------------------------
 
 
-def _unequal_loop(T: OneWayTransducer, t, i: int, j: int, rev):
+def _reverse(rows) -> Dict[tuple, list]:
+    """tuple -> its predecessors in the rows of nft.product_between."""
+    rev: Dict[tuple, list] = {}
+    for t, row in rows.items():
+        for _, nxt, _ in row:
+            rev.setdefault(nxt, []).append(t)
+    return rev
+
+
+def _unequal_loop(rows, t, i: int, j: int, rev):
     """Per-component outputs of a closed walk through t whose outputs at
     components i and j differ in length; None when there is none.
 
@@ -113,12 +126,14 @@ def _unequal_loop(T: OneWayTransducer, t, i: int, j: int, rev):
     pot[u] + w != pot[v] closes the two walks t ⇝ u -> v ⇝ t and
     t ⇝ v ⇝ t, whose differences differ by that amount; the first of them,
     in that order, with a nonzero difference is the witness (theta_length
-    reads its lengths).  rev maps a tuple to its predecessors."""
+    reads its lengths).  rows are product_between's and hold t's
+    component; rev is _reverse(rows)."""
 
     def w(outs):
         return len(outs[i]) - len(outs[j])
 
-    parents = product_bfs(T, [t])
+    succ = rows.__getitem__
+    parents = product_bfs(succ, [t])
     pot = {}
     for v, edge in parents.items():
         pot[v] = 0 if edge is None else pot[edge[0]] + w(edge[2])
@@ -126,11 +141,11 @@ def _unequal_loop(T: OneWayTransducer, t, i: int, j: int, rev):
     for u in parents:
         if u not in comp:
             continue
-        for _, v, outs in T.tuple_succ(u):
+        for _, v, outs in rows[u]:
             if v not in comp or pot[u] + w(outs) == pot[v]:
                 continue
             back = ([()] * len(t) if v == t
-                    else product_walk(T, v, {t})[1])
+                    else product_walk(succ, v, {t})[1])
             _, to_u, _ = product_path(parents, u)
             _, to_v, _ = product_path(parents, v)
             for loop in ([x + o + y for x, o, y in zip(to_u, outs, back)],
@@ -165,11 +180,11 @@ class AnalysisContext:
             return self._compat[C]
         order = tuple(sorted(C))
         res = None
-        parents = product_bfs(self.T, [order])
+        parents = product_bfs(self.T.tuple_succ, [order])
         for t in sorted(parents, key=str):
             if not any(q in self.T.final for q in t):
                 continue
-            cyc = product_walk(self.T, t, {t})
+            cyc = product_walk(self.T.tuple_succ, t, {t})
             if cyc is None:
                 continue
             u, alphas, _ = product_path(parents, t)
@@ -274,23 +289,20 @@ class AnalysisContext:
         sorted tuple, with outputs of unequal lengths at some pair of
         components; None when there is none.  A cycle's length difference
         at (j, i) is minus its difference at (i, j), so only i < j is
-        searched."""
+        searched.  Every search runs over product_between's rows from
+        I^|C| to C's tuple: a cycle through such a tuple stays among
+        them."""
         if len(C) < 2 or self.is_compatible(C) is None:
             return None
         T = self.T
         order = tuple(sorted(C))
-        starts = [tuple(c) for c in itertools.product(sorted(T.initial), repeat=len(order))]
-        fwd = product_bfs(T, starts)
-        if order not in fwd:
-            return None
-        rev: Dict[tuple, set] = {}
-        for t in fwd:
-            for _, nxt, _ in T.tuple_succ(t):
-                rev.setdefault(nxt, set()).add(t)
-        anchors = sorted(closure([order], lambda t: rev.get(t, ())), key=str)
+        starts = list(itertools.product(sorted(T.initial), repeat=len(order)))
+        rows = product_between(T, starts, [order])
+        rev = _reverse(rows)
+        anchors = sorted(rows, key=str)
         for i_idx, j_idx in itertools.combinations(range(len(order)), 2):
             for t in anchors:
-                loop_outs = _unequal_loop(T, t, i_idx, j_idx, rev)
+                loop_outs = _unequal_loop(rows, t, i_idx, j_idx, rev)
                 if loop_outs is not None:
                     return SeparabilityWitness(
                         loop_outputs={q: tuple(o) for q, o in zip(order, loop_outs)},
@@ -435,19 +447,22 @@ def _preorder(root, children):
             stack.append(children(node))
 
 
-def _simple_pair_paths(T: OneWayTransducer, starts):
-    """DFS over the simple paths of the pair graph from each start in turn;
-    yields (end pair, out1, out2, letters) for every path, the empty path at
-    each start included.  Raises BudgetExceeded past NODE_BUDGET paths."""
+def _simple_pair_paths(rows, starts):
+    """DFS over the simple paths of the pair graph `rows` (product_between's)
+    from each start in it in turn; yields (end pair, out1, out2, letters)
+    for every path, the empty path at each start included.  Raises
+    BudgetExceeded past NODE_BUDGET paths."""
 
     def children(node):
         pair, visited, out1, out2, letters = node
-        for a, nxt, (o1, o2) in T.tuple_succ(pair):
+        for a, nxt, (o1, o2) in rows[pair]:
             if nxt not in visited:
                 yield nxt, visited | {nxt}, out1 + o1, out2 + o2, letters + (a,)
 
     count = 0
     for s in starts:
+        if s not in rows:
+            continue
         for pair, _, out1, out2, letters in _preorder((s, {s}, (), (), ()), children):
             count += 1
             if count > NODE_BUDGET:
@@ -455,11 +470,11 @@ def _simple_pair_paths(T: OneWayTransducer, starts):
             yield pair, out1, out2, letters
 
 
-def _simple_pair_loops(T: OneWayTransducer, anchor):
+def _simple_pair_loops(rows, anchor):
     """Simple loops at anchor, each a simple path from it plus one edge
-    back to it: yields (out1, out2, letters)."""
-    for pair, out1, out2, letters in _simple_pair_paths(T, [anchor]):
-        for a, nxt, (o1, o2) in T.tuple_succ(pair):
+    back to it, in the pair graph `rows`: yields (out1, out2, letters)."""
+    for pair, out1, out2, letters in _simple_pair_paths(rows, [anchor]):
+        for a, nxt, (o1, o2) in rows[pair]:
             if nxt == anchor:
                 yield out1 + o1, out2 + o2, letters + (a,)
 
@@ -505,16 +520,30 @@ def is_continuous(T: OneWayTransducer) -> Tuple[bool, Optional[ContinuityWitness
       out2^-1 w1, which `_diverging_future` decides exactly.
     The first pair of different words is the witness.  Paths that take a
     loop before they reach the anchor are not simple and are not searched.
+
+    The paths run over T.square(), the pairs on a walk from I x I to a
+    pair with a final first state, and the loops over its pairs that
+    reach the anchor (memoized per anchor).  Every pair on a path to an
+    anchor, or on a loop through it, is among them, so the searches meet
+    the same paths in the same order as over the whole pair graph (see
+    nft.product_between).
     """
     T = clean(trim(T))
+    rows = T.square()
     starts = sorted(itertools.product(T.initial, repeat=2), key=str)
     checked = set()
-    for anchor, out1, out2, path in _simple_pair_paths(T, starts):
+    rev = _reverse(rows)
+    loops: Dict[tuple, dict] = {}
+    for anchor, out1, out2, path in _simple_pair_paths(rows, starts):
         f, q = anchor
         if f not in T.final or (anchor, out1, out2) in checked:
             continue
         checked.add((anchor, out1, out2))
-        for c1, c2, letters in _simple_pair_loops(T, anchor):
+        if anchor not in loops:
+            back = closure([anchor], lambda pair: rev.get(pair, ()))
+            loops[anchor] = {pair: [e for e in rows[pair] if e[1] in back]
+                             for pair in back}
+        for c1, c2, letters in _simple_pair_loops(loops[anchor], anchor):
             w1 = canonicalize(out1, c1)
             w2 = (canonicalize(out2, c2) if c2
                   else _diverging_future(T, q, out2, w1))

@@ -11,6 +11,12 @@ accepting runs on the input, whatever their outputs, raise
 AmbiguityError.  Normalization passes (trim, clean, make_productive)
 preserve the computed function; each has a matching predicate so
 already-normal machines are returned unchanged.
+
+Searches over the product of a machine with itself read the cached rows
+of tuple_succ and tuple_pred.  product_between keeps the tuples on a walk
+from given starts to given goals, searching backward and forward in
+turn, so the continuity, constant-state and separability searches never
+expand a tuple that cannot lead to what they look for.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .words import (
 Transition = Tuple[str, object, str]  # (source, letter, target)
 
 NODE_BUDGET = 400_000  # nodes a product-graph search may visit
+BACKWARD_SHARE = 4  # edges product_between builds backward per forward edge
 
 
 class AmbiguityError(Exception):
@@ -68,6 +75,9 @@ class OneWayTransducer:
                     raise ValueError(f"unknown output letter {b!r}")
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial/final not subsets of states")
+        # the rows tuple_succ and tuple_pred have built, by tuple
+        object.__setattr__(self, "_succ_rows", {})
+        object.__setattr__(self, "_pred_rows", {})
 
     # -- indexes -------------------------------------------------------------
 
@@ -86,32 +96,33 @@ class OneWayTransducer:
         order, the first component varying slowest.  Only letters every
         component can read are visited.  Built once per tuple and cached.
         """
-        cache = self.__dict__.get("_tuple_succ_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_tuple_succ_cache", cache)
-        hit = cache.get(t)
+        hit = self._succ_rows.get(t)
         if hit is None:
-            rows = self._by_letter()
-            first, *rest = (rows.get(q, {}) for q in t)
-            hit = []
-            if len(rest) == 1:  # pairs, which every set-up search reads
-                (second,) = rest
-                for a, succ in first.items():
-                    succ2 = second.get(a)
-                    if succ2:
-                        hit += [(a, (q1, q2), (o1, o2))
-                                for q1, o1 in succ for q2, o2 in succ2]
-            else:
-                for a, succ in first.items():
-                    per = [succ] + [row.get(a) for row in rest]
-                    if all(per):
-                        hit.extend(
-                            (a, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-                            for combo in itertools.product(*per)
-                        )
-            cache[t] = hit
+            hit = self._succ_rows[t] = _tuple_row(self._by_letter(), t)
         return hit
+
+    def tuple_pred(self, t: Tuple[str, ...]) -> List[Tuple[object, tuple, tuple]]:
+        """(letter, previous tuple, per-component outputs) for the state
+        tuple t: the mirror of tuple_succ, over the transitions into each
+        component.  Ordered by letter (sorted by str), then by each
+        component's sources, sorted, the first component varying slowest.
+        Built once per tuple and cached."""
+        hit = self._pred_rows.get(t)
+        if hit is None:
+            hit = self._pred_rows[t] = _tuple_row(self._into(), t)
+        return hit
+
+    def square(self) -> Dict[tuple, list]:
+        """product_between(self, I x I, the pairs with a final first
+        state): the pair graph that the continuity and constant-state
+        searches share.  Built once per machine."""
+        cache = self.__dict__.get("_square_cache")
+        if cache is None:
+            cache = product_between(
+                self, sorted(itertools.product(self.initial, repeat=2)),
+                [(f, q) for f in sorted(self.final) for q in sorted(self.states)])
+            object.__setattr__(self, "_square_cache", cache)
+        return cache
 
     def _by_src(self):
         cache = self.__dict__.get("_by_src_cache")
@@ -160,6 +171,18 @@ class OneWayTransducer:
             object.__setattr__(self, "_by_letter_cache", cache)
         return cache
 
+    def _into(self):
+        """q2 -> {letter: [(source, output)]}, the mirror of _by_letter:
+        letters sorted by str, sources sorted."""
+        cache = self.__dict__.get("_into_cache")
+        if cache is None:
+            cache = {}
+            for (q, a, q2), out in sorted(self.transitions.items(),
+                                          key=lambda kv: (str(kv[0][1]), kv[0][0])):
+                cache.setdefault(q2, {}).setdefault(a, []).append((q, out))
+            object.__setattr__(self, "_into_cache", cache)
+        return cache
+
     def _edges(self):
         cache = self.__dict__.get("_edges_cache")
         if cache is None:
@@ -170,6 +193,31 @@ class OneWayTransducer:
                 v.sort(key=lambda t: (str(t[0]), t[1]))
             object.__setattr__(self, "_edges_cache", cache)
         return cache
+
+
+def _tuple_row(index, t) -> List[Tuple[object, tuple, tuple]]:
+    """The edges of the tuple t in the product over `index`, which maps a
+    state to {letter: [(other state, output)]}, letters in order: per
+    letter, the product of the components' lists, the first varying
+    slowest.  Only letters every component has are visited."""
+    first, *rest = (index.get(q, {}) for q in t)
+    row = []
+    if len(rest) == 1:  # pairs, which every set-up search reads
+        (second,) = rest
+        for a, succ in first.items():
+            succ2 = second.get(a)
+            if succ2:
+                row += [(a, (q1, q2), (o1, o2))
+                        for q1, o1 in succ for q2, o2 in succ2]
+    else:
+        for a, succ in first.items():
+            per = [succ] + [other.get(a) for other in rest]
+            if all(per):
+                row.extend(
+                    (a, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
+                    for combo in itertools.product(*per)
+                )
+    return row
 
 
 # -- JSON format -------------------------------------------------------------
@@ -261,13 +309,19 @@ def is_trim(T: OneWayTransducer) -> bool:
 
 
 def _trim_keep(T: OneWayTransducer) -> FrozenSet[str]:
-    succ = _targets(T)
-    rev: Dict[str, set] = {}
-    for (q, _, q2) in T.transitions:
-        rev.setdefault(q2, set()).add(q)
-    # live final states: finals lying on a cycle (reachable from themselves)
-    live = [f for f in T.final if _on_cycle(f, succ)]
-    return closure(T.initial, succ) & closure(live, lambda q: rev.get(q, ()))
+    """The states trim keeps, found once per machine: set-up trims the
+    same machine several times (prepare, is_continuous, make_productive)."""
+    keep = T.__dict__.get("_trim_keep_cache")
+    if keep is None:
+        succ = _targets(T)
+        rev: Dict[str, set] = {}
+        for (q, _, q2) in T.transitions:
+            rev.setdefault(q2, set()).add(q)
+        # live final states: finals lying on a cycle (reachable from themselves)
+        live = [f for f in T.final if _on_cycle(f, succ)]
+        keep = closure(T.initial, succ) & closure(live, lambda q: rev.get(q, ()))
+        object.__setattr__(T, "_trim_keep_cache", keep)
+    return keep
 
 
 def trim(T: OneWayTransducer) -> OneWayTransducer:
@@ -289,12 +343,17 @@ def trim(T: OneWayTransducer) -> OneWayTransducer:
 
 
 def is_clean(T: OneWayTransducer) -> bool:
-    """No cycle through a final state with empty total output."""
-    eps: Dict[str, List[str]] = {}
-    for (q, _, q2), out in T.transitions.items():
-        if len(out) == 0:
-            eps.setdefault(q, []).append(q2)
-    return not any(_on_cycle(f, lambda q: eps.get(q, ())) for f in T.final)
+    """No cycle through a final state with empty total output.  Found once
+    per machine, as _trim_keep is."""
+    hit = T.__dict__.get("_is_clean_cache")
+    if hit is None:
+        eps: Dict[str, List[str]] = {}
+        for (q, _, q2), out in T.transitions.items():
+            if len(out) == 0:
+                eps.setdefault(q, []).append(q2)
+        hit = not any(_on_cycle(f, lambda q: eps.get(q, ())) for f in T.final)
+        object.__setattr__(T, "_is_clean_cache", hit)
+    return hit
 
 
 def clean(T: OneWayTransducer) -> OneWayTransducer:
@@ -334,15 +393,16 @@ def clean(T: OneWayTransducer) -> OneWayTransducer:
 # -- product graphs ------------------------------------------------------------
 
 
-def product_bfs(T: OneWayTransducer, starts):
+def product_bfs(succ, starts):
     """Breadth-first search over state tuples from `starts`, following
-    T.tuple_succ; parents[t] = (previous tuple, letter, outputs), None at
-    a start.  Raises BudgetExceeded past NODE_BUDGET tuples."""
+    succ (T.tuple_succ, or the rows of product_between); parents[t] =
+    (previous tuple, letter, outputs), None at a start.  Raises
+    BudgetExceeded past NODE_BUDGET tuples."""
     parents = {t: None for t in starts}
     queue = deque(starts)
     while queue:
         t = queue.popleft()
-        for a, nxt, outs in T.tuple_succ(t):
+        for a, nxt, outs in succ(t):
             if nxt not in parents:
                 if len(parents) >= NODE_BUDGET:
                     raise BudgetExceeded("tuple-product search too large")
@@ -369,18 +429,19 @@ def product_path(parents, node):
     return tuple(letters), outputs, cur
 
 
-def product_walk(T: OneWayTransducer, start, goals, keep=None):
+def product_walk(succ, start, goals, keep=None):
     """(letters, per-component outputs, end tuple) of a shortest nonempty
     walk from the tuple `start` to a tuple in `goals`, or None.
 
-    Breadth-first in T.tuple_succ order, following only the edges whose
+    Breadth-first in succ order (T.tuple_succ, or the rows of
+    product_between), following only the edges whose
     outputs pass `keep` (all edges when it is None).  Raises
     BudgetExceeded past NODE_BUDGET tuples."""
     parents = {start: None}
     queue = deque([start])
     while queue:
         t = queue.popleft()
-        for a, nxt, outs in T.tuple_succ(t):
+        for a, nxt, outs in succ(t):
             if keep is not None and not keep(outs):
                 continue
             if nxt in goals:
@@ -393,6 +454,95 @@ def product_walk(T: OneWayTransducer, start, goals, keep=None):
                 parents[nxt] = (t, a, outs)
                 queue.append(nxt)
     return None
+
+
+def _fanout(index, t) -> int:
+    """len(_tuple_row(index, t)), without building the row."""
+    first, *rest = (index.get(q, {}) for q in t)
+    total = 0
+    for a, succ in first.items():
+        n = len(succ)
+        for other in rest:
+            n *= len(other.get(a, ()))
+        total += n
+    return total
+
+
+def _edge_order(edge):
+    """tuple_succ's order on the edges of one tuple: letter by str, then
+    the next tuple, whose components' targets vary the first slowest."""
+    return str(edge[0]), edge[1]
+
+
+def product_between(T: OneWayTransducer, starts, goals) -> Dict[tuple, list]:
+    """The tuples on a walk from one of `starts` to one of `goals`, each
+    with its edges among them: {t: [(letter, next tuple, outputs), ...]},
+    each list in T.tuple_succ order.
+
+    A search backward from the goals over tuple_pred and one forward from
+    the starts over tuple_succ take turns.  The backward side expands its
+    next tuple while it would then have built at most BACKWARD_SHARE times
+    as many edges as the forward side; otherwise the forward side does.
+    A row built earlier costs nothing.  A new row is counted by _fanout
+    before it is built, except a pair's, which costs no more to build than
+    to count.  So a small square, where both sides are alike, is searched
+    backward only.
+
+    The first side to run out of tuples holds all it can reach: every
+    tuple that reaches a goal, or every tuple reachable from a start.  A
+    closure over the rows it built then keeps the ones that meet the other
+    condition.  The work thus follows the smaller of the two sets: most
+    pairs of a k-guess machine reach no final pair, most pairs of a ring
+    are never reached, and a tuple of initial states of a k-guess machine
+    has k^|t| successors but few predecessors.
+
+    Every tuple on a walk to a goal reaches that goal, and every one on
+    a walk from a start is reachable.  So a search over these rows from a
+    start meets, of the tuples that lead to a goal, the same ones in the
+    same order and with the same parents as over tuple_succ: depth-first
+    over simple paths, or breadth-first, where a tuple's parent reaches
+    whatever it reaches.  Raises BudgetExceeded when a side passes
+    NODE_BUDGET tuples."""
+    index = (T._by_letter(), T._into())
+    expand = (T.tuple_succ, T.tuple_pred)
+    built = (T._succ_rows, T._pred_rows)
+    seen = (dict.fromkeys(starts), dict.fromkeys(goals))
+    queue = (deque(seen[0]), deque(seen[1]))
+    spent = [0, 0]
+    ahead = [None, None]  # each side's edges after its next expansion
+    while queue[0] and queue[1]:
+        for s in (0, 1):
+            if ahead[s] is None:
+                t = queue[s][0]
+                ahead[s] = spent[s] + (0 if t in built[s]
+                                       else len(expand[s](t)) if len(t) == 2
+                                       else _fanout(index[s], t))
+        s = int(ahead[1] <= BACKWARD_SHARE * ahead[0])
+        spent[s], ahead[s] = ahead[s], None
+        row = expand[s](queue[s].popleft())
+        for _, t, _ in row:
+            if t not in seen[s]:
+                if len(seen[s]) >= NODE_BUDGET:
+                    raise BudgetExceeded("tuple-product search too large")
+                seen[s][t] = None
+                queue[s].append(t)
+    if not queue[1]:  # seen[1]: every tuple that reaches a goal
+        rows: Dict[tuple, list] = {t: [] for t in seen[1]}
+        for t in seen[1]:
+            for a, prev, outs in T.tuple_pred(t):
+                rows[prev].append((a, t, outs))
+        keep = closure([t for t in seen[0] if t in rows],
+                       lambda t: [e[1] for e in rows[t]])
+        return {t: sorted(rows[t], key=_edge_order) for t in keep}
+    meet = [t for t in seen[1] if t in seen[0]]  # seen[0]: every reachable tuple
+    if not meet:
+        return {}
+    rev: Dict[tuple, list] = {}
+    for t in seen[0]:
+        for _, nxt, _ in T.tuple_succ(t):
+            rev.setdefault(nxt, []).append(t)
+    keep = closure(meet, lambda t: rev.get(t, ()))
+    return {t: [e for e in T.tuple_succ(t) if e[1] in keep] for t in keep}
 
 
 # -- unambiguity ---------------------------------------------------------------
@@ -689,8 +839,9 @@ def accepting_future(T: OneWayTransducer, q: str) -> Optional[UPWord]:
     frontier = deque([(q, ())])
     while frontier:
         m, pref = frontier.popleft()
-        walk = ((), [()], (m,)) if m in T.final else product_walk(T, (m,), finals)
-        back = walk and product_walk(T, walk[2], {(m,)})
+        walk = (((), [()], (m,)) if m in T.final
+                else product_walk(T.tuple_succ, (m,), finals))
+        back = walk and product_walk(T.tuple_succ, walk[2], {(m,)})
         if back:
             loop = walk[1][0] + back[1][0]
             if loop:
@@ -713,14 +864,19 @@ def _constant_witnesses(T: OneWayTransducer) -> Dict[str, tuple]:
     whose second-component output is empty; alpha1 and alpha2 are the
     two runs' outputs, alpha1_loop the first component's loop output.
     Pairs are tried in breadth-first order from the sorted initial pairs,
-    the first with a loop giving q's witness.  The pair graph is searched
-    once for all states.
+    the first with a loop giving q's witness.  Both searches run over
+    T.square(), which holds every pair such a run and loop pass through,
+    so the pair graph is searched once per machine, for all states and
+    for the continuity check.
     """
-    reach = product_bfs(T, list(itertools.product(sorted(T.initial), repeat=2)))
+    rows = T.square()
+    reach = product_bfs(rows.__getitem__, [
+        t for t in itertools.product(sorted(T.initial), repeat=2) if t in rows])
     found = {}
     for f, q in reach:
         if f in T.final and q not in T.final and q not in found:
-            loop = product_walk(T, (f, q), {(f, q)}, keep=lambda outs: not outs[1])
+            loop = product_walk(rows.__getitem__, (f, q), {(f, q)},
+                                keep=lambda outs: not outs[1])
             if loop is not None:
                 _, (a1, a2), _ = product_path(reach, (f, q))
                 found[q] = (a1, loop[1][0], a2)

@@ -375,7 +375,14 @@ def _freeze(m):
 
 def check_bounded(S: StreamingTransducer, K: int) -> bool:
     """Every composed update window uses each register at most K times per
-    target register."""
+    target register.
+
+    A copyless machine is K-bounded for every K >= 1: its windows use each
+    register at most once in all (see check_copyless), so that answer needs
+    no walk over the window matrices, of which a machine whose letters
+    permute n registers has n!."""
+    if K >= 1 and check_copyless(S):
+        return True
     for m in _matrix_closure(S, K + 1):
         if any(c > K for _, c in m):
             return False

@@ -1,5 +1,5 @@
-"""The product-graph index OneWayTransducer.tuple_succ: agreement with a
-per-letter reference, one pair-reachability search per normalization,
+"""The product-graph indexes OneWayTransducer.tuple_succ and tuple_pred:
+agreement with a per-letter reference, one pair search per machine,
 normal forms that do not depend on the hash seed, and the wide replace_k
 machines it speeds up."""
 
@@ -31,6 +31,20 @@ def reference_succ(T, t):
     return rows
 
 
+def reference_pred(T, t):
+    """tuple_pred(t) spelled out: every letter of the alphabet, sorted by
+    str, then the product of the components' sorted (source, output)
+    lists."""
+    rows = []
+    for a in sorted(T.input_alphabet, key=str):
+        per = [sorted((p, out) for (p, b, p2), out in T.transitions.items()
+                      if b == a and p2 == q) for q in t]
+        for combo in itertools.product(*per):
+            rows.append((a, tuple(c[0] for c in combo),
+                         tuple(c[1] for c in combo)))
+    return rows
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(small_machines(), lasso_branch_machines(),
@@ -41,6 +55,8 @@ def test_index_matches_per_letter_reference(T):
         for t in itertools.product(states, repeat=width):
             assert T.tuple_succ(t) == reference_succ(T, t)
             assert T.tuple_succ(t) is T.tuple_succ(t)  # built once
+            assert T.tuple_pred(t) == reference_pred(T, t)
+            assert T.tuple_pred(t) is T.tuple_pred(t)
 
 
 def constant_state_machine() -> nft.OneWayTransducer:
@@ -64,15 +80,15 @@ def constant_state_machine() -> nft.OneWayTransducer:
 def test_normalize_searches_the_pair_graph_once(monkeypatch):
     """Pair reachability from I x I does not depend on the state being
     tested, so one search serves every state, not one per non-final
-    state."""
+    state; the continuity check shares it through T.square()."""
     calls = []
-    product_bfs = nft.product_bfs
+    product_between = nft.product_between
 
-    def counting(T, starts):
+    def counting(T, starts, goals):
         calls.append(starts)
-        return product_bfs(T, starts)
+        return product_between(T, starts, goals)
 
-    monkeypatch.setattr(nft, "product_bfs", counting)
+    monkeypatch.setattr(nft, "product_between", counting)
     T = replace_k(5)
     assert len(T.states - T.final) == 5
     assert nft.is_productive(T)
@@ -82,7 +98,8 @@ def test_normalize_searches_the_pair_graph_once(monkeypatch):
     assert is_continuous(T)[0] and not nft.is_productive(T)
     Tn = nft.normalize(T)
     assert sorted(q for q in Tn.states if "!" in q) == ["g!q", "q!q"]
-    assert len(calls) == 2  # is_productive once, normalize once
+    # is_continuous, is_productive and normalize share one search
+    assert calls.count([("i", "i")]) == 1
 
 
 def test_replace_k_is_continuous_and_already_normal():

@@ -32,6 +32,7 @@ from omegastream.nft import ContractError
 from omegastream.words import canonicalize, parse_upword, up_equal, word
 
 from conftest import scattered_one_state_ssts
+from machines import copyless_ssts, kflush_sst
 
 
 # -- substitutions -------------------------------------------------------------
@@ -188,6 +189,54 @@ def test_bounded_vs_brute_force(replace_sst_m):
                 assert brute <= K
             if brute > K:
                 assert not check_bounded(S, K)
+
+
+def _bounded_by_closure(S, K):
+    """check_bounded spelled out: every window matrix, no shortcut."""
+    return all(c <= K for m in sst._matrix_closure(S, K + 1) for _, c in m)
+
+
+def _permuting_sst(n):
+    """One state: a rotates the n registers, b swaps the first two, and
+    both append to out.  Copyless, with n! window matrices."""
+    regs = [f"r{i}" for i in range(n)]
+    rotate = {r: (Reg(s),) for r, s in zip(regs, regs[1:] + regs[:1])}
+    swap = {regs[0]: (Reg(regs[1]),), regs[1]: (Reg(regs[0]),)}
+    return _one_state_sst("ab", ["out"] + regs, {
+        "a": {"out": (Reg("out"), "a"), **rotate},
+        "b": {"out": (Reg("out"), "b"), **swap}})
+
+
+def test_check_bounded_answers_a_copyless_machine_at_once():
+    import time
+
+    S = _permuting_sst(9)
+    assert check_copyless(S)
+    start = time.perf_counter()
+    assert check_bounded(S, 1)
+    assert time.perf_counter() - start < 0.05
+    assert not check_bounded(S, 0)
+    # the shortcut gives the closure's answer where the closure is small
+    for n in (2, 3, 4):
+        for K in (0, 1, 2):
+            assert check_bounded(_permuting_sst(n), K) == _bounded_by_closure(
+                _permuting_sst(n), K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(copyless_ssts())
+def test_check_bounded_agrees_with_the_closure_on_copyless_machines(S):
+    for K in (0, 1, 2):
+        assert check_bounded(S, K) == _bounded_by_closure(S, K)
+
+
+@pytest.mark.parametrize("registers, K", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+def test_check_bounded_agrees_with_the_closure_on_kflush_machines(registers, K):
+    S = kflush_sst(registers, K)
+    assert check_copyless(S) == (K == 1)
+    for bound in (1, 2, 3):
+        assert check_bounded(S, bound) == _bounded_by_closure(S, bound)
+        assert check_bounded(S, bound) == (bound >= K)
 
 
 def test_counting_matrices():
