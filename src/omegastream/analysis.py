@@ -479,6 +479,18 @@ def _simple_pair_loops(rows, anchor):
                 yield out1 + o1, out2 + o2, letters + (a,)
 
 
+def _replay(found, more):
+    """The items of `found`, then those the generator `more` goes on to
+    yield, each appended to `found` as it comes.  So a second pass over a
+    search repeats what the first one met without searching again, and
+    goes on where it stopped; the search meets its items, and its
+    BudgetExceeded point, once."""
+    yield from found
+    for item in more:
+        found.append(item)
+        yield item
+
+
 def _diverging_future(T: OneWayTransducer, q: str, head: Word,
                       w: UPWord) -> Optional[UPWord]:
     """head.gamma.beta for the first run from q, breadth-first, whose output
@@ -523,17 +535,25 @@ def is_continuous(T: OneWayTransducer) -> Tuple[bool, Optional[ContinuityWitness
 
     The paths run over T.square(), the pairs on a walk from I x I to a
     pair with a final first state, and the loops over its pairs that
-    reach the anchor (memoized per anchor).  Every pair on a path to an
-    anchor, or on a loop through it, is among them, so the searches meet
-    the same paths in the same order as over the whole pair graph (see
-    nft.product_between).
+    reach the anchor.  Every pair on a path to an anchor, or on a loop
+    through it, is among them, so the searches meet the same paths in the
+    same order as over the whole pair graph (see nft.product_between).
+
+    Each anchor's loops are searched once, however many paths reach it:
+    the loops found so far are kept with the search that goes on from
+    there (`_replay`), never the whole list, so a witness among the first
+    loops still comes before the search's BudgetExceeded point.  A pair
+    with out1 = out2 and c1 = c2 is skipped before any word is built:
+    c1 is not empty, so it is no silent loop, and equal words have equal
+    limits.  On replace_k, whose square holds only pairs (q, q), that is
+    every pair.
     """
     T = clean(trim(T))
     rows = T.square()
     starts = sorted(itertools.product(T.initial, repeat=2), key=str)
     checked = set()
     rev = _reverse(rows)
-    loops: Dict[tuple, dict] = {}
+    loops: Dict[tuple, tuple] = {}  # anchor -> (loops found, their search)
     for anchor, out1, out2, path in _simple_pair_paths(rows, starts):
         f, q = anchor
         if f not in T.final or (anchor, out1, out2) in checked:
@@ -541,9 +561,12 @@ def is_continuous(T: OneWayTransducer) -> Tuple[bool, Optional[ContinuityWitness
         checked.add((anchor, out1, out2))
         if anchor not in loops:
             back = closure([anchor], lambda pair: rev.get(pair, ()))
-            loops[anchor] = {pair: [e for e in rows[pair] if e[1] in back]
-                             for pair in back}
-        for c1, c2, letters in _simple_pair_loops(loops[anchor], anchor):
+            loops[anchor] = [], _simple_pair_loops(
+                {pair: [e for e in rows[pair] if e[1] in back] for pair in back},
+                anchor)
+        for c1, c2, letters in _replay(*loops[anchor]):
+            if c1 == c2 and out1 == out2:
+                continue
             w1 = canonicalize(out1, c1)
             w2 = (canonicalize(out2, c2) if c2
                   else _diverging_future(T, q, out2, w1))

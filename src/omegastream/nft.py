@@ -606,17 +606,27 @@ def is_unambiguous(T: OneWayTransducer) -> bool:
     a diverged pair reaches a nontrivial product SCC containing both a pair
     with first component final and a pair with second component final (a
     single product cycle can then visit both kinds).
+
+    The search reads T.square(), the pairs on a walk from I x I to a pair
+    with a final first state, which the continuity and constant-state
+    searches share.  That is exact: such an SCC holds a pair with a final
+    first state, and every pair in it, or on a walk from I x I into it,
+    reaches that pair, so all of them lie in the square.  Raises
+    BudgetExceeded when building the square does.
     """
+    rows = T.square()
+
     def step(node):
         p, q, d = node
-        return [(p2, q2, d or p2 != q2) for _, (p2, q2), _ in T.tuple_succ((p, q))]
+        return [(p2, q2, d or p2 != q2) for _, (p2, q2), _ in rows[p, q]]
 
-    start = [(p, q, p != q) for p in T.initial for q in T.initial]
+    start = [(p, q, p != q) for p in T.initial for q in T.initial
+             if (p, q) in rows]
     diverged = {(p, q) for p, q, d in closure(start, step) if d}
     # an SCC that holds a pair reachable from a diverged one is reachable
     # as a whole, so the SCCs of that closure are all the search needs
-    reach = closure(diverged, lambda pq: [t for _, t, _ in T.tuple_succ(pq)])
-    adj = {pq: {t for _, t, _ in T.tuple_succ(pq)} for pq in reach}
+    reach = closure(diverged, lambda pq: [t for _, t, _ in rows[pq]])
+    adj = {pq: {t for _, t, _ in rows[pq]} for pq in reach}
     return not any(
         _cyclic(comp, adj)
         and any(p in T.final for p, _ in comp)

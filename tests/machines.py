@@ -142,6 +142,24 @@ def ambiguous_machine() -> OneWayTransducer:
     )
 
 
+def loop_before_anchor_machine() -> OneWayTransducer:
+    """Not continuous, and the pair (i, j) must loop on x before the anchor
+    (f, g) is reached: the inputs x y z^n w^w tend to x y z^w, whose output
+    is a b c^w, but their outputs are b c^n d^w.  A search over simple
+    paths from I x I misses it (ROADMAP item 5)."""
+    edges = [("i", "x", "i", "a"), ("j", "x", "j", ""), ("i", "y", "f", "b"),
+             ("j", "y", "g", "b"), ("f", "z", "f", "c"), ("g", "z", "g", "c"),
+             ("g", "w", "h", "d"), ("h", "w", "h", "d")]
+    return OneWayTransducer(
+        input_alphabet=frozenset("xyzw"),
+        output_alphabet=frozenset("abcd"),
+        states=frozenset("ijfgh"),
+        initial=frozenset("ij"),
+        final=frozenset("fh"),
+        transitions={(p, a, q): word(out) for p, a, q, out in edges},
+    )
+
+
 # Ambiguous and not continuous: on a b^w the runs from s0 and s1 output
 # x y^w and y^w.  Which constant-state witness the pair search found first
 # used to depend on the iteration order of the alphabet and initial-state

@@ -30,7 +30,8 @@ from omegastream.words import (
 
 from conftest import random_upword
 from machines import (cycle_branch_machines, lasso_branch_machines,
-                      period_branch_machines, small_machines)
+                      loop_before_anchor_machine, period_branch_machines,
+                      small_machines)
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +345,13 @@ def test_a_dead_branch_is_no_continuity_witness():
     })
     assert not nft.is_trim(T)
     assert is_continuous(T) == (True, None)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the search follows "
+                   "only simple paths from I x I, and this witness loops "
+                   "on x before its anchor")
+def test_a_loop_before_the_anchor_is_a_continuity_witness():
+    assert is_continuous(loop_before_anchor_machine())[0] is False
 
 
 def random_machine(rng: random.Random) -> nft.OneWayTransducer:
