@@ -379,11 +379,11 @@ def analyze_step(T: OneWayTransducer, C, u, D) -> Optional[StepAnalysis]:
     # twice is ambiguous whatever its runs' starts and outputs, so one
     # entry per state suffices and each letter costs O(transitions)
     runs: Dict[str, tuple] = {q: (q, 1, None) for q in C}
-    succ = T._by_src().get  # T.succ inlined: this loop is the hot path
+    index = T._by_letter  # T.succ inlined, no key tuple: the hot path
     for a in u:
         nxt: Dict[str, tuple] = {}
         for q, (start, count, chain) in runs.items():
-            for q2, out in succ((q, a), ()):
+            for q2, out in index.get(q, {}).get(a, ()):
                 if q2 in nxt:
                     nxt[q2] = (start, 2, chain)
                 else:

@@ -167,8 +167,6 @@ class Determinizer:
         if self.ctx.is_compatible(C0) is None:
             raise ContractError(f"initial set {sorted(C0)} is not compatible")
         self.C = C0
-        self.J = C0
-        self.pre_total = {q: q for q in C0}
         self.theta: Word = ()
         self.out_regs: Dict[str, Word] = {}
         rec = _Recorder({"out": ()})
@@ -231,9 +229,7 @@ class Determinizer:
         c = reduce(lcp_finite, [delta[q] for q in sorted(sa.target)])
         rec.append_letters("out", c)
         alphas = {q: delta[q][len(c):] for q in sa.target}
-        self.pre_total = {q: self.pre_total[sa.pre[q]] for q in sa.target}
         self.C = sa.target
-        self.J = frozenset(self.pre_total.values())
         self._settle(rec, alphas)
 
     def _settle(self, rec: _Recorder, alphas: Dict[str, Word]):
@@ -362,9 +358,7 @@ class Determinizer:
         self.last = new_last
         self.max_lag = self.max_lag[len(c):]
         self.nb = new_nb
-        self.pre_total = {q: self.pre_total[pre_a[q]] for q in target}
         self.C = target
-        self.J = frozenset(self.pre_total.values())
         self._resize_last(rec)
 
     # -- separable mode, preprocessing -----------------------------------------
@@ -411,9 +405,7 @@ class Determinizer:
             alphas = {q: delta[q][len(c):] for q in Cp}
             # drop the separable structure; the branch registers vanish
             rec.remap({"out": "out"})
-            self.pre_total = {q: self.pre_total[q] for q in Cp}
             self.C = Cp
-            self.J = frozenset(self.pre_total.values())
             self._settle(rec, alphas)
         else:
             c = reduce(lcp_finite, [self.lag[q] for q in sorted(Cp)])
@@ -441,9 +433,7 @@ class Determinizer:
             self.nb = new_nb
             self.lag = new_lag
             self.last = new_last
-            self.pre_total = {q: self.pre_total[q] for q in Cp}
             self.C = Cp
-            self.J = frozenset(self.pre_total.values())
             self._resize_last(rec)
         # the pending letter: C', a, C_next is now a step
         sa2 = self.ctx.analyze_step(self.C, (a,), sa.target)
@@ -483,7 +473,12 @@ class InvariantChecker:
     current J is the merge of the folds of its starts.  A production is
     held without the output emitted at the last checkpoint, or as None
     when it does not extend that output.  `history` still keeps one
-    snapshot per letter (ROADMAP item 7)."""
+    snapshot per letter (ROADMAP item 7).
+
+    The run origins are the checker's own, not the machine's: pre_total
+    maps each q in C to the state of C0 its run starts in, composed with
+    every step's pre map, and J is its image.  The re-derivation checks
+    pre_total against the starts of the fold."""
 
     def __init__(self, det: Determinizer, x: Optional[UPWord] = None):
         self.det = det
@@ -495,7 +490,8 @@ class InvariantChecker:
         # (start, state) -> (runs capped at 2, production after the first
         # n_base output letters, or None)
         self.runs: Dict[Tuple[str, str], Tuple[int, Optional[Word]]] = {
-            (q, q): (1, ()) for q in det.J}
+            (q, q): (1, ()) for q in det.C}
+        self.pre_total = {q: q for q in det.C}
         self.n_base = 0
         self.window: List = []  # the letters since the last checkpoint
         self.rest = self._strip({q: () for q in det.C})
@@ -526,6 +522,7 @@ class InvariantChecker:
         self.window.append(a)
         self.rest = self._strip(
             {q: self.rest[sa.pre[q]] + sa.val[q] for q in det.C})
+        self.pre_total = {q: self.pre_total[sa.pre[q]] for q in det.C}
         self.history.append({"C": det.C, "rest": self.rest, "pre": sa.pre})
         if len(self.window) == RECOMPUTE_EVERY:
             self._spot_recompute()
@@ -536,7 +533,8 @@ class InvariantChecker:
         return (pre(q), production after the first n_base output letters)
         for each q in C; raise unless J, x[1:i], C is an initial step."""
         det = self.det
-        runs = {key: v for key, v in self.runs.items() if key[0] in det.J}
+        J = frozenset(self.pre_total.values())
+        runs = {key: v for key, v in self.runs.items() if key[0] in J}
         for a in self.window:
             nxt: Dict[Tuple[str, str], Tuple[int, Optional[Word]]] = {}
             for (s, q), (count, prod) in runs.items():
@@ -554,7 +552,7 @@ class InvariantChecker:
                 counts[q] = counts.get(q, 0) + count
                 folded[q] = (s, prod)
         if (any(counts.get(q) != 1 for q in det.C)
-                or {s for s, _ in folded.values()} != det.J):
+                or {s for s, _ in folded.values()} != J):
             raise InvariantError("2", "J, x[1:i], C is not an initial step")
         return folded
 
@@ -568,7 +566,7 @@ class InvariantChecker:
                 raise InvariantError(
                     "2", f"incremental val({q}) drifted from recomputation"
                 )
-            if start != det.pre_total[q]:
+            if start != self.pre_total[q]:
                 raise InvariantError("2", f"pre({q}) drifted")
         # re-base the productions on the output emitted up to here
         k = len(since)
@@ -583,9 +581,6 @@ class InvariantChecker:
 
     def check(self):
         det = self.det
-        # inv 2 (shape): pre maps into J and covers it
-        if frozenset(det.pre_total.values()) != det.J:
-            raise InvariantError("2", "pre image differs from J")
         if len(det.emitted) != self.n_out:
             raise InvariantError("soundness", "out changed outside a step")
         if det.mode == "nonsep":

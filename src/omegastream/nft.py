@@ -12,8 +12,11 @@ AmbiguityError.  Normalization passes (trim, clean, make_productive)
 preserve the computed function; each has a matching predicate so
 already-normal machines are returned unchanged.
 
-Searches over the product of a machine with itself read the cached rows
-of tuple_succ and tuple_pred.  product_between keeps the tuples on a walk
+A machine keeps one transition index per direction: _by_letter (state
+-> letter -> targets) and its mirror _into (state -> letter -> sources).
+succ, out_edges, the oracle's tables, trim and the rows of tuple_succ and
+tuple_pred, which every search over the product of a machine with itself
+reads, are built from them.  product_between keeps the tuples on a walk
 from given starts to given goals, searching backward and forward in
 turn, so the continuity, constant-state and separability searches never
 expand a tuple that cannot lead to what they look for.
@@ -25,6 +28,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .words import (
@@ -57,6 +61,9 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OneWayTransducer:
+    """An immutable transducer.  What derives from its transitions alone is
+    a cached property, built on first use; product rows, per tuple."""
+
     input_alphabet: FrozenSet[object]
     output_alphabet: FrozenSet[object]
     states: FrozenSet[str]
@@ -82,11 +89,13 @@ class OneWayTransducer:
     # -- indexes -------------------------------------------------------------
 
     def succ(self, q: str, a: object) -> List[Tuple[str, Word]]:
-        """(target, output) pairs for transitions q -a-> ."""
-        return self._by_src().get((q, a), [])
+        """(target, output) pairs for transitions q -a-> , targets sorted."""
+        return self._by_letter.get(q, {}).get(a, [])
 
     def out_edges(self, q: str) -> List[Tuple[object, str, Word]]:
-        return self._edges().get(q, [])
+        """(letter, target, output) from q: letters by str, then targets."""
+        return [(a, q2, out) for a, row in self._by_letter.get(q, {}).items()
+                for q2, out in row]
 
     def tuple_succ(self, t: Tuple[str, ...]) -> List[Tuple[object, tuple, tuple]]:
         """(letter, next tuple, per-component outputs) for the state tuple t
@@ -98,7 +107,7 @@ class OneWayTransducer:
         """
         hit = self._succ_rows.get(t)
         if hit is None:
-            hit = self._succ_rows[t] = _tuple_row(self._by_letter(), t)
+            hit = self._succ_rows[t] = _tuple_row(self._by_letter, t)
         return hit
 
     def tuple_pred(self, t: Tuple[str, ...]) -> List[Tuple[object, tuple, tuple]]:
@@ -109,90 +118,82 @@ class OneWayTransducer:
         Built once per tuple and cached."""
         hit = self._pred_rows.get(t)
         if hit is None:
-            hit = self._pred_rows[t] = _tuple_row(self._into(), t)
+            hit = self._pred_rows[t] = _tuple_row(self._into, t)
         return hit
 
     def square(self) -> Dict[tuple, list]:
         """product_between(self, I x I, the pairs with a final first
         state): the pair graph that the continuity and constant-state
         searches share.  Built once per machine."""
-        cache = self.__dict__.get("_square_cache")
-        if cache is None:
-            cache = product_between(
-                self, sorted(itertools.product(self.initial, repeat=2)),
-                [(f, q) for f in sorted(self.final) for q in sorted(self.states)])
-            object.__setattr__(self, "_square_cache", cache)
-        return cache
+        return self._square
 
-    def _by_src(self):
-        cache = self.__dict__.get("_by_src_cache")
-        if cache is None:
-            cache = {}
-            for (q, a, q2), out in self.transitions.items():
-                cache.setdefault((q, a), []).append((q2, out))
-            for v in cache.values():
-                v.sort(key=lambda t: (t[0], t[1]))
-            object.__setattr__(self, "_by_src_cache", cache)
-        return cache
+    @cached_property
+    def _square(self) -> Dict[tuple, list]:
+        return product_between(
+            self, sorted(itertools.product(self.initial, repeat=2)),
+            [(f, q) for f in sorted(self.final) for q in sorted(self.states)])
 
+    @cached_property
+    def _by_letter(self) -> Dict[str, Dict[object, List[Tuple[str, Word]]]]:
+        """q -> {letter: [(target, output)]}: letters sorted by str,
+        targets sorted.  succ, out_edges and tuple_succ read it."""
+        return _index(self.transitions, 0, 2)
+
+    @cached_property
+    def _into(self) -> Dict[str, Dict[object, List[Tuple[str, Word]]]]:
+        """q2 -> {letter: [(source, output)]}, the mirror of _by_letter:
+        letters sorted by str, sources sorted."""
+        return _index(self.transitions, 2, 0)
+
+    @cached_property
     def _numbered(self):
         """(names, initial, final, targets, masks, outs), the oracle's
         tables, with the states numbered in sorted order: initial and
         final have the bits of the initial and final states, targets[a][p]
         is the tuple of p's target numbers on a, masks[a][p] has their
-        bits, and outs[a, p, q] is the output of p -a-> q.  Built once
-        per machine; nothing in them depends on a word."""
-        cache = self.__dict__.get("_numbered_cache")
-        if cache is None:
-            names = sorted(self.states)
-            num = {q: p for p, q in enumerate(names)}
-            targets: Dict[object, List[tuple]] = {}
-            for (q, a), row in self._by_src().items():
+        bits, and outs[a, p, q] is the output of p -a-> q.  Nothing in
+        them depends on a word."""
+        names = sorted(self.states)
+        num = {q: p for p, q in enumerate(names)}
+        targets: Dict[object, List[tuple]] = {}
+        for q, row in self._by_letter.items():
+            for a, succ in row.items():
                 targets.setdefault(a, [()] * len(names))[num[q]] = tuple(
-                    num[q2] for q2, _ in row)
-            masks = {a: [sum(1 << p for p in row) for row in rows]
-                     for a, rows in targets.items()}
-            outs = {(a, num[q], num[q2]): out
-                    for (q, a, q2), out in self.transitions.items()}
-            cache = (names, sum(1 << num[q] for q in self.initial),
-                     sum(1 << num[q] for q in self.final), targets, masks, outs)
-            object.__setattr__(self, "_numbered_cache", cache)
-        return cache
+                    num[q2] for q2, _ in succ)
+        masks = {a: [sum(1 << p for p in row) for row in rows]
+                 for a, rows in targets.items()}
+        outs = {(a, num[q], num[q2]): out
+                for (q, a, q2), out in self.transitions.items()}
+        return (names, sum(1 << num[q] for q in self.initial),
+                sum(1 << num[q] for q in self.final), targets, masks, outs)
 
-    def _by_letter(self):
-        """q -> {letter: succ(q, letter)}, letters sorted by str."""
-        cache = self.__dict__.get("_by_letter_cache")
-        if cache is None:
-            cache = {}
-            for q, edges in self._edges().items():
-                row = cache[q] = {}
-                for a, _, _ in edges:
-                    row.setdefault(a, self.succ(q, a))
-            object.__setattr__(self, "_by_letter_cache", cache)
-        return cache
+    @cached_property
+    def _useful(self) -> FrozenSet[str]:
+        """The states trim keeps: reachable from an initial state, and
+        reaching a final state that lies on a cycle."""
+        succ = _targets(self)
+        live = [f for f in self.final if _on_cycle(f, succ)]
+        return closure(self.initial, succ) & closure(live, lambda q: [
+            p for row in self._into.get(q, {}).values() for p, _ in row])
 
-    def _into(self):
-        """q2 -> {letter: [(source, output)]}, the mirror of _by_letter:
-        letters sorted by str, sources sorted."""
-        cache = self.__dict__.get("_into_cache")
-        if cache is None:
-            cache = {}
-            for (q, a, q2), out in sorted(self.transitions.items(),
-                                          key=lambda kv: (str(kv[0][1]), kv[0][0])):
-                cache.setdefault(q2, {}).setdefault(a, []).append((q, out))
-            object.__setattr__(self, "_into_cache", cache)
-        return cache
+    @cached_property
+    def _clean(self) -> bool:
+        """is_clean's verdict, found once per machine."""
+        eps: Dict[str, List[str]] = {}
+        for (q, _, q2), out in self.transitions.items():
+            if len(out) == 0:
+                eps.setdefault(q, []).append(q2)
+        return not any(_on_cycle(f, lambda q: eps.get(q, ())) for f in self.final)
 
-    def _edges(self):
-        cache = self.__dict__.get("_edges_cache")
-        if cache is None:
-            cache = {}
-            for (q, a, q2), out in self.transitions.items():
-                cache.setdefault(q, []).append((a, q2, out))
-            for v in cache.values():
-                v.sort(key=lambda t: (str(t[0]), t[1]))
-            object.__setattr__(self, "_edges_cache", cache)
-        return cache
+
+def _index(transitions, src: int, dst: int):
+    """key[src] -> {letter: [(key[dst], output)]} over the transition keys
+    (source, letter, target): letters sorted by str, then key[dst]."""
+    index: Dict = {}
+    for key, out in sorted(transitions.items(),
+                           key=lambda kv: (str(kv[0][1]), kv[0][dst])):
+        index.setdefault(key[src], {}).setdefault(key[1], []).append((key[dst], out))
+    return index
 
 
 def _tuple_row(index, t) -> List[Tuple[object, tuple, tuple]]:
@@ -305,27 +306,11 @@ def _targets(T: OneWayTransducer):
 
 
 def is_trim(T: OneWayTransducer) -> bool:
-    return _trim_keep(T) == T.states
-
-
-def _trim_keep(T: OneWayTransducer) -> FrozenSet[str]:
-    """The states trim keeps, found once per machine: set-up trims the
-    same machine several times (prepare, is_continuous, make_productive)."""
-    keep = T.__dict__.get("_trim_keep_cache")
-    if keep is None:
-        succ = _targets(T)
-        rev: Dict[str, set] = {}
-        for (q, _, q2) in T.transitions:
-            rev.setdefault(q2, set()).add(q)
-        # live final states: finals lying on a cycle (reachable from themselves)
-        live = [f for f in T.final if _on_cycle(f, succ)]
-        keep = closure(T.initial, succ) & closure(live, lambda q: rev.get(q, ()))
-        object.__setattr__(T, "_trim_keep_cache", keep)
-    return keep
+    return T._useful == T.states
 
 
 def trim(T: OneWayTransducer) -> OneWayTransducer:
-    keep = _trim_keep(T)
+    keep = T._useful
     if keep == T.states:
         return T
     return OneWayTransducer(
@@ -343,17 +328,8 @@ def trim(T: OneWayTransducer) -> OneWayTransducer:
 
 
 def is_clean(T: OneWayTransducer) -> bool:
-    """No cycle through a final state with empty total output.  Found once
-    per machine, as _trim_keep is."""
-    hit = T.__dict__.get("_is_clean_cache")
-    if hit is None:
-        eps: Dict[str, List[str]] = {}
-        for (q, _, q2), out in T.transitions.items():
-            if len(out) == 0:
-                eps.setdefault(q, []).append(q2)
-        hit = not any(_on_cycle(f, lambda q: eps.get(q, ())) for f in T.final)
-        object.__setattr__(T, "_is_clean_cache", hit)
-    return hit
+    """No cycle through a final state with empty total output."""
+    return T._clean
 
 
 def clean(T: OneWayTransducer) -> OneWayTransducer:
@@ -503,7 +479,7 @@ def product_between(T: OneWayTransducer, starts, goals) -> Dict[tuple, list]:
     over simple paths, or breadth-first, where a tuple's parent reaches
     whatever it reaches.  Raises BudgetExceeded when a side passes
     NODE_BUDGET tuples."""
-    index = (T._by_letter(), T._into())
+    index = (T._by_letter, T._into)
     expand = (T.tuple_succ, T.tuple_pred)
     built = (T._succ_rows, T._pred_rows)
     seen = (dict.fromkeys(starts), dict.fromkeys(goals))
@@ -689,7 +665,7 @@ def _transfer(rows, is_final, reach, freach) -> Tuple[tuple, tuple]:
 
 
 def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
-    """For each phase j of v, the bits (over T._numbered()'s order) of the
+    """For each phase j of v, the bits (over T._numbered's order) of the
     states where an accepting run on v[j:] v^w starts.
 
     One backward pass over v gives the block graph G on Q: p -> q when a
@@ -706,7 +682,7 @@ def _live_masks(T: OneWayTransducer, v: Word) -> List[int]:
     by (letter, number) for this call: a repeated key costs one
     dictionary hit, a new one deg·|Q| integer operations and one hash of
     the 2|Q| masks.  The second pass memoizes _pre (see _backward)."""
-    names, _, final, targets, masks, _ = T._numbered()
+    names, _, final, targets, masks, _ = T._numbered
     n = len(names)
     none = ((),) * n
     is_final = [final >> p & 1 for p in range(n)]
@@ -766,7 +742,7 @@ def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     per new key, deg the largest number of transitions from one state on
     one letter; the SCC pass is over |Q| nodes; the walk does a few bit
     operations and one table read per letter.  The per-letter tables are
-    built once per machine by T._numbered(); every memo and mask list is
+    built once per machine by T._numbered; every memo and mask list is
     built per call and dropped when it returns.
 
     Raises AmbiguityError when x has two accepting runs: two live initial
@@ -775,7 +751,7 @@ def oracle_run(T: OneWayTransducer, x: UPWord) -> Optional[RunLasso]:
     an unambiguous machine nothing raises.
     """
     u, v = x.prefix, x.period
-    names, initial, _, _, masks, outs = T._numbered()
+    names, initial, _, _, masks, outs = T._numbered
     live = _live_masks(T, v)
     live_u = _backward(masks, u, live[0]) + [live[0]]
     starts = initial & live_u[0]

@@ -142,6 +142,30 @@ def ambiguous_machine() -> OneWayTransducer:
     )
 
 
+def nonclose_machine() -> OneWayTransducer:
+    """Continuous, with theta length 2: on an a, q0 guesses p1, p2 or p3,
+    which output y, yy and y per a; b sends p1 and p2 on to s1 and s2, c
+    sends p3 to s3.  p1 and s1 are final.  On a^n b (a)^w the b drops p3
+    but keeps p1 and p2 under a subtree whose theta counters overflowed
+    on a long a-run (n >= 10), so the determinizer preprocesses a pre-image
+    that is not close."""
+    edges = [("q0", "a", "p1", "y"), ("q0", "a", "p2", "y"),
+             ("q0", "a", "p3", "y"), ("p1", "a", "p1", "y"),
+             ("p2", "a", "p2", "yy"), ("p3", "a", "p3", "y"),
+             ("p1", "b", "s1", "y"), ("p2", "b", "s2", ""),
+             ("p3", "c", "s3", "y"), ("s1", "a", "s1", "y"),
+             ("s2", "a", "s2", "y"), ("s2", "h", "q0", "y"),
+             ("s3", "i", "q0", "")]
+    return OneWayTransducer(
+        input_alphabet=frozenset("abchi"),
+        output_alphabet=frozenset("y"),
+        states=frozenset({"q0", "p1", "p2", "p3", "s1", "s2", "s3"}),
+        initial=frozenset({"q0"}),
+        final=frozenset({"p1", "s1"}),
+        transitions={(p, a, q): word(out) for p, a, q, out in edges},
+    )
+
+
 def loop_before_anchor_machine() -> OneWayTransducer:
     """Not continuous, and the pair (i, j) must loop on x before the anchor
     (f, g) is reached: the inputs x y z^n w^w tend to x y z^w, whose output

@@ -312,8 +312,7 @@ def test_criterion_7():
 
 def _clone(det):
     d = Determinizer(det.ctx)
-    d.C, d.J = det.C, det.J
-    d.pre_total = dict(det.pre_total)
+    d.C = det.C
     d.lag = dict(det.lag)
     d.max_lag = det.max_lag
     d.emitted = list(det.emitted)

@@ -137,6 +137,25 @@ def test_annotate():
     ]
 
 
+def test_analyze_and_annotate_json_format():
+    code, out, _ = run_cli("analyze", fixture_path("double.json"),
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["theta_length"] == 2
+    assert doc["compatible_subsets_of_initial"] == [
+        {"set": ["q0"], "separable": False, "unequal_pair": None}]
+    code, out, _ = run_cli("annotate", fixture_path("replace.json"),
+                           "--input", "(001)^w", "--letters", "2",
+                           "--format", "json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"C0": ["q0"]},
+        {"i": 1, "letter": "0", "C": ["q1"]},
+        {"i": 2, "letter": "0", "C": ["q1"]},
+    ]
+
+
 def test_convert_commands(tmp_path):
     out_sst = tmp_path / "from2dt.json"
     code, _, _ = run_cli(
@@ -192,6 +211,14 @@ def test_exit_codes():
         "--input", "(01)^w", "--letters", "5",
     )
     assert code == 1 and "not continuous" in err
+    code, out, err = run_cli("run", fixture_path("replace.json"),
+                             "--input", "(001)^w")
+    assert (code, out) == (2, "")
+    assert err == "error: --letters is required with --input\n"
+    code, out, err = run_cli("convert", "--from", "sst", "--to", "copyless",
+                             fixture_path("replace_sst.json"), "out.json")
+    assert (code, out) == (2, "")
+    assert err == "error: unsupported conversion sst -> copyless\n"
 
 
 def test_budget_exceeded_exit_code(monkeypatch):

@@ -34,8 +34,8 @@ from omegastream.sst import Reg, compose_counting, counting_matrix
 from omegastream.words import UPWord, parse_upword, up_starts_with
 
 from conftest import flushy_corpus
-from machines import (branch, lasso_branch_machines, period_branch_machines,
-                      small_machines)
+from machines import (branch, lasso_branch_machines, nonclose_machine,
+                      period_branch_machines, small_machines)
 
 
 @pytest.fixture()
@@ -506,6 +506,32 @@ def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):
     assert err.value.which == "4g"
 
 
+def test_preprocess_of_a_non_close_pre_image(monkeypatch):
+    """On a^n b (a)^w the b keeps p1 and p2 of nonclose_machine, whose
+    counters below {p1, p2} overflow from n = 10 on: the stream stays a
+    prefix of the oracle through the branch that keeps the subtree."""
+    T = nonclose_machine()
+    assert nft.is_unambiguous(T) and is_continuous(T) == (True, None)
+    ctx = prepare(T)
+    assert ctx.theta_length() == 2
+    non_close = []
+    preprocess = Determinizer._preprocess
+
+    def spy(self, rec, sa, a):
+        pi = (self.C, frozenset(sa.pre.values()))
+        non_close.append(any(
+            any(self.nb[p].values()) or self.out_regs.get(path_register(p))
+            for p in self.nb if len(p) > 2 and p[:2] == pi))
+        return preprocess(self, rec, sa, a)
+
+    monkeypatch.setattr(Determinizer, "_preprocess", spy)
+    for n in range(1, 41):
+        x = parse_upword("a" * n + "b(a)^w")
+        r = run_pipeline(T, x, n + 30, check_invariants=True)
+        assert up_starts_with(nft.oracle_eval(T, x), r.emitted), n
+    assert any(non_close)
+
+
 def test_invariant_checker_state_is_bounded(double_t):
     x = parse_upword("(001)^w")
     ctx = prepare(double_t)
@@ -549,8 +575,8 @@ def test_folds_match_a_walk_from_J_over_the_whole_prefix(run):
         det = checker.det
         before = tuple(det.emitted[:checker.n_base])
         folded = fold(checker)
-        sa = analysis.analyze_step(ctx.T, det.J, x.first(session.steps),
-                                   det.C)
+        sa = analysis.analyze_step(ctx.T, frozenset(checker.pre_total.values()),
+                                   x.first(session.steps), det.C)
         assert sa is not None and sa.is_step
         assert {q: s for q, (s, _) in folded.items()} == sa.pre
         assert {q: before + w for q, (_, w) in folded.items()} == sa.val

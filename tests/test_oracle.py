@@ -358,7 +358,7 @@ def test_no_per_word_state_is_kept_after_a_call():
         nft.oracle_eval(T, parse_upword(w))
         sizes.append({k: _footprint(v) for k, v in vars(T).items()})
     assert sizes[0] == sizes[1]
-    assert "_numbered_cache" in sizes[0]
+    assert "_numbered" in sizes[0]
 
 
 # -- long periods -----------------------------------------------------------

@@ -51,6 +51,15 @@ def reference_pred(T, t):
                  deterministic_machines()))
 def test_index_matches_per_letter_reference(T):
     states = sorted(T.states)
+    edges = sorted(T.transitions.items(),
+                   key=lambda kv: (str(kv[0][1]), kv[0][2]))
+    for q in states:
+        assert T.out_edges(q) == [(a, q2, out) for (p, a, q2), out in edges
+                                  if p == q]
+        for a in T.input_alphabet:
+            assert T.succ(q, a) == sorted(
+                (q2, out) for (p, b, q2), out in T.transitions.items()
+                if p == q and b == a)
     for width in (1, 2, 3):
         for t in itertools.product(states, repeat=width):
             assert T.tuple_succ(t) == reference_succ(T, t)
