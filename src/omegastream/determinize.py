@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import combinations, islice
 from typing import Dict, FrozenSet, List, MutableSequence, Optional, Tuple
 
 from .analysis import (
@@ -472,8 +472,11 @@ class InvariantChecker:
     production of a unique run.  J only shrinks, so the fold from the
     current J is the merge of the folds of its starts.  A production is
     held without the output emitted at the last checkpoint, or as None
-    when it does not extend that output.  `history` still keeps one
-    snapshot per letter (ROADMAP item 7).
+    when it does not extend that output.
+
+    Invariant 4g asks whether the rests of Cn's runs ever spread (longest
+    minus common prefix) by 2|theta|.  Words spread as far as their widest
+    pair, so `spread` keeps, per pair of C, the largest spread of their runs.
 
     The run origins are the checker's own, not the machine's: pre_total
     maps each q in C to the state of C0 its run starts in, composed with
@@ -495,9 +498,8 @@ class InvariantChecker:
         self.n_base = 0
         self.window: List = []  # the letters since the last checkpoint
         self.rest = self._strip({q: () for q in det.C})
-        self.history: List[Dict] = [
-            {"C": det.C, "rest": self.rest, "pre": {q: q for q in det.C}}
-        ]
+        self.C = det.C  # the set the next letter starts from
+        self.spread: Dict[FrozenSet[str], int] = {}  # all 0 on empty rests
         self.check()
 
     def _strip(self, vals: Dict[str, Word]) -> Dict[str, Word]:
@@ -515,15 +517,22 @@ class InvariantChecker:
 
     def after_step(self, a):
         det = self.det
-        sa = self._step(self.history[-1]["C"], a, det.C)
+        sa = self._step(self.C, a, det.C)
         if sa is None:
             raise InvariantError("2", "consumed move is not a pre-step")
         self.n_letters += 1
         self.window.append(a)
-        self.rest = self._strip(
-            {q: self.rest[sa.pre[q]] + sa.val[q] for q in det.C})
-        self.pre_total = {q: self.pre_total[sa.pre[q]] for q in det.C}
-        self.history.append({"C": det.C, "rest": self.rest, "pre": sa.pre})
+        pre = sa.pre
+        rest = self.rest = self._strip(
+            {q: self.rest[pre[q]] + sa.val[q] for q in det.C})
+        self.pre_total = {q: self.pre_total[pre[q]] for q in det.C}
+        self.C, old, self.spread = det.C, self.spread, {}
+        for x, z in combinations(det.C, 2):  # none when |C| < 2
+            s = old.get(frozenset((pre[x], pre[z])), 0)  # 0 when pre x = pre z
+            m = max(len(rest[x]), len(rest[z]))
+            if m > s:
+                s = max(s, m - len(lcp_finite(rest[x], rest[z])))
+            self.spread[frozenset((x, z))] = s
         if len(self.window) == RECOMPUTE_EVERY:
             self._spot_recompute()
         self.check()
@@ -656,6 +665,8 @@ class InvariantChecker:
                 )
 
     def _check_future(self):
+        """Invariant 4f over the next FUTURE_LETTERS letters of x: each step
+        from det.C into a compatible set keeps its vals in max_lag theta^w."""
         det = self.det
         if self.x is None:
             return
@@ -672,16 +683,14 @@ class InvariantChecker:
             rest = {q: rest[sa.pre[q]] + sa.val[q] for q in D}
             start = {q: start[sa.pre[q]] for q in D}
             C = D
-            # D holds every successor and each has one predecessor, so the
-            # runs from det.C are unique: the extension is a step from det.C
-            # exactly when they all survive, and only steps are constrained
             if set(start.values()) != det.C:
-                continue
-            for q in D:
-                if not up_starts_with(future, rest[q]):
-                    raise InvariantError(
-                        "4f", f"future val({q}) escapes max_lag theta^w"
-                    )
+                continue  # a run from det.C died, so no subset of D is a step
+            for E in det.ctx.comp_subsets(D):
+                if {start[q] for q in E} == det.C:  # E's runs start in all of C
+                    for q in E:
+                        if not up_starts_with(future, rest[q]):
+                            raise InvariantError(
+                                "4f", f"future val({q}) escapes max_lag theta^w")
 
     def _step(self, C: FrozenSet[str], a,
               D: FrozenSet[str]) -> Optional[StepAnalysis]:
@@ -724,19 +733,10 @@ class InvariantChecker:
                 )
 
     def _find_decomposition(self, Cn: FrozenSet[str], bound: int) -> bool:
-        # walk the run states of Cn backwards through the stored pre maps,
-        # looking for a past position whose advances already spread by >= bound;
-        # a snapshot's vals share its output, so its rests spread as much
-        states = {q: q for q in Cn}
-        for j in range(len(self.history) - 1, -1, -1):
-            snap = self.history[j]
-            rests = [snap["rest"][states[q]] for q in sorted(Cn)]
-            common = reduce(lcp_finite, rests)
-            if max(len(v) for v in rests) - len(common) >= bound:
-                return True
-            if j > 0:
-                states = {q: snap["pre"][states[q]] for q in Cn}
-        return False
+        # a past position where the rests of Cn's runs spread by >= bound:
+        # then some pair of them spread as far, since a set spreads as its widest pair
+        return any(self.spread.get(frozenset(p), 0) >= bound
+                   for p in combinations(Cn, 2))
 
 
 # -- streaming session -----------------------------------------------------------

@@ -142,6 +142,19 @@ def ambiguous_machine() -> OneWayTransducer:
     )
 
 
+def from_edges(edges, initial, final) -> OneWayTransducer:
+    """The machine with transitions (p, a, q, out), out a string; the
+    alphabets and states are those the edges use."""
+    return OneWayTransducer(
+        input_alphabet=frozenset(a for _, a, _, _ in edges),
+        output_alphabet=frozenset("".join(out for *_, out in edges)),
+        states=frozenset(q for p, _, q2, _ in edges for q in (p, q2)),
+        initial=frozenset(initial),
+        final=frozenset(final),
+        transitions={(p, a, q): word(out) for p, a, q, out in edges},
+    )
+
+
 def nonclose_machine() -> OneWayTransducer:
     """Continuous, with theta length 2: on an a, q0 guesses p1, p2 or p3,
     which output y, yy and y per a; b sends p1 and p2 on to s1 and s2, c
@@ -156,14 +169,35 @@ def nonclose_machine() -> OneWayTransducer:
              ("p3", "c", "s3", "y"), ("s1", "a", "s1", "y"),
              ("s2", "a", "s2", "y"), ("s2", "h", "q0", "y"),
              ("s3", "i", "q0", "")]
-    return OneWayTransducer(
-        input_alphabet=frozenset("abchi"),
-        output_alphabet=frozenset("y"),
-        states=frozenset({"q0", "p1", "p2", "p3", "s1", "s2", "s3"}),
-        initial=frozenset({"q0"}),
-        final=frozenset({"p1", "s1"}),
-        transitions={(p, a, q): word(out) for p, a, q, out in edges},
-    )
+    return from_edges(edges, {"q0"}, {"p1", "s1"})
+
+
+def multitail_machine() -> OneWayTransducer:
+    """Continuous, with theta length 2: on an a, q0 guesses p1 or p2, which
+    output y and yy per a; on a d, p1 also guesses r, whose run needs e's.
+    On a^n d (a)^w with n >= 4 the d is an aligned step from {p1, p2} into
+    {p1, p2, r}, and a tree path there ends in two sets whose pre-image is
+    {p1}: the determinizer gives that path fresh counters and an empty
+    register."""
+    edges = [("q0", "a", "p1", "y"), ("q0", "a", "p2", "yy"),
+             ("q0", "b", "q0", "b"), ("q0", "c", "q0", "c"),
+             ("p1", "a", "p1", "y"), ("p1", "b", "q0", "b"),
+             ("p1", "d", "p1", "y"), ("p1", "d", "r", "y"),
+             ("p2", "a", "p2", "yy"), ("p2", "c", "q0", "c"),
+             ("p2", "d", "p2", "yy"), ("r", "a", "r", "y"),
+             ("r", "e", "s", "y"), ("s", "e", "s", "y")]
+    return from_edges(edges, {"q0"}, {"q0", "p1", "s"})
+
+
+def unconstrained_future_machine() -> OneWayTransducer:
+    """Unambiguous and continuous.  On (aab)^w a run that b sends from s2
+    to s1 (with yy) is back at s2 after the next b, and s2 reads no a, so
+    it dies: the invariant checker must not hold such a run's future to
+    max_lag theta^w, since no step of the determinizer follows it."""
+    edges = [("s0", "a", "s0", "yy"), ("s0", "a", "s2", ""),
+             ("s1", "a", "s1", "y"), ("s1", "b", "s2", "xyx"),
+             ("s2", "b", "s0", ""), ("s2", "b", "s1", "yy")]
+    return from_edges(edges, {"s0"}, {"s0"})
 
 
 def loop_before_anchor_machine() -> OneWayTransducer:
@@ -174,14 +208,18 @@ def loop_before_anchor_machine() -> OneWayTransducer:
     edges = [("i", "x", "i", "a"), ("j", "x", "j", ""), ("i", "y", "f", "b"),
              ("j", "y", "g", "b"), ("f", "z", "f", "c"), ("g", "z", "g", "c"),
              ("g", "w", "h", "d"), ("h", "w", "h", "d")]
-    return OneWayTransducer(
-        input_alphabet=frozenset("xyzw"),
-        output_alphabet=frozenset("abcd"),
-        states=frozenset("ijfgh"),
-        initial=frozenset("ij"),
-        final=frozenset("fh"),
-        transitions={(p, a, q): word(out) for p, a, q, out in edges},
-    )
+    return from_edges(edges, "ij", "fh")
+
+
+def loop_at_the_anchor_machine() -> OneWayTransducer:
+    """Not continuous, with two states: the inputs b a^n c a^w tend to
+    b a^w, whose output is yy x^w, but their outputs yyy x^n y x^w tend to
+    yyy x^w.  The pair (s0, s1) must take its b-loop before the a-loop at
+    the same anchor, and a simple path takes neither (ROADMAP item 5)."""
+    edges = [("s0", "a", "s0", "x"), ("s0", "b", "s0", "yy"),
+             ("s1", "a", "s1", "x"), ("s1", "b", "s1", "yyy"),
+             ("s1", "c", "s0", "y")]
+    return from_edges(edges, {"s0", "s1"}, {"s0"})
 
 
 # Ambiguous and not continuous: on a b^w the runs from s0 and s1 output

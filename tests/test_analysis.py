@@ -30,6 +30,7 @@ from omegastream.words import (
 
 from conftest import random_upword
 from machines import (cycle_branch_machines, lasso_branch_machines,
+                      loop_at_the_anchor_machine,
                       loop_before_anchor_machine, period_branch_machines,
                       small_machines)
 
@@ -352,6 +353,13 @@ def test_a_dead_branch_is_no_continuity_witness():
                    "on x before its anchor")
 def test_a_loop_before_the_anchor_is_a_continuity_witness():
     assert is_continuous(loop_before_anchor_machine())[0] is False
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the witness takes "
+                   "the anchor's b-loop before its a-loop, and the search "
+                   "follows only simple paths to the anchor")
+def test_a_loop_at_the_anchor_is_a_continuity_witness():
+    assert is_continuous(loop_at_the_anchor_machine())[0] is False
 
 
 def random_machine(rng: random.Random) -> nft.OneWayTransducer:

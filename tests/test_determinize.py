@@ -4,6 +4,8 @@ full pipeline, and trace 1-boundedness."""
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -31,11 +33,13 @@ from omegastream.determinize import (
 )
 from omegastream.nft import ContractError
 from omegastream.sst import Reg, compose_counting, counting_matrix
-from omegastream.words import UPWord, parse_upword, up_starts_with
+from omegastream.words import (UPWord, canonicalize, lcp_finite, parse_upword,
+                               up_starts_with)
 
 from conftest import flushy_corpus
-from machines import (branch, lasso_branch_machines, nonclose_machine,
-                      period_branch_machines, small_machines)
+from machines import (branch, lasso_branch_machines, multitail_machine,
+                      nonclose_machine, period_branch_machines, small_machines,
+                      unconstrained_future_machine)
 
 
 @pytest.fixture()
@@ -499,8 +503,7 @@ def test_invariant_4g_finds_split_points_of_non_close_paths(monkeypatch):
     assert up_starts_with(nft.oracle_eval(T, x), session.emitted)
     # with the spread of the past forgotten, no split point is left
     checker = session.checker
-    for snap in checker.history:
-        snap["rest"] = {q: () for q in snap["rest"]}
+    checker.spread = dict.fromkeys(checker.spread, 0)
     with pytest.raises(InvariantError) as err:
         checker.check()
     assert err.value.which == "4g"
@@ -536,14 +539,176 @@ def test_invariant_checker_state_is_bounded(double_t):
     x = parse_upword("(001)^w")
     ctx = prepare(double_t)
     session = StreamSession(ctx, x, check_invariants=True)
-    longest = {}
+    held = {}
     for item, _ in session.run(annotate(ctx, x.letters()), 2000):
         if session.steps in (500, 2000):
-            longest[session.steps] = max(
-                len(w) for snap in session.checker.history
-                for w in snap["rest"].values())
-    assert longest[2000] == longest[500]
+            checker = session.checker
+            held[session.steps] = (max(map(len, checker.rest.values())),
+                                   len(checker.spread))
+    assert held[2000] == held[500]
     assert session.emitted == run_pipeline(double_t, x, 2000).emitted
+
+
+def test_checked_memory_does_not_grow_with_a_zero_run(double_t):
+    """On (0)^w the run of double that outputs 00 per 0 holds back a rest
+    that grows with the stream: the checker holds it once, not per letter."""
+    x = parse_upword("(0)^w")
+    ctx = prepare(double_t)
+    session = StreamSession(ctx, x, check_invariants=True)
+    ann = annotate(ctx, x.letters())
+    tracemalloc.start()
+    try:
+        for _ in session.run(ann, 1000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert session.steps == 1000
+    assert max(map(len, session.checker.rest.values())) > 900
+    assert peak < 1_000_000
+
+
+def _walked_spread(history, Cn):
+    """The widest spread (longest minus common prefix) of the rests of Cn's
+    runs at any letter so far, by a walk back through one (rests, pre)
+    snapshot per letter."""
+    states, widest = {q: q for q in Cn}, 0
+    for rests, pre in reversed(history):
+        ws = [rests[states[q]] for q in Cn]
+        widest = max(widest, max(map(len, ws)) - len(reduce(lcp_finite, ws)))
+        states = {q: pre[states[q]] for q in Cn}
+    return widest
+
+
+class _WalkedChecker(InvariantChecker):
+    """The invariant checker plus a per-letter history.  Every check asks
+    _find_decomposition about C and the last set of each tree path at the
+    widest spread the walk finds and one above it."""
+
+    def __init__(self, det, x=None):
+        self.history = [({q: () for q in det.C}, {q: q for q in det.C})]
+        self.pending = None
+        self.widest = []  # every nonzero widest spread compared
+        super().__init__(det, x)
+
+    def after_step(self, a):
+        self.pending = (self.C, a)
+        super().after_step(a)
+
+    def check(self):
+        det = self.det
+        if self.pending is not None:
+            C, a = self.pending
+            self.pending = None
+            self.history.append((self.rest, self._step(C, a, det.C).pre))
+        for Cn in {det.C, *(p[-1] for p in det.nb)}:
+            widest = _walked_spread(self.history, Cn)
+            assert not self._find_decomposition(Cn, widest + 1), Cn
+            if widest:
+                assert self._find_decomposition(Cn, widest), Cn
+                self.widest.append(widest)
+        super().check()
+
+
+def _walked_run(T, word, n=40):
+    x = parse_upword(word) if isinstance(word, str) else word
+    y = nft.oracle_eval(T, x)
+    assert y is not None, word
+    with mock.patch.object(determinize, "InvariantChecker", _WalkedChecker):
+        session = _checked_session(T, x, n)
+    assert isinstance(session.checker, _WalkedChecker)
+    assert up_starts_with(y, session.emitted), word
+    return session.checker.widest
+
+
+def test_pair_spreads_answer_as_the_history_walk(replace_t, double_t):
+    runs = [(replace_t, w) for w in ("(001)^w", "0000(0002)^w", "1(0001)^w")]
+    runs += [(double_t, w) for w in ("(001)^w", "000(00002)^w", "(0)^w")]
+    runs += [(branch(k), w) for k in range(2, 6)
+             for w in ("(a)^w", "(aaab)^w", "aaaaaaab(a)^w")]
+    runs += [(nonclose_machine(), "a" * n + "b(a)^w") for n in (3, 10, 12)]
+    runs += [(multitail_machine(), w)
+             for w in ("aaaad(a)^w", "aaaaaaad(a)^w", "aaaaade(e)^w")]
+    widest = [w for T, word in runs for w in _walked_run(T, word)]
+    assert len(widest) > 1000 and max(widest) >= 40
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(continuous_runs(period_branch_machines()))
+def test_pair_spreads_answer_as_the_history_walk_on_period_branches(run):
+    T, x, _ = run
+    _walked_run(T, x)
+
+
+def _up_words(letters, max_u, max_v):
+    """The UP words u(v)^w over letters with |u| <= max_u and
+    1 <= |v| <= max_v, each once in canonical form."""
+    return {canonicalize(u, v)
+            for nu in range(max_u + 1)
+            for u in itertools.product(letters, repeat=nu)
+            for nv in range(1, max_v + 1)
+            for v in itertools.product(letters, repeat=nv)}
+
+
+def test_invariant_4f_constrains_only_steps_into_compatible_sets():
+    """On (aab)^w a run that b sends from s2 to s1 dies in the next period:
+    it is in no compatible set with runs from all of C, so 4f must not hold
+    its future to max_lag theta^w."""
+    T = unconstrained_future_machine()
+    assert nft.is_unambiguous(T) and is_continuous(T) == (True, None)
+    checked = 0
+    for x in sorted(_up_words("ab", 5, 3), key=repr):
+        y = nft.oracle_eval(T, x)
+        if y is not None:
+            r = run_pipeline(T, x, 12, check_invariants=True)
+            assert up_starts_with(y, r.emitted), x
+            checked += 1
+    assert checked == 44
+
+
+def test_invariant_4f_catches_a_wrong_theta(double_t, monkeypatch):
+    """After the first 0 of (0)^w double is separable with every counter at
+    0, so only the future reads theta: a wrong theta breaks 4f alone."""
+    session = _checked_session(double_t, parse_upword("(0)^w"), 1)
+    det, checker = session.det, session.checker
+    assert det.mode == "sep" and det.theta == ("0", "0")
+    assert not any(v for m in det.nb.values() for v in m.values())
+    det.theta = ("0", "1")
+    with pytest.raises(InvariantError) as err:
+        checker.check()
+    assert err.value.which == "4f"
+    monkeypatch.setattr(InvariantChecker, "_check_future", lambda self: None)
+    checker.check()
+
+
+def test_aligned_step_into_a_multi_tail_path(monkeypatch):
+    """On a^n d (a)^w with n >= 4, multitail_machine's d is an aligned step
+    from {p1, p2} into {p1, p2, r}, and a tree path there ends in two sets
+    whose pre-image is {p1}: the path gets fresh counters and an empty
+    register, and the stream stays a prefix of the oracle."""
+    T = multitail_machine()
+    assert nft.is_unambiguous(T) and is_continuous(T) == (True, None)
+    multi = []
+    aligned = Determinizer._step_sep_aligned
+
+    def spy(self, rec, sa):
+        for path in self.tree(sa.target):
+            pres = {frozenset(sa.pre[q] for q in D) for D in path[-2:]}
+            multi.append(len(path) > 1 and len(pres) == 1)
+        return aligned(self, rec, sa)
+
+    monkeypatch.setattr(Determinizer, "_step_sep_aligned", spy)
+    for n in range(1, 9):
+        for word in ("a" * n + "d(a)^w", "a" * n + "dae(e)^w"):
+            x = parse_upword(word)
+            y = nft.oracle_eval(T, x)
+            assert y is not None, word
+            for check in (False, True):
+                r = run_pipeline(T, x, n + 20, check_invariants=check)
+                assert up_starts_with(y, r.emitted), (word, check)
+    assert any(multi)
 
 
 # -- the checkpointed re-derivation of val ----------------------------------------
