@@ -2,8 +2,8 @@
 
 Everything here works on a normalized (unambiguous, clean, trim) machine:
 compatible state sets and their witnesses, pre-steps/steps with predecessor
-and production maps, the common/advance split of an initial step's
-productions, end-words, separability and looping futures (tau, theta).
+and production maps, end-words, separability and looping futures (tau,
+theta).
 The continuity decision takes any machine and normalizes it itself.
 
 An AnalysisContext memoizes the expensive searches (tuple-product lassos,
@@ -40,9 +40,7 @@ from .words import (
     Word,
     canonicalize,
     concat_up,
-    lcp_finite,
     lcm,
-    mutual_prefixes,
     strip_prefix,
     up_equal,
     up_starts_with,
@@ -66,20 +64,10 @@ class CompatibleSet:
 
 @dataclass
 class StepAnalysis:
-    source: FrozenSet[str]
-    word: Word
     target: FrozenSet[str]
     pre: Dict[str, str]
     val: Dict[str, Word]
     is_step: bool
-    initial: bool
-
-
-@dataclass
-class AdvanceProfile:
-    common: Word
-    advance: Dict[str, Word]
-    max_advance: Word
 
 
 @dataclass
@@ -333,22 +321,26 @@ class AnalysisContext:
             self._theta = reduce(lcm, pool)
         return self._theta
 
-    def looping_future(self, C, profile: AdvanceProfile) -> LoopingFuture:
-        """(tau, theta) bounding all future productions from separable C.
+    def looping_future(self, C, advance: Dict[str, Word]) -> LoopingFuture:
+        """(tau, theta) bounding all future productions from separable C,
+        given each state's advance: its production less the part common to
+        all of C.
 
         Both come from the end-word of a zero-advance state r: the step's
         remaining output is exactly advance(q) . end(q) for every q, and the
         zero-advance instance makes that word directly available.  tau is
         its transient prefix, theta the canonical period unrolled to the
         global Theta length.  (tau, theta) is memoized per (C, zero-advance
-        state); the profile's continuity check runs on every call.
+        state); the check that the longest advance is a prefix of that
+        end-word, which fails only on a machine that is not continuous,
+        runs on every call.
         """
         C = frozenset(C)
         if self.is_separable(C) is None:
             raise ContractError(f"{sorted(C)} is not separable")
-        zero = [q for q in sorted(C) if len(profile.advance[q]) == 0]
+        zero = [q for q in sorted(C) if len(advance[q]) == 0]
         if not zero:
-            raise ContractError("no zero-advance state in profile")
+            raise ContractError("no zero-advance state")
         y = self.end_words(C)[zero[0]]
         key = (C, zero[0])
         if key not in self._futures:
@@ -358,7 +350,7 @@ class AnalysisContext:
             k = len(y.prefix)
             self._futures[key] = (y.prefix, y.first(k + big_theta)[k:])
         tau, theta = self._futures[key]
-        if not up_starts_with(y, profile.max_advance):
+        if not up_starts_with(y, max(advance.values(), key=len)):
             raise ContinuityViolation(
                 "max advance escapes the looping future; machine not continuous?"
             )
@@ -402,33 +394,8 @@ def analyze_step(T: OneWayTransducer, C, u, D) -> Optional[StepAnalysis]:
         outs.reverse()
         pre[q] = start
         val[q] = tuple(itertools.chain.from_iterable(outs))
-    image = set(pre.values())
-    is_step = image == set(C)
-    return StepAnalysis(
-        source=C,
-        word=u,
-        target=D,
-        pre=pre,
-        val=val,
-        is_step=is_step,
-        initial=is_step and C <= T.initial,
-    )
-
-
-def advance_profile(sa: StepAnalysis) -> AdvanceProfile:
-    """common/advance split of an initial step's productions."""
-    if not sa.initial:
-        raise ContractError("advance profile requires an initial step")
-    vals = [sa.val[q] for q in sorted(sa.target)]
-    for x, y in zip(vals, vals[1:]):
-        if not mutual_prefixes(x, y):
-            raise ContinuityViolation(
-                f"productions {x!r} and {y!r} are not mutual prefixes"
-            )
-    common = reduce(lcp_finite, vals)
-    advance = {q: sa.val[q][len(common):] for q in sa.target}
-    max_advance = max(advance.values(), key=len)
-    return AdvanceProfile(common=common, advance=advance, max_advance=max_advance)
+    return StepAnalysis(target=D, pre=pre, val=val,
+                        is_step=set(pre.values()) == C)
 
 
 # -- continuity ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .sst import (
     EMPTY_PARTS,
@@ -384,56 +384,6 @@ def _copies(g: Label, shapes, regs) -> List[Tuple[str, int, int]]:
     copy c of r's image in the segment with these shapes."""
     return [(r, c, j) for i, r in enumerate(regs) for c in range(g[i])
             for j in range(len(shapes[i]) + 1)]
-
-
-def validate_forest(
-    levels: Sequence[Sequence[Dict[str, int]]],
-    sigmas: Sequence[Substitution],
-    K: int,
-) -> bool:
-    """Check a decomposition forest given as per-depth label sets.
-
-    ``sigmas[d]`` is the segment substitution between depth d and depth d+1.
-    Verifies distinct in-range labels per depth, the parent equation for
-    every node below the roots, and that non-leaf nodes have a child.
-    """
-    if len(sigmas) != len(levels) - 1:
-        raise ConversionError("need one substitution per consecutive depth pair")
-    regs = sorted(r for r in levels[0][0]) if levels[0] else []
-    for d, level in enumerate(levels):
-        seen = set()
-        for g in level:
-            key = tuple(g[r] for r in regs)
-            if key in seen:
-                raise ConversionError(f"duplicate label at depth {d}: {g}")
-            seen.add(key)
-            if any(not (0 <= v <= K) for v in key):
-                raise ConversionError(f"label out of range at depth {d}: {g}")
-    for d in range(1, len(levels)):
-        sigma = sigmas[d - 1]
-        parents = {
-            tuple(g[r] for r in regs) for g in levels[d - 1]
-        }
-        with_child = set()
-        for h in levels[d]:
-            par = tuple(
-                sum(
-                    sigma.parts.get(s, EMPTY_PARTS)[1].count(r) * h[s]
-                    for s in regs
-                )
-                for r in regs
-            )
-            if par not in parents:
-                raise ConversionError(
-                    f"node {h} at depth {d} has no parent {par} at depth {d-1}"
-                )
-            with_child.add(par)
-        if with_child != parents:
-            raise ConversionError(
-                f"childless non-leaf node(s) at depth {d-1}: "
-                f"{sorted(parents - with_child)}"
-            )
-    return True
 
 
 MAX_STATES = 20000  # forest states kbounded_to_copyless may build

@@ -28,7 +28,6 @@ from itertools import combinations, islice
 from typing import Dict, FrozenSet, List, MutableSequence, Optional, Tuple
 
 from .analysis import (
-    AdvanceProfile,
     AnalysisContext,
     ContinuityViolation,
     StepAnalysis,
@@ -244,12 +243,7 @@ class Determinizer:
             self.nb: Dict[Tuple, Dict[str, int]] = {}
 
     def _enter_separable(self, rec: _Recorder, alphas: Dict[str, Word]):
-        profile = AdvanceProfile(
-            common=(),
-            advance=dict(alphas),
-            max_advance=max(alphas.values(), key=len),
-        )
-        lf = self.ctx.looping_future(self.C, profile)
+        lf = self.ctx.looping_future(self.C, alphas)
         self.mode = "sep"
         self.theta = lf.theta
         k = len(lf.tau)
@@ -613,9 +607,7 @@ class InvariantChecker:
             if len(p) == 1:
                 continue
             w = det.out_regs.get(path_register(p), ())
-            if len(w) % len(th) != 0 or any(
-                w[i:i + len(th)] != th for i in range(0, len(w), len(th))
-            ):
+            if w != th * (len(w) // len(th)):
                 raise InvariantError("4b", f"out_{p} not a power of theta")
         for q in det.C:
             w = det.last[q]
@@ -807,7 +799,6 @@ class PipelineResult:
     emitted: Word
     steps: int
     trace: List[StepRecord]
-    transducer: OneWayTransducer = field(repr=False)
     context: AnalysisContext = field(repr=False)
     annotations: List = field(default_factory=list, repr=False)
 
@@ -832,7 +823,6 @@ def run_pipeline(
         emitted=session.emitted,
         steps=session.steps,
         trace=session.det.trace,
-        transducer=ctx.T,
         context=ctx,
         annotations=annotations,
     )

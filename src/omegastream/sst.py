@@ -13,8 +13,7 @@ bounded copying along the input's loop, which every copyless or K-bounded
 machine has, and raises ContractError when the registers feeding out never
 settle.
 
-Also here: saturated counting matrices for copyless/K-bounded checking, and
-deterministic Buchi automata for domains.
+Also here: saturated counting matrices for copyless/K-bounded checking.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ def substitute(mw: MixedWord, val: Dict[str, tuple]) -> tuple:
         else:
             out.append(t)
     return tuple(out)
-
-
-def count_ref(mw: MixedWord, r: str) -> int:
-    return sum(1 for t in mw if isinstance(t, Reg) and t == r)
 
 
 Parts = Tuple[Tuple[Word, ...], Tuple[Reg, ...]]
@@ -101,10 +96,6 @@ class Substitution:
     @staticmethod
     def identity(registers) -> "Substitution":
         return Substitution({r: (Reg(r),) for r in registers})
-
-
-def compose_substitutions(s1: Substitution, s2: Substitution) -> Substitution:
-    return s1.compose(s2)
 
 
 # -- mixed-word text form ------------------------------------------------------
@@ -406,86 +397,6 @@ def check_copyless(S: StreamingTransducer) -> bool:
         if len(set(used)) != len(used):
             return False
     return True
-
-
-# -- domains -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BuchiAutomaton:
-    """Deterministic Buchi automaton; partial delta (missing = reject)."""
-
-    alphabet: FrozenSet[object]
-    states: FrozenSet[object]
-    initial: object
-    accepting: FrozenSet[object]
-    delta: Dict[Tuple[object, object], object] = field(hash=False)
-
-    def accepts(self, x: UPWord) -> bool:
-        u, v = x.prefix, x.period
-        q = self.initial
-        for a in u:
-            q = self.delta.get((q, a))
-            if q is None:
-                return False
-        seen = {q: 0}
-        accept_positions = []
-        k = 0
-        while True:
-            hit = False
-            for a in v:
-                nxt = self.delta.get((q, a))
-                if nxt is None:
-                    return False
-                hit = hit or (q in self.accepting)
-                q = nxt
-            hit = hit or (q in self.accepting)
-            accept_positions.append(hit)
-            k += 1
-            if q in seen:
-                k0 = seen[q]
-                return any(accept_positions[k0:])
-            seen[q] = k
-
-
-def domain_automaton(S: StreamingTransducer) -> BuchiAutomaton:
-    """DBA for the domain of S: the machine's state plus the emptiness vector
-    of its registers; accepting right after a transition appended a
-    non-empty value to out."""
-    init = (S.initial, frozenset(), False)
-    states = {init}
-    delta = {}
-    stack = [init]
-    while stack:
-        st = stack.pop()
-        q, nonempty, _ = st
-        for a in S.input_alphabet:
-            key = (q, a)
-            if key not in S.delta:
-                continue
-            parts = S.updates[key].parts
-
-            def grows(r, skip=0):
-                """Whether r's image, past its first skip tokens, is non-empty."""
-                chunks, refs = parts.get(r, EMPTY_PARTS)
-                return any(chunks) or any(t in nonempty for t in refs[skip:])
-
-            emitted = grows(S.out, skip=1)
-            new_nonempty = frozenset(r for r in parts if r != S.out and grows(r))
-            if emitted or S.out in nonempty:
-                new_nonempty |= {S.out}
-            nxt = (S.delta[key], new_nonempty, emitted)
-            delta[(st, a)] = nxt
-            if nxt not in states:
-                states.add(nxt)
-                stack.append(nxt)
-    return BuchiAutomaton(
-        alphabet=S.input_alphabet,
-        states=frozenset(states),
-        initial=init,
-        accepting=frozenset(s for s in states if s[2]),
-        delta=delta,
-    )
 
 
 # -- JSON format --------------------------------------------------------------------

@@ -55,10 +55,6 @@ def lcp_finite(x: Word, y: Word) -> Word:
     return x[:n]
 
 
-def mutual_prefixes(x: Word, y: Word) -> bool:
-    return is_prefix(x, y) if len(x) <= len(y) else is_prefix(y, x)
-
-
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 

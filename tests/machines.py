@@ -1,17 +1,25 @@
 """The machines the tests and CI share: named families built from a size,
 hypothesis strategies, seeded generators, and tagged_machines, whose
-constructions fix whether the machine is continuous.
+constructions fix whether the machine is continuous.  Also the references
+the tests compare the library against, which the library itself never
+calls: a domain automaton for SSTs and a decomposition-forest checker.
 
 CI builds its machines from here too, e.g.
     PYTHONPATH=tests python -c "import sys, machines; from omegastream import nft; nft.save(machines.ring(1500), sys.argv[1])" ring.json
 """
 
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Dict, FrozenSet, Sequence, Tuple
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from omegastream import nft, sst
+from omegastream.convert import ConversionError
 from omegastream.nft import OneWayTransducer
-from omegastream.words import word
+from omegastream.sst import EMPTY_PARTS, StreamingTransducer, Substitution
+from omegastream.words import UPWord, lcp_finite, word
 
 
 # -- named families ----------------------------------------------------------
@@ -220,6 +228,20 @@ def loop_at_the_anchor_machine() -> OneWayTransducer:
              ("s1", "a", "s1", "x"), ("s1", "b", "s1", "yyy"),
              ("s1", "c", "s0", "y")]
     return from_edges(edges, {"s0", "s1"}, {"s0"})
+
+
+def diamond(n: int) -> OneWayTransducer:
+    """Unambiguous and continuous: two chains p0 ... pn and q0 ... qn from
+    I = {p0, q0}, with a/x and b/y at every step, so the pair square has
+    2^n simple paths to (pn, qn).  pn loops on c/x and qn on d/x, and both
+    are final; c after qn, and d after pn, lead to non-final loops.  Every
+    output after the chain is x^w (ROADMAP item 5)."""
+    edges = [(f"{s}{i}", a, f"{s}{i + 1}", out) for s in "pq"
+             for i in range(n) for a, out in (("a", "x"), ("b", "y"))]
+    edges += [(f"p{n}", "c", f"p{n}", "x"), (f"q{n}", "d", f"q{n}", "x"),
+              (f"q{n}", "c", "qc", "x"), ("qc", "c", "qc", "x"),
+              (f"p{n}", "d", "pd", "x"), ("pd", "d", "pd", "x")]
+    return from_edges(edges, {"p0", "q0"}, {f"p{n}", f"q{n}"})
 
 
 # Ambiguous and not continuous: on a b^w the runs from s0 and s1 output
@@ -526,3 +548,139 @@ def tagged_machines():
         normalize_like_machines().map(lambda T: (T, False)),
         root_branch_machines(continuous=False).map(lambda T: (T, False)),
     )
+
+
+# -- references the tests compare against ------------------------------------
+
+
+def advances(sa):
+    """A step's productions less their common prefix."""
+    common = reduce(lcp_finite, sa.val.values())
+    return {q: w[len(common):] for q, w in sa.val.items()}
+
+
+@dataclass(frozen=True)
+class BuchiAutomaton:
+    """Deterministic Buchi automaton; partial delta (missing = reject)."""
+
+    alphabet: FrozenSet[object]
+    states: FrozenSet[object]
+    initial: object
+    accepting: FrozenSet[object]
+    delta: Dict[Tuple[object, object], object] = field(hash=False)
+
+    def accepts(self, x: UPWord) -> bool:
+        u, v = x.prefix, x.period
+        q = self.initial
+        for a in u:
+            q = self.delta.get((q, a))
+            if q is None:
+                return False
+        seen = {q: 0}
+        accept_positions = []
+        k = 0
+        while True:
+            hit = False
+            for a in v:
+                nxt = self.delta.get((q, a))
+                if nxt is None:
+                    return False
+                hit = hit or (q in self.accepting)
+                q = nxt
+            hit = hit or (q in self.accepting)
+            accept_positions.append(hit)
+            k += 1
+            if q in seen:
+                k0 = seen[q]
+                return any(accept_positions[k0:])
+            seen[q] = k
+
+
+def domain_automaton(S: StreamingTransducer) -> BuchiAutomaton:
+    """DBA for the domain of S: the machine's state plus the emptiness vector
+    of its registers; accepting right after a transition appended a
+    non-empty value to out."""
+    init = (S.initial, frozenset(), False)
+    states = {init}
+    delta = {}
+    stack = [init]
+    while stack:
+        st = stack.pop()
+        q, nonempty, _ = st
+        for a in S.input_alphabet:
+            key = (q, a)
+            if key not in S.delta:
+                continue
+            parts = S.updates[key].parts
+
+            def grows(r, skip=0):
+                """Whether r's image, past its first skip tokens, is non-empty."""
+                chunks, refs = parts.get(r, EMPTY_PARTS)
+                return any(chunks) or any(t in nonempty for t in refs[skip:])
+
+            emitted = grows(S.out, skip=1)
+            new_nonempty = frozenset(r for r in parts if r != S.out and grows(r))
+            if emitted or S.out in nonempty:
+                new_nonempty |= {S.out}
+            nxt = (S.delta[key], new_nonempty, emitted)
+            delta[(st, a)] = nxt
+            if nxt not in states:
+                states.add(nxt)
+                stack.append(nxt)
+    return BuchiAutomaton(
+        alphabet=S.input_alphabet,
+        states=frozenset(states),
+        initial=init,
+        accepting=frozenset(s for s in states if s[2]),
+        delta=delta,
+    )
+
+
+def validate_forest(
+    levels: Sequence[Sequence[Dict[str, int]]],
+    sigmas: Sequence[Substitution],
+    K: int,
+) -> bool:
+    """Check a decomposition forest given as per-depth label sets.
+
+    ``sigmas[d]`` is the segment substitution between depth d and depth d+1.
+    Verifies distinct in-range labels per depth, the parent equation for
+    every node below the roots, and that non-leaf nodes have a child.
+    """
+    if len(sigmas) != len(levels) - 1:
+        raise ConversionError("need one substitution per consecutive depth pair")
+    regs = sorted(r for r in levels[0][0]) if levels[0] else []
+    for d, level in enumerate(levels):
+        seen = set()
+        for g in level:
+            key = tuple(g[r] for r in regs)
+            if key in seen:
+                raise ConversionError(f"duplicate label at depth {d}: {g}")
+            seen.add(key)
+            if any(not (0 <= v <= K) for v in key):
+                raise ConversionError(f"label out of range at depth {d}: {g}")
+    for d in range(1, len(levels)):
+        sigma = sigmas[d - 1]
+        parents = {
+            tuple(g[r] for r in regs) for g in levels[d - 1]
+        }
+        with_child = set()
+        for h in levels[d]:
+            par = tuple(
+                sum(
+                    sigma.parts.get(s, EMPTY_PARTS)[1].count(r) * h[s]
+                    for s in regs
+                )
+                for r in regs
+            )
+            if par not in parents:
+                raise ConversionError(
+                    f"node {h} at depth {d} has no parent {par} at depth {d-1}"
+                )
+            with_child.add(par)
+        if with_child != parents:
+            raise ConversionError(
+                f"childless non-leaf node(s) at depth {d-1}: "
+                f"{sorted(parents - with_child)}"
+            )
+    return True

@@ -8,7 +8,7 @@ import pytest
 
 from omegastream import convert as conv
 from omegastream import fixture_path, nft, sst
-from omegastream.analysis import AnalysisContext, advance_profile, is_continuous
+from omegastream.analysis import AnalysisContext, is_continuous
 from omegastream.determinize import (
     Determinizer,
     _Recorder,
@@ -20,14 +20,12 @@ from omegastream.sst import (
     Reg,
     Substitution,
     check_copyless,
-    compose_substitutions,
-    domain_automaton,
     eval_limit,
 )
 from omegastream.words import (
     UPWord,
     concat_up,
-    mutual_prefixes,
+    is_prefix,
     parse_upword,
     strip_prefix,
     up_equal,
@@ -35,6 +33,7 @@ from omegastream.words import (
 )
 
 from conftest import flushy_corpus, two_bounded_machine
+from machines import advances, domain_automaton, validate_forest
 
 
 def criterion(num, title):
@@ -157,14 +156,15 @@ def test_criterion_3(machines):
             if not D or ctx.is_compatible(D) is None:
                 continue
             sa = ctx.analyze_step(I, u, D)
-            if sa is None or not sa.is_step or not sa.initial:
+            if sa is None or not sa.is_step:
                 continue
             done += 1
             # mutual-prefix property of the productions
             states = sorted(D)
             for i, p in enumerate(states):
                 for q in states[i + 1:]:
-                    assert mutual_prefixes(sa.val[p], sa.val[q])
+                    x, y = sa.val[p], sa.val[q]
+                    assert is_prefix(x, y) or is_prefix(y, x)
             # ends equation: val(p) end(p) = val(q) end(q) as omega-words
             ends = ctx.end_words(D)
             ref = concat_up(sa.val[states[0]], ends[states[0]])
@@ -172,7 +172,7 @@ def test_criterion_3(machines):
                 assert up_equal(concat_up(sa.val[q], ends[q]), ref)
             # remember separable targets for the looping-future phase
             if ctx.is_separable(D) is not None:
-                sep_cases.append((Tn, ctx, D, advance_profile(sa)))
+                sep_cases.append((Tn, ctx, D, advances(sa)))
     # looping-future containment, 100 sampled future steps
     assert sep_cases
     while future_checks < 100:
@@ -187,7 +187,7 @@ def test_criterion_3(machines):
         if sa2 is None or not sa2.is_step:
             continue
         for q in sorted(E):
-            stripped = strip_prefix(base, prof.advance[sa2.pre[q]])
+            stripped = strip_prefix(base, prof[sa2.pre[q]])
             assert up_starts_with(stripped, sa2.val[q])
         future_checks += 1
 
@@ -278,11 +278,11 @@ def test_criterion_7():
         Substitution({"r": ("a", Reg("r")), "s": (Reg("r"), "b")}),
         Substitution({"r": (Reg("s"), "a", Reg("s")), "s": (Reg("r"), "b")}),
     ]
-    assert conv.validate_forest(levels, sigmas, K=5)
+    assert validate_forest(levels, sigmas, K=5)
     broken = [list(lv) for lv in levels]
     broken[0] = [{"r": 4, "s": 0}, {"r": 3, "s": 0}]
     with pytest.raises(conv.ConversionError):
-        conv.validate_forest(broken, sigmas, K=5)
+        validate_forest(broken, sigmas, K=5)
 
     S = sst.load(fixture_path("replace_sst.json"))
     C1 = conv.kbounded_to_copyless(S, 1)
@@ -302,7 +302,7 @@ def test_criterion_7():
     # (c) substitution composition
     s1 = Substitution({"r": ("b",), "s": ("b", Reg("r"), Reg("s"), "b")})
     s2 = Substitution({"r": (Reg("r"), "b"), "s": (Reg("r"), Reg("s"))})
-    c = compose_substitutions(s1, s2)
+    c = s1.compose(s2)
     assert c.assignment["r"] == ("b", "b")
     assert c.assignment["s"] == ("b", "b", Reg("r"), Reg("s"), "b")
 

@@ -27,7 +27,7 @@ from omegastream.words import parse_upword, up_equal
 
 from conftest import (identity_sst, in_domain_corpus, random_upword,
                       scattered_one_state_ssts, two_bounded_machine)
-from machines import copyless_ssts, kflush_sst
+from machines import copyless_ssts, kflush_sst, validate_forest
 
 CORPUS = [
     "(001)^w", "(012)^w", "002(02)^w", "(2)^w", "1(01)^w",
@@ -392,7 +392,7 @@ FIG_SIGMAS = [
 
 
 def test_validate_forest_accepts_reference():
-    assert conv.validate_forest(FIG_LEVELS, FIG_SIGMAS, K=5)
+    assert validate_forest(FIG_LEVELS, FIG_SIGMAS, K=5)
 
 
 def test_validate_forest_reads_an_unlisted_register_as_empty():
@@ -401,19 +401,19 @@ def test_validate_forest_reads_an_unlisted_register_as_empty():
     levels = [[{"r": 2, "s": 0}], [{"r": 2, "s": 1}, {"r": 2, "s": 0}]]
     for sigma in (Substitution({"r": (Reg("r"),)}),
                   Substitution({"r": (Reg("r"),), "s": ()})):
-        assert conv.validate_forest(levels, [sigma], K=2)
+        assert validate_forest(levels, [sigma], K=2)
         with pytest.raises(conv.ConversionError):
-            conv.validate_forest([[{"r": 2, "s": 1}], levels[1]], [sigma], K=2)
+            validate_forest([[{"r": 2, "s": 1}], levels[1]], [sigma], K=2)
 
 
 def test_validate_forest_rejects_broken():
     broken = [list(level) for level in FIG_LEVELS]
     broken[2] = [{"r": 2, "s": 2}] + broken[2][1:]
     with pytest.raises(conv.ConversionError):
-        conv.validate_forest(broken, FIG_SIGMAS, K=5)
+        validate_forest(broken, FIG_SIGMAS, K=5)
     out_of_range = [[{"r": 9, "s": 0}]]
     with pytest.raises(conv.ConversionError):
-        conv.validate_forest(out_of_range, [], K=5)
+        validate_forest(out_of_range, [], K=5)
 
 
 # -- module footprint ------------------------------------------------------------

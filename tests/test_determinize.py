@@ -431,6 +431,27 @@ def test_invariant_checker_catches_separable_corruption(double_t, corrupt):
         session.checker.check()
 
 
+def _out_pi_not_a_theta_power(det):
+    det.out_regs["out@{q1,q2}>{q2}"] = det.theta + det.theta[:1]
+
+
+def _last_a_whole_theta(det):
+    det.last["q1"] = det.theta
+
+
+@pytest.mark.parametrize("corrupt, which", [
+    (_out_pi_not_a_theta_power, "4b"), (_last_a_whole_theta, "4c"),
+])
+def test_invariant_checker_names_the_broken_family(double_t, corrupt, which):
+    """Each corruption breaks one family, and the checker names it."""
+    session = _checked_session(double_t, parse_upword("(001)^w"), 2)
+    session.checker.check()
+    corrupt(session.det)
+    with pytest.raises(InvariantError) as err:
+        session.checker.check()
+    assert err.value.which == which
+
+
 def test_invariant_checker_catches_a_wrong_output_letter(double_t):
     x = parse_upword("(001)^w")
     ctx = prepare(double_t)

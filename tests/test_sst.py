@@ -19,10 +19,7 @@ from omegastream.sst import (
     check_bounded,
     check_copyless,
     compose_counting,
-    compose_substitutions,
     counting_matrix,
-    count_ref,
-    domain_automaton,
     eval_limit,
     eval_prefix,
     format_mixed,
@@ -32,7 +29,7 @@ from omegastream.nft import ContractError
 from omegastream.words import canonicalize, parse_upword, up_equal, word
 
 from conftest import scattered_one_state_ssts
-from machines import copyless_ssts, kflush_sst
+from machines import copyless_ssts, domain_automaton, kflush_sst
 
 
 # -- substitutions -------------------------------------------------------------
@@ -41,7 +38,7 @@ from machines import copyless_ssts, kflush_sst
 def test_compose_golden():
     s1 = Substitution({"r": ("b",), "s": ("b", Reg("r"), Reg("s"), "b")})
     s2 = Substitution({"r": (Reg("r"), "b"), "s": (Reg("r"), Reg("s"))})
-    c = compose_substitutions(s1, s2)
+    c = s1.compose(s2)
     assert c.assignment["r"] == ("b", "b")
     assert c.assignment["s"] == ("b", "b", Reg("r"), Reg("s"), "b")
 
@@ -65,11 +62,11 @@ def test_compose_associative_and_identity():
     ident = Substitution.identity(regs)
     for _ in range(30):
         a, b, c = (_random_subst(rng, regs) for _ in range(3))
-        lhs = compose_substitutions(compose_substitutions(a, b), c)
-        rhs = compose_substitutions(a, compose_substitutions(b, c))
+        lhs = a.compose(b).compose(c)
+        rhs = a.compose(b.compose(c))
         assert lhs.assignment == rhs.assignment
-        assert compose_substitutions(a, ident).assignment == a.assignment
-        assert compose_substitutions(ident, a).assignment == a.assignment
+        assert a.compose(ident).assignment == a.assignment
+        assert ident.compose(a).assignment == a.assignment
 
 
 def test_parse_format_mixed_roundtrip():
@@ -77,7 +74,6 @@ def test_parse_format_mixed_roundtrip():
         toks = parse_mixed(s)
         assert parse_mixed(format_mixed(toks)) == toks
     assert parse_mixed("a$r b") == ("a", Reg("r"), "b")
-    assert count_ref(("a", Reg("r"), Reg("r")), "r") == 2
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -144,13 +140,14 @@ def _brute_max_count(S, max_window):
                     if (q, a) not in S.updates:
                         ok = False
                         break
-                    comp = compose_substitutions(comp, S.updates[(q, a)])
+                    comp = comp.compose(S.updates[(q, a)])
                     q = S.delta[(q, a)]
                 if not ok:
                     continue
                 for r in S.registers:
                     for img in comp.assignment.values():
-                        best = max(best, count_ref(img, r))
+                        best = max(best, sum(isinstance(t, Reg) and t == r
+                                             for t in img))
     return best
 
 
@@ -244,7 +241,7 @@ def test_counting_matrices():
     s2 = Substitution({"r": (Reg("r"),), "s": (Reg("r"), Reg("s"))})
     cap = 10
     m1, m2 = counting_matrix(s1.assignment, cap), counting_matrix(s2.assignment, cap)
-    comp = compose_substitutions(s1, s2)
+    comp = s1.compose(s2)
     assert compose_counting(m1, m2, cap) == counting_matrix(comp.assignment, cap)
 
 

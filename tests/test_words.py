@@ -15,7 +15,6 @@ from omegastream.words import (
     is_prefix,
     lcp,
     lcp_finite,
-    mutual_prefixes,
     parse_upword,
     parse_word,
     primitive_root,
@@ -134,11 +133,6 @@ def test_strip_prefix_inverts_concat(p, v, k):
     x = UPWord(p, v)
     w = x.first(k)
     assert up_equal(concat_up(w, strip_prefix(x, w)), x)
-
-
-@given(words_s, words_s)
-def test_mutual_prefixes_iff(x, y):
-    assert mutual_prefixes(x, y) == (is_prefix(x, y) or is_prefix(y, x))
 
 
 def test_up_starts_with():
