@@ -224,6 +224,21 @@ def _trace_line(rec) -> str:
     )
 
 
+class _PrintedTrace:
+    """A step-record sink that prints each record as a JSON line and keeps
+    only their count."""
+
+    def __init__(self):
+        self.n = 0
+
+    def append(self, rec) -> None:
+        print(_trace_line(rec))
+        self.n += 1
+
+    def __len__(self) -> int:
+        return self.n
+
+
 def cmd_determinize(args) -> int:
     """--stdin flushes each output increment, then prints the whole output;
     --input prints only the whole output.  --trace prints one record per
@@ -244,12 +259,11 @@ def cmd_determinize(args) -> int:
         raise ContractError("--letters is required with --input")
     _check_counts(args)
     ctx = prepare(T)
-    session = StreamSession(ctx, x, args.check_invariants)
+    session = StreamSession(ctx, x, args.check_invariants,
+                            trace=_PrintedTrace() if args.trace else None)
     ann = annotate(ctx, source, max_lookahead=args.max_lookahead)
     for _, delta in session.run(ann, args.letters):
-        if args.trace:
-            print(_trace_line(session.det.trace[-1]))
-        elif x is None and delta:
+        if x is None and delta and not args.trace:
             line = _fmt_word(delta)
             if args.format == "json":
                 line = json.dumps({"i": session.steps, "delta": line})

@@ -15,13 +15,13 @@ state:
   sub-theta words last(q), and theta-counters nb arranged along the tree
   of compatible subsets, with one overflow register out_pi per tree path.
 
-Every step records the exact substitution applied to the registers
-(out and the out_pi), so 1-boundedness can be checked on traces.
+When the session keeps a trace, every step records the exact substitution
+applied to the registers (out and the out_pi), so 1-boundedness can be
+checked on traces.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, islice
@@ -64,7 +64,7 @@ class _Recorder:
     step's delta.  fresh, splice and remap refuse to break that."""
 
     def __init__(self, old: Dict[str, Word]):
-        self.old = dict(old)
+        self.old = old
         self.sym: Dict[str, List] = {"out": [Reg("out")]}
 
     def fresh(self, name: str):
@@ -92,13 +92,20 @@ class _Recorder:
             for new, src in mapping.items()
         }
 
-    def resolve(self, name: str) -> Word:
-        return substitute(self.sym[name], self.old)
-
-    def finish(self):
-        assign = {name: tuple(toks) for name, toks in self.sym.items()}
-        contents = {name: self.resolve(name) for name in self.sym}
-        return assign, contents
+    def finish(self, with_assign: bool = True):
+        """(assignment, resolved contents); the assignment is None without
+        with_assign.  A register whose value is still just itself keeps its
+        old tuple."""
+        old = self.old
+        contents = {}
+        for name, toks in self.sym.items():
+            if len(toks) == 1 and type(toks[0]) is Reg and toks[0] == name:
+                contents[name] = old[name]
+            else:
+                contents[name] = substitute(toks, old)
+        if not with_assign:
+            return None, contents
+        return {name: tuple(toks) for name, toks in self.sym.items()}, contents
 
 
 @dataclass
@@ -117,14 +124,16 @@ class StepRecord:
 class Determinizer:
     """The transition system; one instance per stream.
 
-    Each step appends a StepRecord to `trace`: by default a sink that keeps
-    only the last record; pass a list to keep them all."""
+    With a `trace` sink (a list, or anything with append), each step builds
+    a StepRecord and appends it.  By default no record is built and `trace`
+    stays an empty tuple."""
 
     def __init__(self, ctx: AnalysisContext,
                  trace: Optional[MutableSequence[StepRecord]] = None):
         self.ctx = ctx
         self.T = ctx.T
-        self.trace = deque(maxlen=1) if trace is None else trace
+        self.recording = trace is not None
+        self.trace = () if trace is None else trace  # sized either way
         self._tree_cache: Dict[FrozenSet[str], List[Tuple]] = {}
         self._children_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
         self.steps = 0
@@ -196,26 +205,27 @@ class Determinizer:
         return self._commit(rec, letter=a)
 
     def _commit(self, rec: _Recorder, letter) -> Word:
-        assign, contents = rec.finish()
+        assign, contents = rec.finish(self.recording)
         delta = contents.pop("out")
         self.emitted.extend(delta)
         self.out_regs = contents
-        self.trace.append(
-            StepRecord(
-                index=self.steps,
-                letter=letter,
-                mode=self.mode,
-                C=tuple(sorted(self.C)),
-                lag={q: self.lag[q] for q in sorted(self.lag)},
-                max_lag=self.max_lag,
-                nb={
-                    path_register(p): {q: m[q] for q in sorted(m)}
-                    for p, m in self.nb.items()
-                },
-                emitted_delta=delta,
-                assign=assign,
+        if self.recording:
+            self.trace.append(
+                StepRecord(
+                    index=self.steps,
+                    letter=letter,
+                    mode=self.mode,
+                    C=tuple(sorted(self.C)),
+                    lag={q: self.lag[q] for q in sorted(self.lag)},
+                    max_lag=self.max_lag,
+                    nb={
+                        path_register(p): {q: m[q] for q in sorted(m)}
+                        for p, m in self.nb.items()
+                    },
+                    emitted_delta=delta,
+                    assign=assign,
+                )
             )
-        )
         self.steps += 1
         return delta
 
@@ -755,7 +765,7 @@ class StreamSession:
     returns the output it releases.  With check_invariants every step is
     verified by an InvariantChecker, which also checks futures when the
     input word x is known.  `trace` is the determinizer's step-record sink
-    (default: the last record only)."""
+    (default: no records are built)."""
 
     def __init__(self, ctx: AnalysisContext, x: Optional[UPWord] = None,
                  check_invariants: bool = False,

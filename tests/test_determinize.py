@@ -37,8 +37,9 @@ from omegastream.words import (UPWord, canonicalize, lcp_finite, parse_upword,
                                up_starts_with)
 
 from conftest import flushy_corpus
-from machines import (branch, lasso_branch_machines, multitail_machine,
-                      nonclose_machine, period_branch_machines, small_machines,
+from machines import (branch, from_edges, lasso_branch_machines,
+                      multitail_machine, nonclose_machine,
+                      period_branch_machines, small_machines,
                       unconstrained_future_machine)
 
 
@@ -362,10 +363,46 @@ def test_long_stream_never_reads_past_output(replace_t):
         assert delta == ("1",)
     assert session.steps == n and len(session.det.emitted) == n
     assert set(list.copy(session.det.emitted)) == {"1"}
-    # the default trace sink keeps only the last record
-    assert len(session.det.trace) == 1
-    assert session.det.trace[-1].index == n
+    # the default session keeps no records
+    assert len(session.det.trace) == 0
     assert len(run_pipeline(replace_t, x, 300).trace) == 301
+
+
+def test_step_records_are_built_only_for_a_trace(replace_t, monkeypatch):
+    n = 1000
+    x = parse_upword("(001)^w")
+    ctx = prepare(replace_t)
+    built = []
+    real = determinize.StepRecord
+
+    def counted(**kw):
+        built.append(kw["index"])
+        return real(**kw)
+
+    monkeypatch.setattr(determinize, "StepRecord", counted)
+    for trace, records in ((None, 0), ([], n + 1)):
+        built.clear()
+        session = StreamSession(ctx, trace=trace)
+        for _ in session.run(annotate(ctx, x.letters()), n):
+            pass
+        assert session.steps == n
+        assert len(built) == records
+        # the trace stays sized whether or not it keeps records
+        assert len(session.det.trace) == records
+
+
+def test_recorder_keeps_an_untouched_register_as_is():
+    w = ("a", "b")
+    rec = _Recorder({"out": (), "r": w, "s": w})
+    rec.sym["r"] = [Reg("r")]
+    rec.sym["s"] = [Reg("s")]
+    rec.append_letters("s", ("c",))
+    assign, contents = rec.finish()
+    assert contents["r"] is w and contents["s"] == ("a", "b", "c")
+    assert assign == {"out": (Reg("out"),), "r": (Reg("r"),),
+                      "s": (Reg("s"), "c")}
+    assert isinstance(contents["s"], tuple)
+    assert rec.finish(False) == (None, contents)
 
 
 def test_recorder_keeps_out_append_only():
@@ -439,8 +476,17 @@ def _last_a_whole_theta(det):
     det.last["q1"] = det.theta
 
 
+def _lagging_state_with_a_branch_register(det):
+    # q2 reaches a max_lag of one theta and q1 lags behind it with no last
+    # and no theta counters, but q1's branch register holds a theta
+    det.max_lag = det.lag["q2"] = det.theta
+    det.last["q1"] = ()
+    det.out_regs["out@{q1,q2}>{q1}"] = det.theta
+
+
 @pytest.mark.parametrize("corrupt, which", [
     (_out_pi_not_a_theta_power, "4b"), (_last_a_whole_theta, "4c"),
+    (_lagging_state_with_a_branch_register, "4d"),
 ])
 def test_invariant_checker_names_the_broken_family(double_t, corrupt, which):
     """Each corruption breaks one family, and the checker names it."""
@@ -450,6 +496,41 @@ def test_invariant_checker_names_the_broken_family(double_t, corrupt, which):
     with pytest.raises(InvariantError) as err:
         session.checker.check()
     assert err.value.which == which
+
+
+def held_back_machine():
+    """On a^n (n >= 2) the runs through p1 and p3 have both output z y^(n-2)
+    and p1 one more y, so the non-separable set {p1, p3} holds back p1's
+    y; p1 is final, p3 leaves on b."""
+    edges = [("q0", "a", "p1", "z"), ("q0", "a", "p2", ""),
+             ("p1", "a", "p1", "y"), ("p2", "a", "p3", "z"),
+             ("p3", "a", "p3", "y"), ("p3", "b", "q0", "y")]
+    return from_edges(edges, {"q0"}, {"p1"})
+
+
+def test_invariant_checker_names_output_held_back():
+    """Dropping p3 from {p1, p3} leaves p1's held-back y certain: out is
+    no longer the common production of the runs (3a)."""
+    session = _checked_session(held_back_machine(), parse_upword("(a)^w"), 4)
+    det = session.det
+    assert det.mode == "nonsep" and det.C == {"p1", "p3"}
+    assert det.lag == {"p1": ("y",), "p3": ()}
+    session.checker.check()
+    det.C = frozenset({"p1"})
+    with pytest.raises(InvariantError) as err:
+        session.checker.check()
+    assert err.value.which == "3a"
+
+
+def test_resize_names_an_unclamped_counter(double_t):
+    """A tree walk that misses a subtree leaves its overflowed theta
+    counter above 2, and the toolbox says so."""
+    det = _sep_state(double_t)
+    det._children_cache[det.C] = ()  # the walk sees no subtree
+    det.nb[(det.C, frozenset({"q2"}))]["q2"] = 3
+    with pytest.raises(InvariantError) as err:
+        _run_resize(det)
+    assert err.value.which == "toolbox"
 
 
 def test_invariant_checker_catches_a_wrong_output_letter(double_t):
