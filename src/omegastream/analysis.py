@@ -7,15 +7,16 @@ theta).
 The continuity decision takes any machine and normalizes it itself.
 
 An AnalysisContext memoizes the expensive searches (tuple-product lassos,
-compatible subsets, theta) for one machine.  The continuity and
-separability searches run over nft.product_between's rows, the tuples
-between their start tuples and the tuples they look for, and meet the
-tuples that matter in the same order as over the whole product.
+compatible subsets and their state masks, theta) for one machine.  The
+continuity and separability searches run over nft.product_between's rows,
+the tuples between their start tuples and the tuples they look for, and
+meet the tuples that matter in the same order as over the whole product.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -153,6 +154,7 @@ class AnalysisContext:
         self.T = T
         self._compat: Dict[FrozenSet[str], Optional[CompatibleSet]] = {}
         self._lattices: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
+        self._subset_masks: Dict[FrozenSet[str], Tuple[int, tuple]] = {}
         self._separ: Dict[FrozenSet[str], Optional[SeparabilityWitness]] = {}
         self._ends: Dict[FrozenSet[str], Dict[str, UPWord]] = {}
         self._theta: Optional[int] = None
@@ -211,7 +213,23 @@ class AnalysisContext:
 
         The result is an immutable tuple shared by every caller.
         """
-        S = frozenset(S)
+        return self._lattice(frozenset(S))
+
+    def subset_masks(self, S: FrozenSet[str]) -> Tuple[int, Tuple[int, ...]]:
+        """(m, masks): the bits of S, and those of each set of
+        comp_subsets(S) in its order, over the machine's state numbering
+        (OneWayTransducer._masks).  The annotator's cover advances them.
+        Built once per frontier, next to its lattice."""
+        hit = self._subset_masks.get(S)
+        if hit is None:
+            names = self.T._masks[0]
+            bit = {q: 1 << bisect_left(names, q) for q in S}
+            hit = self._subset_masks[S] = (
+                sum(bit.values()),
+                tuple(sum(bit[q] for q in C) for C in self._lattice(S)))
+        return hit
+
+    def _lattice(self, S: FrozenSet[str]) -> Tuple[FrozenSet[str], ...]:
         hit = self._lattices.get(S)
         if hit is None:
             hit = self._lattices[S] = self._build_lattice(sorted(S))

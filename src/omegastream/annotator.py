@@ -16,7 +16,10 @@ unambiguous for that.  A stream cannot be decided up front, so a word
 outside the domain may stream without an error.
 
 The doubly-exponential automaton realizing the same sequence is never
-materialized; the lookahead buffer plays its role.
+materialized; the lookahead buffer plays its role.  While it looks ahead,
+cover keeps each image as an int whose bits are states, numbered as in the
+machine's per-letter target masks, and advances it by OR-ing the target
+masks of its states; annotate pushes the committed set once per letter.
 """
 
 from __future__ import annotations
@@ -90,6 +93,16 @@ class _Buffer:
             self._base = pos
 
 
+def _image(row, m: int) -> int:
+    """The bits of the states that the states with bits m reach on one
+    letter, row[p] being the bits of p's targets on it."""
+    img = 0
+    for p in range(m.bit_length()):
+        if m >> p & 1:
+            img |= row[p]
+    return img
+
+
 def cover(
     ctx: AnalysisContext,
     S,
@@ -105,12 +118,15 @@ def cover(
     the stream ends before a cover stabilizes.  Raises DivergedError when
     no candidate is left, or when max_lookahead letters (None: no cap)
     were read without a cover.
+
+    The images are state masks (AnalysisContext.subset_masks), advanced
+    one letter at a time through the machine's per-letter target masks.
     """
     S = frozenset(S)
-    # evolving images (push_w(C), push_w(S))
-    pairs = [[c, c] for c in ctx.comp_subsets(S)]
-    frontier = S
-    T = ctx.T
+    frontier, masks = ctx.subset_masks(S)
+    # evolving images (push_w(C) and, in frontier, push_w(S)) as masks
+    pairs = list(zip(masks, ctx.comp_subsets(S)))
+    rows = ctx.T._masks[1]
     j = position
     while pairs:
         done = [c for img, c in pairs if img == frontier]
@@ -121,10 +137,11 @@ def cover(
         a = buffer.get(j)
         if a is None:
             return None
-        frontier = push(T, frontier, (a,))
-        for entry in pairs:
-            entry[0] = push(T, entry[0], (a,))
-        pairs = [e for e in pairs if e[0]]
+        row = rows.get(a)
+        if row is None:  # no transition reads a: every image is empty
+            break
+        frontier = _image(row, frontier)
+        pairs = [(img, c) for m, c in pairs if (img := _image(row, m))]
         j += 1
     raise _no_cover(position, S)
 

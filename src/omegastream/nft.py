@@ -14,9 +14,11 @@ already-normal machines are returned unchanged.
 
 A machine keeps one transition index per direction: _by_letter (state
 -> letter -> targets) and its mirror _into (state -> letter -> sources).
-succ, out_edges, the oracle's tables, trim and the rows of tuple_succ and
-tuple_pred, which every search over the product of a machine with itself
-reads, are built from them.  product_between keeps the tuples on a walk
+succ, out_edges, the oracle's target tuples, trim and the rows of
+tuple_succ and tuple_pred, which every search over the product of a
+machine with itself reads, are built from them.  _masks, the per-letter
+target masks by state number that the oracle and the annotator read, is
+built from the transitions.  product_between keeps the tuples on a walk
 from given starts to given goals, searching backward and forward in
 turn, so the continuity, constant-state and separability searches never
 expand a tuple that cannot lead to what they look for.
@@ -146,22 +148,36 @@ class OneWayTransducer:
         return _index(self.transitions, 2, 0)
 
     @cached_property
+    def _masks(self) -> Tuple[List[str], Dict[object, List[int]]]:
+        """(names, masks): the states in sorted order, which numbers them,
+        and for each letter a that some transition reads, masks[a][p], the
+        bits of p's targets on a.  The oracle's tables and the annotator's
+        images share this numbering."""
+        names = sorted(self.states)
+        num = {q: p for p, q in enumerate(names)}
+        masks: Dict[object, List[int]] = {}
+        for q, a, q2 in self.transitions:
+            row = masks.get(a)
+            if row is None:
+                row = masks[a] = [0] * len(names)
+            row[num[q]] |= 1 << num[q2]
+        return names, masks
+
+    @cached_property
     def _numbered(self):
         """(names, initial, final, targets, masks, outs), the oracle's
-        tables, with the states numbered in sorted order: initial and
-        final have the bits of the initial and final states, targets[a][p]
-        is the tuple of p's target numbers on a, masks[a][p] has their
-        bits, and outs[a, p, q] is the output of p -a-> q.  Nothing in
-        them depends on a word."""
-        names = sorted(self.states)
+        tables, with the states numbered as in _masks, which gives names
+        and masks: initial and final have the bits of the initial and
+        final states, targets[a][p] is the tuple of p's target numbers on
+        a, and outs[a, p, q] is the output of p -a-> q.  Nothing in them
+        depends on a word."""
+        names, masks = self._masks
         num = {q: p for p, q in enumerate(names)}
         targets: Dict[object, List[tuple]] = {}
         for q, row in self._by_letter.items():
             for a, succ in row.items():
                 targets.setdefault(a, [()] * len(names))[num[q]] = tuple(
                     num[q2] for q2, _ in succ)
-        masks = {a: [sum(1 << p for p in row) for row in rows]
-                 for a, rows in targets.items()}
         outs = {(a, num[q], num[q2]): out
                 for (q, a, q2), out in self.transitions.items()}
         return (names, sum(1 << num[q] for q in self.initial),

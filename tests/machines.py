@@ -2,7 +2,8 @@
 hypothesis strategies, seeded generators, and tagged_machines, whose
 constructions fix whether the machine is continuous.  Also the references
 the tests compare the library against, which the library itself never
-calls: a domain automaton for SSTs and a decomposition-forest checker.
+calls: the annotator's cover on state sets, a domain automaton for SSTs
+and a decomposition-forest checker.
 
 CI builds its machines from here too, e.g.
     PYTHONPATH=tests python -c "import sys, machines; from omegastream import nft; nft.save(machines.ring(1500), sys.argv[1])" ring.json
@@ -16,6 +17,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from omegastream import nft, sst
+from omegastream.annotator import _no_cover
 from omegastream.convert import ConversionError
 from omegastream.nft import OneWayTransducer
 from omegastream.sst import EMPTY_PARTS, StreamingTransducer, Substitution
@@ -551,6 +553,30 @@ def tagged_machines():
 
 
 # -- references the tests compare against ------------------------------------
+
+
+def reference_cover(ctx, S, buffer, position, max_lookahead):
+    """annotator.cover on state sets: each image is one nft.push per
+    letter, where cover ORs per-letter target masks."""
+    S = frozenset(S)
+    pairs = [[c, c] for c in ctx.comp_subsets(S)]
+    frontier = S
+    j = position
+    while pairs:
+        done = [c for img, c in pairs if img == frontier]
+        if done:
+            return j, min(done, key=sorted)
+        if max_lookahead is not None and j - position >= max_lookahead:
+            raise _no_cover(position, S, max_lookahead)
+        a = buffer.get(j)
+        if a is None:
+            return None
+        frontier = nft.push(ctx.T, frontier, (a,))
+        for entry in pairs:
+            entry[0] = nft.push(ctx.T, entry[0], (a,))
+        pairs = [e for e in pairs if e[0]]
+        j += 1
+    raise _no_cover(position, S)
 
 
 def advances(sa):

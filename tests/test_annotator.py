@@ -1,21 +1,23 @@
 """The online annotator producing the compatible-set stream."""
 
 import collections
+import dataclasses
 import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from omegastream import nft
+from omegastream import annotator, nft
 from omegastream.analysis import AnalysisContext, is_continuous
-from omegastream.annotator import DivergedError, annotate
+from omegastream.annotator import DivergedError, _Buffer, annotate, cover
 from omegastream.determinize import run_pipeline
 from omegastream.words import (UPWord, canonicalize, parse_upword, up_equal,
                                 up_starts_with)
 
 from conftest import in_domain_corpus, random_upword
-from machines import replace_k, tagged_machines
+from machines import (from_edges, nondeterministic_machines, reference_cover,
+                      replace_k, ring, tagged_machines)
 
 
 def _annotations(ctx, x, n):
@@ -181,3 +183,88 @@ def test_prestep_chain_and_run_containment(replace_t, double_t):
                 assert sa is not None and set(sa.pre) == set(C)
                 assert run_state(i) in C
                 prev = C
+
+
+# -- cover on state masks ----------------------------------------------------
+
+
+def _outcome(find, ctx, S, letters, position, cap):
+    """find's (j, C) or None, or the message of the DivergedError it
+    raised."""
+    try:
+        return find(ctx, S, _Buffer(letters, ctx.T.input_alphabet), position,
+                    cap)
+    except DivergedError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(nondeterministic_machines,
+                 tagged_machines().map(lambda tagged: tagged[0])),
+       st.data())
+def test_cover_matches_the_state_set_reference(T, data):
+    """cover, on state masks, gives reference_cover's (j, C), None or
+    error on drawn frontiers, words, start positions and caps.  A
+    compatible frontier covers itself at once, so only incompatible ones
+    are drawn.  The machine's alphabet gains "#", which no transition
+    reads."""
+    T = dataclasses.replace(T, input_alphabet=T.input_alphabet | {"#"})
+    ctx = AnalysisContext(T)
+    S = data.draw(st.sets(st.sampled_from(sorted(T.states)), min_size=1))
+    assume(ctx.is_compatible(S) is None)
+    letters = data.draw(st.lists(
+        st.sampled_from(sorted(T.input_alphabet, key=str)), max_size=12))
+    position = data.draw(st.integers(0, 2))
+    cap = data.draw(st.none() | st.integers(0, 6))
+    assert (_outcome(cover, ctx, S, letters, position, cap)
+            == _outcome(reference_cover, ctx, S, letters, position, cap))
+
+
+def test_cover_on_masks_wider_than_64_bits():
+    """ring(100) numbers its states up to 99: 300 letters go round it
+    three times."""
+    ann = annotate(AnalysisContext(ring(100)), iter("a" * 300))
+    assert next(ann) == {"s0"}
+    assert list(ann) == [("a", {f"s{i % 100}"}) for i in range(1, 301)]
+
+
+def test_cover_looks_ahead_over_70_guess_branches():
+    """replace_k with 70 branches: on a 0, q0 guesses the letter c1..c70
+    that closes the 0-run.  The frontier of a 0-run holds q1..q70, whose
+    bits run past 64, and the closing letter picks one branch."""
+    k = 70
+    T = from_edges([edge for i in range(1, k + 1) for edge in (
+        ("q0", "0", f"q{i}", "x"), ("q0", f"c{i}", "q0", "x"),
+        (f"q{i}", "0", f"q{i}", "x"), (f"q{i}", f"c{i}", "q0", "x"))],
+        {"q0"}, {"q0"})
+    ctx = AnalysisContext(T)
+    run = frozenset(f"q{i}" for i in range(1, k + 1))
+    for i in range(1, k + 1):
+        letters = ["0", "0", f"c{i}"]
+        found = cover(ctx, run, _Buffer(letters, T.input_alphabet), 0, None)
+        assert found == (3, {f"q{i}"})
+        assert found == reference_cover(
+            ctx, run, _Buffer(letters, T.input_alphabet), 0, None)
+
+
+def test_annotate_pushes_once_per_letter(monkeypatch):
+    """cover advances masks; only annotate's step from the committed set
+    pushes, once per letter, on replace_12 over 1,000 block letters."""
+    calls = []
+    push = nft.push
+
+    def counted(T, S, u):
+        calls.append(u)
+        return push(T, S, u)
+
+    monkeypatch.setattr(nft, "push", counted)
+    monkeypatch.setattr(annotator, "push", counted)
+    rng = random.Random(12)
+    letters = []
+    while len(letters) < 1000:
+        letters += ["0"] * rng.randint(0, 6) + [rng.choice("123456789abc")]
+    ctx = AnalysisContext(nft.normalize(replace_k(12)))
+    assert sum(1 for _ in annotate(ctx, iter(letters))) == len(letters) + 1
+    assert 0 < len(calls) <= len(letters)

@@ -369,6 +369,22 @@ def test_stdin_ending_inside_a_lookahead_ends_the_stream(tmp_path):
                                             "1\t{q0}"])
 
 
+def test_a_letter_that_no_transition_reads(tmp_path):
+    """replace.json with a letter 3 in its input alphabet that no
+    transition reads: the cover of the 0-run before it dies on it, so
+    `1 0 0 3 1` on --stdin is exit 1 with one error line."""
+    with open(fixture_path("replace.json")) as fh:
+        doc = json.load(fh)
+    machine = tmp_path / "replace_unread_3.json"
+    machine.write_text(json.dumps(
+        {**doc, "input_alphabet": doc["input_alphabet"] + ["3"]}))
+    code, out, err = run_cli("run", str(machine), "--stdin",
+                             stdin=_stdin_letters("10031"))
+    assert (code, out.splitlines()) == (1, ["1"])
+    assert err == ("error: no compatible cover of ['q1', 'q2'] stabilizes "
+                   "at position 2\n")
+
+
 def test_max_lookahead_and_k_ranges():
     replace = fixture_path("replace.json")
     for argv, message in (
