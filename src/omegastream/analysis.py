@@ -154,7 +154,8 @@ class AnalysisContext:
         self.T = T
         self._compat: Dict[FrozenSet[str], Optional[CompatibleSet]] = {}
         self._lattices: Dict[FrozenSet[str], Tuple[FrozenSet[str], ...]] = {}
-        self._subset_masks: Dict[FrozenSet[str], Tuple[int, tuple]] = {}
+        self._frontiers: Dict[int, Tuple[FrozenSet[str],
+                                         Dict[FrozenSet[str], int]]] = {}
         self._separ: Dict[FrozenSet[str], Optional[SeparabilityWitness]] = {}
         self._ends: Dict[FrozenSet[str], Dict[str, UPWord]] = {}
         self._theta: Optional[int] = None
@@ -215,18 +216,27 @@ class AnalysisContext:
         """
         return self._lattice(frozenset(S))
 
-    def subset_masks(self, S: FrozenSet[str]) -> Tuple[int, Tuple[int, ...]]:
-        """(m, masks): the bits of S, and those of each set of
-        comp_subsets(S) in its order, over the machine's state numbering
-        (OneWayTransducer._masks).  The annotator's cover advances them.
-        Built once per frontier, next to its lattice."""
-        hit = self._subset_masks.get(S)
+    def bits(self, S) -> int:
+        """The bits of the states S, state p being bit p of the machine's
+        numbering (OneWayTransducer._masks)."""
+        names = self.T._masks[0]
+        return sum(1 << bisect_left(names, q) for q in S)
+
+    def frontier(self, m: int) -> Tuple[FrozenSet[str],
+                                        Dict[FrozenSet[str], int]]:
+        """(S, cands) for the frontier whose states have the bits m: S is
+        its state set, and cands maps each set of comp_subsets(S) to its
+        bits, ordered by sorted state names, so the first candidate that
+        the annotator's cover finds is the order-minimal one.  Built once
+        per distinct frontier, next to its lattice."""
+        hit = self._frontiers.get(m)
         if hit is None:
             names = self.T._masks[0]
-            bit = {q: 1 << bisect_left(names, q) for q in S}
-            hit = self._subset_masks[S] = (
-                sum(bit.values()),
-                tuple(sum(bit[q] for q in C) for C in self._lattice(S)))
+            S = frozenset(names[p] for p in range(m.bit_length())
+                          if m >> p & 1)
+            hit = self._frontiers[m] = (S, {
+                C: self.bits(C)
+                for C in sorted(self.comp_subsets(S), key=sorted)})
         return hit
 
     def _lattice(self, S: FrozenSet[str]) -> Tuple[FrozenSet[str], ...]:

@@ -16,18 +16,24 @@ unambiguous for that.  A stream cannot be decided up front, so a word
 outside the domain may stream without an error.
 
 The doubly-exponential automaton realizing the same sequence is never
-materialized; the lookahead buffer plays its role.  While it looks ahead,
-cover keeps each image as an int whose bits are states, numbered as in the
-machine's per-letter target masks, and advances it by OR-ing the target
-masks of its states; annotate pushes the committed set once per letter.
+materialized; the lookahead buffer plays its role.  Every state set the
+annotator advances is an int whose bits are states, numbered as in the
+machine's per-letter target masks (AnalysisContext.bits): one letter takes
+a set to the OR of its states' target masks.  annotate advances the
+committed set's bits to the next frontier's, and cover advances the
+frontier's and its candidates' bits through the lookahead; the frontier's
+state set and candidates are memoized by its bits
+(AnalysisContext.frontier), so only the committed sets, C0 and each (letter,
+C), are frozensets.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, List, Optional, Union
 
 from .analysis import AnalysisContext
-from .nft import oracle_run, push
+from .nft import oracle_run
 from .words import UPWord
 
 
@@ -97,41 +103,42 @@ def _image(row, m: int) -> int:
     """The bits of the states that the states with bits m reach on one
     letter, row[p] being the bits of p's targets on it."""
     img = 0
-    for p in range(m.bit_length()):
-        if m >> p & 1:
-            img |= row[p]
+    while m:
+        low = m & -m
+        img |= row[low.bit_length() - 1]
+        m ^= low
     return img
 
 
 def cover(
     ctx: AnalysisContext,
-    S,
+    m: int,
     buffer: _Buffer,
     position: int,
     max_lookahead: Optional[int],
 ):
-    """Smallest-lookahead compatible cover of the frontier S at `position`.
+    """Smallest-lookahead compatible cover of the frontier at `position`,
+    the frontier being the states with bits m (AnalysisContext.bits).
 
     Returns (j, C): j is the absolute position where some compatible C
-    subset of S satisfies push_w(C) = push_w(S) for w = letters
-    (position..j]; C is the order-minimal such set.  Returns None when
-    the stream ends before a cover stabilizes.  Raises DivergedError when
-    no candidate is left, or when max_lookahead letters (None: no cap)
-    were read without a cover.
+    subset of the frontier S satisfies push_w(C) = push_w(S) for w =
+    letters (position..j]; C is the order-minimal such set.  Returns None
+    when the stream ends before a cover stabilizes.  Raises DivergedError
+    when no candidate is left, or when max_lookahead letters (None: no
+    cap) were read without a cover.
 
-    The images are state masks (AnalysisContext.subset_masks), advanced
-    one letter at a time through the machine's per-letter target masks.
+    The candidates and their bits come from AnalysisContext.frontier,
+    order-minimal first; each image is advanced one letter at a time
+    through the machine's per-letter target masks.
     """
-    S = frozenset(S)
-    frontier, masks = ctx.subset_masks(S)
-    # evolving images (push_w(C) and, in frontier, push_w(S)) as masks
-    pairs = list(zip(masks, ctx.comp_subsets(S)))
+    S, cands = ctx.frontier(m)
+    # evolving images push_w(C), with the candidates C they belong to
+    imgs, sets = list(cands.values()), list(cands)
     rows = ctx.T._masks[1]
     j = position
-    while pairs:
-        done = [c for img, c in pairs if img == frontier]
-        if done:
-            return j, min(done, key=sorted)
+    while imgs:
+        if m in imgs:
+            return j, sets[imgs.index(m)]
         if max_lookahead is not None and j - position >= max_lookahead:
             raise _no_cover(position, S, max_lookahead)
         a = buffer.get(j)
@@ -140,8 +147,10 @@ def cover(
         row = rows.get(a)
         if row is None:  # no transition reads a: every image is empty
             break
-        frontier = _image(row, frontier)
-        pairs = [(img, c) for m, c in pairs if (img := _image(row, m))]
+        m = _image(row, m)
+        imgs = [_image(row, img) for img in imgs]
+        sets = list(compress(sets, imgs))
+        imgs = list(filter(None, imgs))
         j += 1
     raise _no_cover(position, S)
 
@@ -177,8 +186,10 @@ def annotate(
                 f"{x} is outside the domain: it has no accepting run with "
                 "infinite output"
             )
+    rows = T._masks[1]
+    m = ctx.bits(T.initial)
     pos = 0
-    found = cover(ctx, T.initial, buf, 0, max_lookahead)
+    found = cover(ctx, m, buf, 0, max_lookahead)
     if found is None:
         return
     good = found[1]
@@ -187,11 +198,13 @@ def annotate(
         a = buf.get(pos)
         if a is None:
             return
-        frontier = push(T, good, (a,))
-        if not frontier:
+        row = rows.get(a)
+        # the committed set's bits, advanced over a
+        m = _image(row, ctx.frontier(m)[1][good]) if row is not None else 0
+        if not m:
             raise _no_cover(pos + 1, good)
         pos += 1
-        found = cover(ctx, frontier, buf, pos, max_lookahead)
+        found = cover(ctx, m, buf, pos, max_lookahead)
         if found is None:
             return
         good = found[1]

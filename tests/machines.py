@@ -2,8 +2,8 @@
 hypothesis strategies, seeded generators, and tagged_machines, whose
 constructions fix whether the machine is continuous.  Also the references
 the tests compare the library against, which the library itself never
-calls: the annotator's cover on state sets, a domain automaton for SSTs
-and a decomposition-forest checker.
+calls: the annotator and its cover on state sets, a domain automaton
+for SSTs and a decomposition-forest checker.
 
 CI builds its machines from here too, e.g.
     PYTHONPATH=tests python -c "import sys, machines; from omegastream import nft; nft.save(machines.ring(1500), sys.argv[1])" ring.json
@@ -17,7 +17,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from omegastream import nft, sst
-from omegastream.annotator import _no_cover
+from omegastream.annotator import _Buffer, _no_cover
 from omegastream.convert import ConversionError
 from omegastream.nft import OneWayTransducer
 from omegastream.sst import EMPTY_PARTS, StreamingTransducer, Substitution
@@ -197,6 +197,30 @@ def multitail_machine() -> OneWayTransducer:
              ("p2", "d", "p2", "yy"), ("r", "a", "r", "y"),
              ("r", "e", "s", "y"), ("s", "e", "s", "y")]
     return from_edges(edges, {"q0"}, {"q0", "p1", "s"})
+
+
+def lagging_preimage_machine() -> OneWayTransducer:
+    """Continuous, with the output 12 0^w on every word of its domain: on
+    an s, q0 guesses p (output 12), r (output 1) or z (no output).  p
+    outputs 0 per 0 and r and z nothing, so {p, r, z} is separable, and
+    the only lasso on which all three run, e 0^w, gives z the future
+    12 0^w: the looping future has the transient 12, which r has half
+    output and z not at all.  On s 0^n y (0)^w the y keeps only r: the
+    pre-image {r} is close, having no tree paths below it, and r lags.
+    A lagging state needs a looping future with a transient, made here
+    by loops that output nothing; 5,000 random_machine and branch draws
+    of at most 6 states never gave one."""
+    edges = [("q0", "s", "p", "12"), ("q0", "s", "r", "1"),
+             ("q0", "s", "z", ""),
+             ("p", "0", "p", "0"), ("p", "e", "p2", ""),
+             ("p2", "0", "p2", "0"),
+             ("r", "0", "r", ""), ("r", "e", "r2", "2"),
+             ("r", "y", "g", "2"), ("r2", "0", "r2", "0"),
+             ("r2", "y", "g", "0"),
+             ("z", "0", "z", ""), ("z", "e", "z2", "12"),
+             ("z2", "0", "z2", "0"), ("z2", "x", "g", "0"),
+             ("g", "0", "g", "0")]
+    return from_edges(edges, {"q0"}, {"p2", "g"})
 
 
 def unconstrained_future_machine() -> OneWayTransducer:
@@ -577,6 +601,35 @@ def reference_cover(ctx, S, buffer, position, max_lookahead):
         pairs = [e for e in pairs if e[0]]
         j += 1
     raise _no_cover(position, S)
+
+
+def reference_annotate(ctx, source, max_lookahead=None):
+    """annotator.annotate on a stream, on state sets: the committed set
+    is pushed with nft.push, and each cover is reference_cover's, where
+    annotate advances the committed set's bits and hands cover the
+    frontier's."""
+    T = ctx.T
+    buf = _Buffer(source, T.input_alphabet)
+    found = reference_cover(ctx, T.initial, buf, 0, max_lookahead)
+    if found is None:
+        return
+    good = found[1]
+    yield good
+    pos = 0
+    while True:
+        a = buf.get(pos)
+        if a is None:
+            return
+        frontier = nft.push(T, good, (a,))
+        if not frontier:
+            raise _no_cover(pos + 1, good)
+        pos += 1
+        found = reference_cover(ctx, frontier, buf, pos, max_lookahead)
+        if found is None:
+            return
+        good = found[1]
+        buf.drop_before(pos)
+        yield (a, good)
 
 
 def advances(sa):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from omegastream import annotator, nft
 from omegastream.analysis import AnalysisContext, is_continuous
-from omegastream.annotator import DivergedError, _Buffer, annotate, cover
+from omegastream.annotator import (DivergedError, UnknownLetterError, _Buffer,
+                                   annotate, cover)
 from omegastream.determinize import run_pipeline
 from omegastream.words import (UPWord, canonicalize, parse_upword, up_equal,
                                 up_starts_with)
 
 from conftest import in_domain_corpus, random_upword
-from machines import (from_edges, nondeterministic_machines, reference_cover,
-                      replace_k, ring, tagged_machines)
+from machines import (from_edges, nondeterministic_machines,
+                      reference_annotate, reference_cover, replace_k, ring,
+                      tagged_machines)
 
 
 def _annotations(ctx, x, n):
@@ -190,7 +193,7 @@ def test_prestep_chain_and_run_containment(replace_t, double_t):
 
 def _outcome(find, ctx, S, letters, position, cap):
     """find's (j, C) or None, or the message of the DivergedError it
-    raised."""
+    raised; S is a state set, or for cover its bits."""
     try:
         return find(ctx, S, _Buffer(letters, ctx.T.input_alphabet), position,
                     cap)
@@ -205,8 +208,8 @@ def _outcome(find, ctx, S, letters, position, cap):
                  tagged_machines().map(lambda tagged: tagged[0])),
        st.data())
 def test_cover_matches_the_state_set_reference(T, data):
-    """cover, on state masks, gives reference_cover's (j, C), None or
-    error on drawn frontiers, words, start positions and caps.  A
+    """cover, on the frontier's bits, gives reference_cover's (j, C),
+    None or error on drawn frontiers, words, start positions and caps.  A
     compatible frontier covers itself at once, so only incompatible ones
     are drawn.  The machine's alphabet gains "#", which no transition
     reads."""
@@ -218,7 +221,7 @@ def test_cover_matches_the_state_set_reference(T, data):
         st.sampled_from(sorted(T.input_alphabet, key=str)), max_size=12))
     position = data.draw(st.integers(0, 2))
     cap = data.draw(st.none() | st.integers(0, 6))
-    assert (_outcome(cover, ctx, S, letters, position, cap)
+    assert (_outcome(cover, ctx, ctx.bits(S), letters, position, cap)
             == _outcome(reference_cover, ctx, S, letters, position, cap))
 
 
@@ -243,28 +246,81 @@ def test_cover_looks_ahead_over_70_guess_branches():
     run = frozenset(f"q{i}" for i in range(1, k + 1))
     for i in range(1, k + 1):
         letters = ["0", "0", f"c{i}"]
-        found = cover(ctx, run, _Buffer(letters, T.input_alphabet), 0, None)
+        found = cover(ctx, ctx.bits(run), _Buffer(letters, T.input_alphabet),
+                      0, None)
         assert found == (3, {f"q{i}"})
         assert found == reference_cover(
             ctx, run, _Buffer(letters, T.input_alphabet), 0, None)
 
 
-def test_annotate_pushes_once_per_letter(monkeypatch):
-    """cover advances masks; only annotate's step from the committed set
-    pushes, once per letter, on replace_12 over 1,000 block letters."""
-    calls = []
-    push = nft.push
+def _ending(ann):
+    """The items ann yields, then how it ends: ("return",), or the
+    error's type name and text."""
+    items = []
+    try:
+        for item in ann:
+            items.append(item)
+    except (DivergedError, UnknownLetterError) as e:
+        return items, (type(e).__name__, str(e))
+    return items, ("return",)
 
-    def counted(T, S, u):
-        calls.append(u)
-        return push(T, S, u)
 
-    monkeypatch.setattr(nft, "push", counted)
-    monkeypatch.setattr(annotator, "push", counted)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(nondeterministic_machines,
+                 tagged_machines().map(lambda tagged: tagged[0]),
+                 st.just(ring(100))),
+       st.data())
+def test_annotate_matches_the_state_set_reference(T, data):
+    """annotate, on state bits, yields reference_annotate's C0 and
+    (letter, C) items and ends the same way: a return when the stream
+    ends (inside a lookahead or not), or the same DivergedError or
+    UnknownLetterError.  The streams are runs of drawn letters, up to
+    twice as long as the machine has states, so on ring(100) the bits
+    pass 64; "#" joins the alphabet but no transition reads it, and "?"
+    is outside the alphabet."""
+    T = dataclasses.replace(T, input_alphabet=T.input_alphabet | {"#"})
+    ctx = AnalysisContext(T)
+    runs = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(T.input_alphabet, key=str) + ["?"]),
+        st.integers(1, max(40, 2 * len(T.states)))), max_size=6))
+    letters = [a for a, n in runs for _ in range(n)]
+    cap = data.draw(st.none() | st.integers(0, 6))
+    assert (_ending(annotate(ctx, iter(letters), cap))
+            == _ending(reference_annotate(AnalysisContext(T), iter(letters),
+                                          cap)))
+
+
+def test_annotate_never_pushes(monkeypatch):
+    """On replace_12 over 1,000 block letters, annotate advances the
+    committed set's bits and never calls nft.push, and the candidates of
+    each frontier are built once per distinct frontier, however often
+    cover is handed it."""
+    pushes, built, handed = [], [], []
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("omegastream"):
+            if mod.__dict__.get("push") is nft.push:
+                monkeypatch.setattr(mod, "push", lambda *a: pushes.append(a))
+    comp_subsets = AnalysisContext.comp_subsets
+
+    def counted_comp_subsets(self, S):
+        built.append(frozenset(S))
+        return comp_subsets(self, S)
+
+    def counted_cover(ctx, m, *rest):
+        handed.append(m)
+        return cover(ctx, m, *rest)
+
+    monkeypatch.setattr(AnalysisContext, "comp_subsets",
+                        counted_comp_subsets)
+    monkeypatch.setattr(annotator, "cover", counted_cover)
     rng = random.Random(12)
     letters = []
     while len(letters) < 1000:
         letters += ["0"] * rng.randint(0, 6) + [rng.choice("123456789abc")]
     ctx = AnalysisContext(nft.normalize(replace_k(12)))
     assert sum(1 for _ in annotate(ctx, iter(letters))) == len(letters) + 1
-    assert 0 < len(calls) <= len(letters)
+    assert pushes == []
+    assert len(handed) == len(letters) + 1
+    assert len(built) == len(set(built)) == len(set(handed)) > 1

@@ -37,8 +37,9 @@ from omegastream.words import (UPWord, canonicalize, lcp_finite, parse_upword,
                                up_starts_with)
 
 from conftest import flushy_corpus
-from machines import (branch, from_edges, lasso_branch_machines,
-                      multitail_machine, nonclose_machine,
+from machines import (branch, from_edges, lagging_preimage_machine,
+                      lasso_branch_machines, multitail_machine,
+                      nonclose_machine,
                       period_branch_machines, small_machines,
                       unconstrained_future_machine)
 
@@ -811,6 +812,36 @@ def test_aligned_step_into_a_multi_tail_path(monkeypatch):
                 r = run_pipeline(T, x, n + 20, check_invariants=check)
                 assert up_starts_with(y, r.emitted), (word, check)
     assert any(multi)
+
+
+def test_preprocess_into_a_close_preimage_with_a_lagging_state(monkeypatch):
+    """On s 0^n y (0)^w, lagging_preimage_machine's y is a pre-step from
+    the separable {p, r, z} whose pre-image {r} is close (a singleton has
+    no tree paths below it) and holds r, whose lag 1 falls short of
+    max_lag 12; on the other words the stream leaves {p, r, z} by e.
+    Every stream stays a prefix of the oracle's output, checked and
+    unchecked."""
+    T = lagging_preimage_machine()
+    assert nft.is_unambiguous(T) and is_continuous(T) == (True, None)
+    lagging = []
+    preprocess = Determinizer._preprocess
+
+    def spy(self, rec, sa, a):
+        Cp = frozenset(sa.pre.values())
+        lagging.append(len(Cp) == 1 and any(map(self.lagging, Cp)))
+        return preprocess(self, rec, sa, a)
+
+    monkeypatch.setattr(Determinizer, "_preprocess", spy)
+    for n in range(4):
+        for word in ("s" + "0" * n + "y(0)^w", "s" + "0" * n + "e0y(0)^w",
+                     "s" + "0" * n + "e0x(0)^w", "s" + "0" * n + "e(0)^w"):
+            x = parse_upword(word)
+            y = nft.oracle_eval(T, x)
+            assert y is not None, word
+            for check in (False, True):
+                r = run_pipeline(T, x, n + 20, check_invariants=check)
+                assert up_starts_with(y, r.emitted), (word, check)
+    assert any(lagging)
 
 
 # -- the checkpointed re-derivation of val ----------------------------------------
